@@ -25,8 +25,7 @@ from .povm import (
     lossless_reference,
     sharpness_closed,
 )
-from .spin import MAX_PHOTON_NUMBER, HalfInt, SpinRange, from_photon_number, k_of
-from .states import AmplitudeVector, optimal_amplitudes
+from .states import MAX_PHOTON_NUMBER, AmplitudeVector, optimal_amplitudes
 from .sweep import (
     DEFAULT_MAX_PHOTONS,
     CurvePoint,
@@ -45,14 +44,12 @@ __all__ = [
     "CurvePoint",
     "DEFAULT_MAX_PHOTONS",
     "DENSITY_MATRIX_MAX_PHOTONS",
-    "HalfInt",
     "LossChannel",
     "MAX_PHOTON_NUMBER",
     "PhaseDistribution",
     "PhaseEstimate",
     "PureLossyState",
     "ReducedDensity",
-    "SpinRange",
     "SweepResult",
     "channel_from_loss",
     "curve",
@@ -61,10 +58,8 @@ __all__ = [
     "distribution_from_density",
     "find_n_opt",
     "find_subshot_bound",
-    "from_photon_number",
     "holevo",
     "jacobi_poly",
-    "k_of",
     "log_factorial",
     "lossless_reference",
     "nopt_vs_loss",

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import loss as loss_mod
 from . import oracle, povm, sweep
-from .spin import HalfInt
 from .states import optimal_amplitudes
 from .wigner import d_element
 
@@ -222,8 +221,11 @@ def run_curve(cfg: RunConfig) -> int:
 def run_nopt(cfg: RunConfig) -> int:
     grid = cfg.loss_grid
     n_max = cfg.n_max or sweep.DEFAULT_MAX_PHOTONS
-    if cfg.jobs > 1 and len(grid) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    # the pool forks all its workers upfront, so never ask for more than
+    # there are grid points or CPUs
+    workers = min(cfg.jobs, len(grid), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             opts = list(pool.map(_nopt_worker, [(l, n_max, cfg.normalized) for l in grid]))
         pairs = list(zip(grid, opts))
     else:
@@ -282,79 +284,65 @@ _VALIDATE_LOSSES = (0.1, 0.3, 0.5)
 def _check_d_vs_exponential(max_twice_j: int):
     worst, witness = 0.0, ""
     for j2 in range(0, max_twice_j + 1):
-        j = HalfInt(j2)
         for theta in _VALIDATE_THETAS:
-            u = oracle.bs_unitary(j, theta)
+            u = oracle.bs_unitary(j2, theta)
             for ia, a2 in enumerate(range(-j2, j2 + 1, 2)):
                 for ib, b2 in enumerate(range(-j2, j2 + 1, 2)):
-                    diff = abs(
-                        abs(d_element(j, HalfInt(a2), HalfInt(b2), theta))
-                        - abs(u[ia, ib])
-                    )
+                    diff = abs(abs(d_element(j2, a2, b2, theta)) - abs(u[ia, ib]))
                     if diff > worst:
                         worst = diff
-                        witness = f"j={j} a={HalfInt(a2)} b={HalfInt(b2)} theta={theta:g}"
+                        witness = f"2j={j2} 2a={a2} 2b={b2} theta={theta:g}"
     return worst, witness
 
 
 def _check_row_normalization(max_twice_j: int):
     worst, witness = 0.0, ""
     for j2 in range(0, max_twice_j + 1):
-        j = HalfInt(j2)
         for theta in _VALIDATE_THETAS:
             for a2 in range(-j2, j2 + 1, 2):
-                total = sum(
-                    d_element(j, HalfInt(a2), HalfInt(b2), theta) ** 2
-                    for b2 in range(-j2, j2 + 1, 2)
-                )
+                total = sum(d_element(j2, a2, b2, theta) ** 2 for b2 in range(-j2, j2 + 1, 2))
                 diff = abs(total - 1.0)
                 if diff > worst:
                     worst = diff
-                    witness = f"j={j} a={HalfInt(a2)} theta={theta:g}"
+                    witness = f"2j={j2} 2a={a2} theta={theta:g}"
     return worst, witness
 
 
 def _check_identity(max_twice_j: int):
     worst, witness = 0.0, ""
     for j2 in range(0, max_twice_j + 1):
-        j = HalfInt(j2)
         for a2 in range(-j2, j2 + 1, 2):
             for b2 in range(-j2, j2 + 1, 2):
-                value = d_element(j, HalfInt(a2), HalfInt(b2), 0.0)
+                value = d_element(j2, a2, b2, 0.0)
                 diff = abs(value - (1.0 if a2 == b2 else 0.0))
                 if diff > worst:
                     worst = diff
-                    witness = f"j={j} a={HalfInt(a2)} b={HalfInt(b2)}"
+                    witness = f"2j={j2} 2a={a2} 2b={b2}"
     return worst, witness
 
 
 def _check_corner(max_twice_j: int):
     worst, witness = 0.0, ""
     for k2 in range(0, max_twice_j + 1):
-        k = HalfInt(k2)
         for theta in _VALIDATE_THETAS:
-            diff = abs(d_element(k, k, k, theta) - math.cos(theta / 2.0) ** k2)
+            diff = abs(d_element(k2, k2, k2, theta) - math.cos(theta / 2.0) ** k2)
             if diff > worst:
                 worst = diff
-                witness = f"k={k} theta={theta:g}"
+                witness = f"2k={k2} theta={theta:g}"
     return worst, witness
 
 
 def _check_transpose_symmetry(max_twice_j: int):
     worst, witness = 0.0, ""
     for j2 in range(0, max_twice_j + 1):
-        j = HalfInt(j2)
         for theta in _VALIDATE_THETAS:
             for a2 in range(-j2, j2 + 1, 2):
                 for b2 in range(-j2, j2 + 1, 2):
                     sign = (-1) ** ((a2 - b2) // 2)
-                    diff = abs(
-                        d_element(j, HalfInt(a2), HalfInt(b2), theta)
-                        - sign * d_element(j, HalfInt(b2), HalfInt(a2), theta)
-                    )
+                    diff = abs(d_element(j2, a2, b2, theta) - sign * d_element(j2, b2, a2, theta))
                     if diff > worst:
                         worst = diff
-                        witness = f"j={j} a={HalfInt(a2)} b={HalfInt(b2)} theta={theta:g}"
+                        witness = f"2j={j2} 2a={a2} 2b={b2} theta={theta:g}"
     return worst, witness
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import HalfInt
 from .states import AmplitudeVector
 from .wigner import d_element
 
@@ -35,11 +34,6 @@ class LossChannel:
     @property
     def transmission(self) -> float:
         return 1.0 - self.loss
-
-    @property
-    def amplitude_transmission(self) -> float:
-        """cos(theta/2), the per-photon amplitude that survives the splitter."""
-        return math.cos(0.5 * self.theta)
 
 
 def channel_from_loss(loss: float) -> LossChannel:
@@ -67,42 +61,35 @@ class PureLossyState:
     carries the quarter-turn phase i^(s-t) picked up at the splitter.
     """
 
-    j: HalfInt
     channel: LossChannel
     coeffs: tuple
 
+    @property
+    def n_photons(self) -> int:
+        return len(self.coeffs) - 1
+
     def norm_squared(self) -> float:
         return float(sum(np.sum(np.abs(c) ** 2) for c in self.coeffs))
-
-    def coefficient(self, mu: HalfInt, m: HalfInt) -> complex:
-        """Amplitude for ladder member mu and kept-spin projection m."""
-        total = self.j.twice + mu.twice
-        if total % 2 != 0 or not 0 <= total <= 2 * self.j.twice:
-            raise ValueError(f"mu = {mu} outside the spin-{self.j} ladder")
-        t = total // 2  # lossy-arm photons j+mu; twice the kept spin k
-        if not -t <= m.twice <= t or (t - m.twice) % 2 != 0:
-            raise ValueError(f"m = {m} outside the spin-k ladder for mu = {mu}")
-        s = (t + m.twice) // 2
-        return complex(self.coeffs[t][s])
 
 
 def pure_lossy_state(state: AmplitudeVector, channel: LossChannel) -> PureLossyState:
     """Send the input through the loss splitter, keeping the scattered mode.
 
-    The branch with s of the t = j+mu lossy-arm photons surviving carries
-    amplitude psi_mu * i^(s-t) * d^k_{m,k}(theta) with k = t/2, m = s - k;
-    the splitter is unitary, so the total norm is preserved.
+    The branch with s of the t lossy-arm photons surviving carries amplitude
+    psi_t * i^(s-t) * d^{t/2}_{s-t/2,t/2}(theta), which is
+    ``d_element(t, 2s-t, t, theta)`` in doubled labels; the splitter is
+    unitary, so the total norm is preserved.
     """
     n = state.n_photons
     coeffs = []
     for t in range(n + 1):
         branch = np.zeros(t + 1, dtype=complex)
         for s in range(t + 1):
-            amp = state.psi[t] * d_element(HalfInt(t), HalfInt(2 * s - t), HalfInt(t), channel.theta)
+            amp = state.psi[t] * d_element(t, 2 * s - t, t, channel.theta)
             branch[s] = amp * _QUARTER_TURNS[(s - t) % 4]
         branch.flags.writeable = False
         coeffs.append(branch)
-    return PureLossyState(j=state.j, channel=channel, coeffs=tuple(coeffs))
+    return PureLossyState(channel=channel, coeffs=tuple(coeffs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,16 +97,16 @@ class ReducedDensity:
     """Density matrix of the inner modes, block diagonal in photons lost.
 
     ``blocks[ell]`` is the real symmetric block with exactly ell photons in
-    the traced mode; its row index i corresponds to t = j + mu = ell + i.
-    Blocks that vanish identically are omitted.
+    the traced mode; its row index i corresponds to t = ell + i lossy-arm
+    photons. Blocks that vanish identically are omitted.
     """
 
-    j: HalfInt
+    n_photons: int
     channel: LossChannel
     blocks: dict
 
     def __post_init__(self):
-        n = self.j.twice
+        n = self.n_photons
         frozen = {}
         for ell, block in sorted(self.blocks.items()):
             arr = np.asarray(block, dtype=float)
@@ -136,10 +123,6 @@ class ReducedDensity:
             arr.flags.writeable = False
             frozen[ell] = arr
         object.__setattr__(self, "blocks", frozen)
-
-    @property
-    def n_photons(self) -> int:
-        return self.j.twice
 
     def lost_photon_counts(self) -> tuple:
         return tuple(sorted(self.blocks))
@@ -167,11 +150,7 @@ class ReducedDensity:
         return float(min(lows)) if lows else 0.0
 
 
-def reduced_density(
-    state: AmplitudeVector,
-    channel: LossChannel,
-    max_photons: int = DENSITY_MATRIX_MAX_PHOTONS,
-) -> ReducedDensity:
+def reduced_density(state: AmplitudeVector, channel: LossChannel) -> ReducedDensity:
     """Trace the scattered mode out of the post-splitter pure state.
 
     Tracing forces the two sides of each entry to lose the same number of
@@ -180,19 +159,19 @@ def reduced_density(
     w_ell(t) = psi_t * d^{t/2}_{t/2-ell, t/2}(theta) over t = ell..N.
     """
     n = state.n_photons
-    if n > max_photons:
+    if n > DENSITY_MATRIX_MAX_PHOTONS:
         raise ValueError(
-            f"photon number {n} exceeds the density-matrix cap {max_photons}; "
+            f"photon number {n} exceeds the density-matrix cap {DENSITY_MATRIX_MAX_PHOTONS}; "
             "use the closed-form path for large inputs"
         )
     d_col = np.zeros((n + 1, n + 1))
     for t in range(n + 1):
         for ell in range(t + 1):
-            d_col[t, ell] = d_element(HalfInt(t), HalfInt(t - 2 * ell), HalfInt(t), channel.theta)
+            d_col[t, ell] = d_element(t, t - 2 * ell, t, channel.theta)
     blocks = {}
     for ell in range(n + 1):
         ts = np.arange(ell, n + 1)
         w = state.psi[ts] * d_col[ts, ell]
         if np.any(w != 0.0):
             blocks[ell] = np.outer(w, w)
-    return ReducedDensity(j=state.j, channel=channel, blocks=blocks)
+    return ReducedDensity(n_photons=n, channel=channel, blocks=blocks)

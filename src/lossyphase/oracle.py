@@ -16,7 +16,6 @@ import numpy as np
 
 from .loss import PureLossyState, ReducedDensity
 from .povm import TWO_PI, PhaseDistribution
-from .spin import HalfInt
 
 ORACLE_MAX_TWICE_SPIN = 24
 EXPLICIT_TRACE_MAX_PHOTONS = 12
@@ -25,24 +24,24 @@ _EXP_SERIES_TERMS = 18
 _EXP_SCALE_LIMIT = 0.5
 
 
-def _check_oracle_spin(j: HalfInt) -> None:
-    if j.twice < 0:
-        raise ValueError(f"total spin must be nonnegative, got {j}")
-    if j.twice > ORACLE_MAX_TWICE_SPIN:
+def _check_oracle_spin(j2: int) -> None:
+    if j2 < 0:
+        raise ValueError(f"2j must be nonnegative, got {j2}")
+    if j2 > ORACLE_MAX_TWICE_SPIN:
         raise ValueError(
-            f"2j = {j.twice} exceeds the oracle cap {ORACLE_MAX_TWICE_SPIN}"
+            f"2j = {j2} exceeds the oracle cap {ORACLE_MAX_TWICE_SPIN}"
         )
 
 
-def _m_values(j: HalfInt) -> np.ndarray:
-    return np.arange(-j.twice, j.twice + 1, 2) / 2.0
+def _m_values(j2: int) -> np.ndarray:
+    return np.arange(-j2, j2 + 1, 2) / 2.0
 
 
-def jx_matrix(j: HalfInt) -> np.ndarray:
-    """J_x in the ascending |j,m> basis, from the ladder matrix elements."""
-    _check_oracle_spin(j)
-    m = _m_values(j)
-    jj = j.twice / 2.0
+def jx_matrix(j2: int) -> np.ndarray:
+    """J_x for spin j = j2/2 in the ascending |j,m> basis, from the ladder elements."""
+    _check_oracle_spin(j2)
+    m = _m_values(j2)
+    jj = j2 / 2.0
     raising = np.sqrt(jj * (jj + 1.0) - m[:-1] * (m[:-1] + 1.0))
     out = np.zeros((len(m), len(m)), dtype=complex)
     idx = np.arange(len(m) - 1)
@@ -51,11 +50,11 @@ def jx_matrix(j: HalfInt) -> np.ndarray:
     return out
 
 
-def jy_matrix(j: HalfInt) -> np.ndarray:
-    """J_y in the ascending |j,m> basis."""
-    _check_oracle_spin(j)
-    m = _m_values(j)
-    jj = j.twice / 2.0
+def jy_matrix(j2: int) -> np.ndarray:
+    """J_y for spin j = j2/2 in the ascending |j,m> basis."""
+    _check_oracle_spin(j2)
+    m = _m_values(j2)
+    jj = j2 / 2.0
     raising = np.sqrt(jj * (jj + 1.0) - m[:-1] * (m[:-1] + 1.0))
     out = np.zeros((len(m), len(m)), dtype=complex)
     idx = np.arange(len(m) - 1)
@@ -64,10 +63,10 @@ def jy_matrix(j: HalfInt) -> np.ndarray:
     return out
 
 
-def jz_matrix(j: HalfInt) -> np.ndarray:
-    """J_z in the ascending |j,m> basis."""
-    _check_oracle_spin(j)
-    return np.diag(_m_values(j)).astype(complex)
+def jz_matrix(j2: int) -> np.ndarray:
+    """J_z for spin j = j2/2 in the ascending |j,m> basis."""
+    _check_oracle_spin(j2)
+    return np.diag(_m_values(j2)).astype(complex)
 
 
 def _expm(matrix: np.ndarray) -> np.ndarray:
@@ -88,9 +87,9 @@ def _expm(matrix: np.ndarray) -> np.ndarray:
     return total
 
 
-def bs_unitary(j: HalfInt, theta: float) -> np.ndarray:
-    """Beam-splitter unitary e^{i theta J_x} as a dense matrix exponential."""
-    return _expm(1j * theta * jx_matrix(j))
+def bs_unitary(j2: int, theta: float) -> np.ndarray:
+    """Beam-splitter unitary e^{i theta J_x} for spin j2/2, a dense matrix exponential."""
+    return _expm(1j * theta * jx_matrix(j2))
 
 
 def trace_out_explicit(state: PureLossyState) -> ReducedDensity:
@@ -101,7 +100,7 @@ def trace_out_explicit(state: PureLossyState) -> ReducedDensity:
     and the result is re-sorted into lost-photon blocks. Entirely independent
     of the block construction it is meant to check.
     """
-    n = state.j.twice
+    n = state.n_photons
     if n > EXPLICIT_TRACE_MAX_PHOTONS:
         raise ValueError(
             f"photon number {n} exceeds the explicit-trace cap {EXPLICIT_TRACE_MAX_PHOTONS}"
@@ -127,7 +126,7 @@ def trace_out_explicit(state: PureLossyState) -> ReducedDensity:
         block = block.real
         if np.any(block != 0.0):
             blocks[ell] = block
-    return ReducedDensity(j=state.j, channel=state.channel, blocks=blocks)
+    return ReducedDensity(n_photons=n, channel=state.channel, blocks=blocks)
 
 
 def quadrature_sharpness(dist: PhaseDistribution, n_points: int) -> complex:
@@ -137,7 +136,7 @@ def quadrature_sharpness(dist: PhaseDistribution, n_points: int) -> complex:
     integrands exactly, so anything beyond rounding is a real discrepancy;
     the grid must stay above four points per harmonic.
     """
-    harmonics = dist.j.twice + 1
+    harmonics = dist.coeff.shape[0]
     if n_points < 4 * harmonics:
         raise ValueError(
             f"n_points = {n_points} is below the Nyquist guard {4 * harmonics}"

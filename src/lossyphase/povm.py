@@ -7,7 +7,7 @@ closed form built directly from the input amplitudes, and the extraction from
 a reduced density matrix; their agreement is a standing cross-check.
 
 With loss the distribution integrates to less than one (the measured sector
-is reached with probability sum_mu psi_mu^2 (1-L)^(j+mu)). That raw quantity
+is reached with probability sum_t psi_t^2 (1-L)^t). That raw quantity
 is the default everywhere; dividing the sharpness by the integral is offered
 behind an explicit ``normalized`` flag and is never switched on silently.
 """
@@ -20,32 +20,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .loss import LossChannel, ReducedDensity
-from .spin import HalfInt
 from .states import AmplitudeVector
 
 TWO_PI = 2.0 * math.pi
+
+# PhaseDistribution.evaluate builds an (angles x harmonics) complex matrix;
+# it does so for at most this many angles at a time to bound its memory.
+EVALUATE_CHUNK_ANGLES = 4096
 
 
 @dataclass(frozen=True, eq=False)
 class PhaseDistribution:
     """Trigonometric-polynomial phase distribution via its coefficient matrix.
 
-    P(phi) = sum_{mu,nu} coeff[mu,nu] e^{i(nu-mu)phi}; row/column index i
-    corresponds to mu = -j + i, so only integer harmonics appear. The matrix
-    is real and symmetric. When the distribution comes from a pure input the
+    P(phi) = sum_{t,u} coeff[t,u] e^{i(u-t)phi} with t, u = 0..N lossy-arm
+    photons, so only integer harmonics appear. The matrix is real and
+    symmetric. When the distribution comes from a pure input the
     factor vector g with coeff = outer(g,g)/2pi is kept alongside, which lets
     evaluation go through the manifestly nonnegative |G(phi)|^2 form.
     """
 
-    j: HalfInt
     coeff: np.ndarray
     factor: np.ndarray | None = None
 
     def __post_init__(self):
-        dim = self.j.twice + 1
         arr = np.asarray(self.coeff, dtype=float)
-        if arr.shape != (dim, dim):
-            raise ValueError(f"coeff has shape {arr.shape}, expected {(dim, dim)}")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"coeff has shape {arr.shape}, expected a square matrix")
+        dim = arr.shape[0]
         if not np.all(np.isfinite(arr)):
             raise ValueError("coeff entries must be finite")
         if np.max(np.abs(arr - arr.T), initial=0.0) > 1e-12:
@@ -65,8 +67,13 @@ class PhaseDistribution:
         phi = np.asarray(phi, dtype=float)
         if self.factor is not None:
             harmonics = np.arange(self.factor.shape[0])
-            g_of_phi = np.exp(1j * np.multiply.outer(phi, harmonics)) @ self.factor
-            return np.abs(g_of_phi) ** 2 / TWO_PI
+            flat = phi.ravel()
+            result = np.empty(flat.shape)
+            for start in range(0, flat.size, EVALUATE_CHUNK_ANGLES):
+                rows = slice(start, start + EVALUATE_CHUNK_ANGLES)
+                g_of_phi = np.exp(1j * np.multiply.outer(flat[rows], harmonics)) @ self.factor
+                result[rows] = np.abs(g_of_phi) ** 2 / TWO_PI
+            return result.reshape(phi.shape)
         dim = self.coeff.shape[0]
         result = np.full(phi.shape, np.trace(self.coeff))
         for d in range(1, dim):
@@ -89,22 +96,23 @@ class PhaseDistribution:
 
 
 def _survival_factors(state: AmplitudeVector, channel: LossChannel) -> np.ndarray:
-    """cos(theta/2)^(j+mu) over the ladder, in the log domain to dodge underflow."""
+    """(1-L)^(t/2) for t = 0..N lossy-arm photons, from log1p(-L).
+
+    Taken straight from the loss fraction in the log domain: no underflow,
+    and no digits lost to a round trip through the splitter angle at small L.
+    """
     t = np.arange(state.n_photons + 1, dtype=float)
-    c = channel.amplitude_transmission
-    if c >= 1.0:
-        return np.ones_like(t)
-    return np.exp(t * math.log(c))
+    return np.exp(0.5 * t * math.log1p(-channel.loss))
 
 
 def distribution(state: AmplitudeVector, channel: LossChannel) -> PhaseDistribution:
     """Closed-form phase distribution of the surviving-photon sector.
 
-    The measured sector weights each amplitude by cos(theta/2)^(j+mu), giving
-    the factorized coefficients g_mu g_nu / 2pi with g = psi * survival.
+    The measured sector weights each amplitude psi_t by (1-L)^(t/2), giving
+    the factorized coefficients g_t g_u / 2pi with g = psi * survival.
     """
     g = state.psi * _survival_factors(state, channel)
-    return PhaseDistribution(j=state.j, coeff=np.outer(g, g) / TWO_PI, factor=g)
+    return PhaseDistribution(coeff=np.outer(g, g) / TWO_PI, factor=g)
 
 
 def distribution_from_density(rho: ReducedDensity) -> PhaseDistribution:
@@ -119,7 +127,7 @@ def distribution_from_density(rho: ReducedDensity) -> PhaseDistribution:
         coeff = rho.blocks[0] / TWO_PI
     else:
         coeff = np.zeros((dim, dim))
-    return PhaseDistribution(j=rho.j, coeff=coeff)
+    return PhaseDistribution(coeff=coeff)
 
 
 def sharpness_closed(
@@ -129,7 +137,7 @@ def sharpness_closed(
 ) -> float:
     """Sharpness |<e^{i phi}>| from the closed-form nearest-neighbor sum.
 
-    S = sum_mu psi_mu psi_{mu-1} [cos^2(theta/2)]^(j+mu-1/2), the exact first
+    S = sum_t psi_t psi_{t-1} (1-L)^(t-1/2), the exact first
     Fourier coefficient of the distribution. With ``normalized`` the raw
     value is divided by the distribution's integral; that variant is not the
     default quantity anywhere else in the library.
@@ -137,7 +145,7 @@ def sharpness_closed(
     if state.n_photons < 1:
         raise ValueError("sharpness needs at least one photon")
     survival = _survival_factors(state, channel)
-    # exponent j+mu-1/2 splits as (i + (i-1))/2 across the neighbor pair
+    # exponent t-1/2 splits as (t + (t-1))/2 across the neighbor pair
     sharp = float(np.sum(state.psi[1:] * state.psi[:-1] * survival[1:] * survival[:-1]))
     if normalized:
         sharp /= float(np.sum((state.psi * survival) ** 2))

@@ -1,4 +1,4 @@
-"""Two-mode input states as real amplitude vectors over the spin ladder."""
+"""Two-mode input states as real amplitude vectors over the photon split."""
 
 from __future__ import annotations
 
@@ -7,33 +7,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import HalfInt, SpinRange, from_photon_number
+# Hard cap on the photon number accepted anywhere in the library. Beyond this
+# the dense numerics dominate cost long before the indexing does.
+MAX_PHOTON_NUMBER = 4096
 
 # An amplitude vector whose squared norm strays further than this from 1 is
 # rejected outright; silently renormalizing would hide caller bugs.
 NORMALIZATION_TOLERANCE = 1e-12
 
 
+def _check_cap(n_photons: int) -> None:
+    if n_photons > MAX_PHOTON_NUMBER:
+        raise ValueError(
+            f"photon number {n_photons} exceeds the supported maximum {MAX_PHOTON_NUMBER}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class AmplitudeVector:
-    """Real amplitudes psi_mu of a pure two-mode state, mu = -j ... +j.
+    """Real amplitudes psi_t of a pure two-mode state of N = len(psi) - 1 photons.
 
-    Entry i corresponds to mu = -j + i, i.e. to the Fock pair
-    |j+mu> in the lossy arm and |j-mu> in the reference arm. The vector is
-    validated on construction and frozen afterwards.
+    Entry t is the Fock pair |t> in the lossy arm and |N-t> in the reference
+    arm (t = j + mu in spin language). The vector is validated on
+    construction and frozen afterwards.
     """
 
-    j: HalfInt
     psi: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.psi, dtype=float)
         if arr.ndim != 1:
             raise ValueError("psi must be one-dimensional")
-        if arr.shape[0] != self.j.twice + 1:
-            raise ValueError(
-                f"psi has {arr.shape[0]} entries, expected 2j+1 = {self.j.twice + 1}"
-            )
+        if arr.shape[0] == 0:
+            raise ValueError("photon number must be nonnegative, got psi with no entries")
+        _check_cap(arr.shape[0] - 1)
         if not np.all(np.isfinite(arr)):
             raise ValueError("psi entries must be finite")
         norm_sq = float(np.sum(arr * arr))
@@ -48,28 +55,21 @@ class AmplitudeVector:
 
     @property
     def n_photons(self) -> int:
-        return self.j.twice
-
-    def spin_range(self) -> SpinRange:
-        return SpinRange(self.j)
-
-    def amplitude(self, mu: HalfInt) -> float:
-        """psi_mu for a ladder member mu."""
-        return float(self.psi[self.spin_range().index(mu)])
+        return self.psi.shape[0] - 1
 
 
 def optimal_amplitudes(n_photons: int) -> AmplitudeVector:
     """Variance-minimizing input state for the ideal phase measurement.
 
-    psi_mu = sin[(mu+j+1) pi / (2j+2)] / sqrt(j+1), which is strictly
-    positive, symmetric about mu = 0, and exactly normalized. A single
-    photon is the minimum: with none there is no fringe to sharpen.
+    psi_t = sin[(t+1) pi / (N+2)] / sqrt(N/2+1), which is strictly positive,
+    symmetric about t = N/2, and exactly normalized. A single photon is the
+    minimum: with none there is no fringe to sharpen.
     """
     if not isinstance(n_photons, int) or isinstance(n_photons, bool):
         raise TypeError("photon number must be an int")
     if n_photons < 1:
         raise ValueError(f"photon number must be >= 1, got {n_photons}")
-    j = from_photon_number(n_photons)
+    _check_cap(n_photons)  # before allocating anything of that size
     ladder = np.arange(1, n_photons + 2, dtype=float)
     psi = np.sin(ladder * math.pi / (n_photons + 2)) / math.sqrt(n_photons / 2.0 + 1.0)
-    return AmplitudeVector(j, psi)
+    return AmplitudeVector(psi)

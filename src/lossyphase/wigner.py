@@ -6,14 +6,14 @@ the nonnegative range and the factorial prefactor taken in the log domain.
 The convention is the standard one, d^j_{a,b}(theta) = <j,a| e^{-i theta Jy} |j,b>,
 and is pinned by the matrix-exponential cross-checks in the oracle module.
 
-All functions are stateless and safe to call concurrently.
+Spin labels are passed doubled (2j, 2a, 2b) as plain ints, so half-integer
+spins stay exact and no label ever touches floating point. All functions are
+stateless and safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
-
-from .spin import HalfInt
 
 # exp() of the half log-prefactor overflows only past this point; switch the
 # whole magnitude into the log domain there.
@@ -52,30 +52,20 @@ def jacobi_poly(n: int, alpha: int, beta: int, x: float) -> float:
     return p
 
 
-def _as_halfint(value) -> HalfInt:
-    if isinstance(value, HalfInt):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return HalfInt(2 * value)
-    raise TypeError(f"expected HalfInt or int, got {type(value).__name__}")
+def d_element(j2: int, a2: int, b2: int, theta: float) -> float:
+    """Rotation matrix element d^j_{a,b}(theta) from doubled labels 2j, 2a, 2b.
 
-
-def d_element(j, a, b, theta: float) -> float:
-    """Rotation matrix element d^j_{a,b}(theta) for a, b in [-j, j].
-
-    Whole-number spins may be passed as plain ints. The result satisfies
+    a and b must lie in the ladder -j, -j+1, ..., j. The result satisfies
     |d| <= 1; at theta = 0 the identity d = delta_{a,b} holds exactly
     because the sin(theta/2) power and the degree-n polynomial at x = 1
     are both evaluated without rounding.
     """
-    j, a, b = _as_halfint(j), _as_halfint(a), _as_halfint(b)
-    j2, a2, b2 = j.twice, a.twice, b.twice
     if j2 < 0:
-        raise ValueError(f"total spin must be nonnegative, got {j}")
+        raise ValueError(f"2j must be nonnegative, got {j2}")
     if not (-j2 <= a2 <= j2) or (j2 - a2) % 2 != 0:
-        raise ValueError(f"a = {a} outside the spin-{j} ladder")
+        raise ValueError(f"2a = {a2} outside the 2j = {j2} ladder")
     if not (-j2 <= b2 <= j2) or (j2 - b2) % 2 != 0:
-        raise ValueError(f"b = {b} outside the spin-{j} ladder")
+        raise ValueError(f"2b = {b2} outside the 2j = {j2} ladder")
 
     # Map (a, b) onto the representative with A >= |B| using
     #   d_{a,b} = (-1)^{a-b} d_{b,a}  and  d_{a,b} = d_{-b,-a},

@@ -30,7 +30,6 @@ from lossyphase import (
     sharpness_closed,
 )
 from lossyphase.oracle import bs_unitary, trace_out_explicit
-from lossyphase.spin import HalfInt
 from lossyphase.wigner import d_element
 
 
@@ -91,13 +90,12 @@ def test_criterion_2_dual_path_equivalence():
 def test_criterion_3_wigner_oracle():
     with criterion(3, "rotation elements match matrix exponential, 2j<=12", budget=10.0):
         for j2 in range(0, 13):
-            j = HalfInt(j2)
             for theta in (0.1, 0.7, math.pi / 2, 2.5):
-                u = bs_unitary(j, theta)
+                u = bs_unitary(j2, theta)
                 for ia, a2 in enumerate(range(-j2, j2 + 1, 2)):
                     row = 0.0
                     for ib, b2 in enumerate(range(-j2, j2 + 1, 2)):
-                        d = d_element(j, HalfInt(a2), HalfInt(b2), theta)
+                        d = d_element(j2, a2, b2, theta)
                         assert abs(abs(d) - abs(u[ia, ib])) <= 1e-8
                         row += d * d
                     assert abs(row - 1.0) <= 1e-10

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from lossyphase import cli
 from lossyphase.cli import _fmt, main, parse_loss_grid, parse_n_range
 
 
@@ -152,6 +153,33 @@ class TestNOptCommand:
         _, _, rows_p = read_rows(parallel)
         assert rows_s == rows_p
 
+    @pytest.mark.parametrize("points,cpus,expected", [(2, 8, 2), (4, 3, 3)])
+    def test_pool_bounded_by_grid_and_cpus(self, tmp_path, monkeypatch, points, cpus, expected):
+        started = []
+
+        class RecordingPool:
+            """Runs the map in this process and records the requested pool size."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        grid = f"0.1:0.4:{points}"
+        rc = main(["nopt", "--loss-grid", grid, "--n-max", "40", "--jobs", "5000",
+                   "--out", str(tmp_path / "n.csv")])
+        assert rc == 0
+        assert started == [expected]
+
 
 class TestDistCommand:
     def test_lossless_two_photons(self, tmp_path):
@@ -184,6 +212,18 @@ class TestDistCommand:
         rc = main(["dist", "--loss", "0", "--n", "2", "--phi-samples", "32", "--out", str(tmp_path / "d.csv")])
         assert rc == 2
         assert "phi-samples" in capsys.readouterr().err
+
+
+class TestPhotonNumberCap:
+    @pytest.mark.parametrize("args", [
+        ["curve", "--loss", "0.1", "--n-range", "1:4097"],
+        ["nopt", "--loss-grid", "0.1:0.1:1", "--n-max", "4097"],
+        ["dist", "--loss", "0.1", "--n", "4097", "--phi-samples", "20000"],
+    ])
+    def test_above_cap_exits_2(self, tmp_path, capsys, args):
+        assert main(args + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert "photon number 4097 exceeds the supported maximum 4096" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestValidateCommand:

@@ -7,7 +7,6 @@ import pytest
 
 from lossyphase import (
     AmplitudeVector,
-    HalfInt,
     channel_from_loss,
     distribution,
     optimal_amplitudes,
@@ -30,58 +29,66 @@ THETAS = (0.1, 0.7, math.pi / 2, 2.5)
 
 class TestGenerators:
     def test_spin_half_structure(self):
-        jx = jx_matrix(HalfInt(1))
+        jx = jx_matrix(1)
         np.testing.assert_allclose(jx, [[0, 0.5], [0.5, 0]], atol=1e-15)
 
     def test_spin_one_offdiagonal(self):
-        jx = jx_matrix(HalfInt(2))
+        jx = jx_matrix(2)
         assert jx[0, 1] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
         assert jx[1, 2] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
     @pytest.mark.parametrize("j2", range(0, 13))
     def test_spectrum_is_the_ladder(self, j2):
-        eigs = np.sort(np.linalg.eigvalsh(jx_matrix(HalfInt(j2))))
+        eigs = np.sort(np.linalg.eigvalsh(jx_matrix(j2)))
         expected = np.arange(-j2, j2 + 1, 2) / 2
         np.testing.assert_allclose(eigs, expected, atol=1e-10)
 
     @pytest.mark.parametrize("j2", range(0, 13))
     def test_hermitian(self, j2):
         for gen in (jx_matrix, jy_matrix, jz_matrix):
-            m = gen(HalfInt(j2))
+            m = gen(j2)
             assert np.max(np.abs(m - m.conj().T)) <= 1e-12
 
     @pytest.mark.parametrize("j2", range(0, 13))
     def test_commutation(self, j2):
-        jx, jy, jz = jx_matrix(HalfInt(j2)), jy_matrix(HalfInt(j2)), jz_matrix(HalfInt(j2))
+        jx, jy, jz = jx_matrix(j2), jy_matrix(j2), jz_matrix(j2)
         assert np.max(np.abs(jx @ jy - jy @ jx - 1j * jz)) <= 1e-10
+
+    @pytest.mark.parametrize("j2", range(0, 25))
+    def test_jz_diagonal_is_the_ladder(self, j2):
+        # m = -j, -j+1, ..., j: 2j+1 values in unit steps, symmetric about zero
+        m = np.diag(jz_matrix(j2)).real
+        assert len(m) == j2 + 1
+        np.testing.assert_array_equal(np.diff(m), 1.0)
+        np.testing.assert_array_equal(m, -m[::-1])
 
     def test_rejects_oversize(self):
         with pytest.raises(ValueError):
-            jx_matrix(HalfInt(26))
+            jx_matrix(26)
 
 
 class TestBeamSplitterUnitary:
     def test_zero_angle_is_identity(self):
-        np.testing.assert_allclose(bs_unitary(HalfInt(4), 0.0), np.eye(5), atol=1e-15)
+        np.testing.assert_allclose(bs_unitary(4, 0.0), np.eye(5), atol=1e-15)
 
     def test_spin_half_balanced(self):
-        u = bs_unitary(HalfInt(1), math.pi / 2)
+        u = bs_unitary(1, math.pi / 2)
         np.testing.assert_allclose(np.abs(np.diag(u)), math.cos(math.pi / 4), atol=1e-12)
 
     @pytest.mark.parametrize("j2", range(0, 13))
     @pytest.mark.parametrize("theta", THETAS)
     def test_unitarity(self, j2, theta):
-        u = bs_unitary(HalfInt(j2), theta)
+        u = bs_unitary(j2, theta)
         defect = np.max(np.abs(u @ u.conj().T - np.eye(j2 + 1)))
         assert defect <= 1e-10
 
     @pytest.mark.parametrize("j2", range(0, 13))
     @pytest.mark.parametrize("theta", THETAS)
     def test_magnitudes_match_rotation_elements(self, j2, theta):
-        u = bs_unitary(HalfInt(j2), theta)
+        u = bs_unitary(j2, theta)
         for ia, a2 in enumerate(range(-j2, j2 + 1, 2)):
             for ib, b2 in enumerate(range(-j2, j2 + 1, 2)):
-                d = d_element(HalfInt(j2), HalfInt(a2), HalfInt(b2), theta)
+                d = d_element(j2, a2, b2, theta)
                 assert abs(u[ia, ib]) == pytest.approx(abs(d), abs=1e-8)
 
 
@@ -109,7 +116,7 @@ class TestTraceOutExplicit:
         rng = np.random.default_rng(7)
         psi = rng.standard_normal(5)
         psi /= math.sqrt(np.sum(psi**2))
-        state = AmplitudeVector(HalfInt(4), psi)
+        state = AmplitudeVector(psi)
         explicit = trace_out_explicit(pure_lossy_state(state, channel_from_loss(0.2)))
         assert explicit.trace() == pytest.approx(1.0, abs=1e-12)
 
@@ -133,7 +140,7 @@ class TestQuadratureSharpness:
         assert value.real == pytest.approx(0.5 * math.sqrt(0.7), abs=1e-8)
 
     def test_flat_distribution_has_no_fringe(self):
-        one_hot = AmplitudeVector(HalfInt(3), [0.0, 1.0, 0.0, 0.0])
+        one_hot = AmplitudeVector([0.0, 1.0, 0.0, 0.0])
         dist = distribution(one_hot, channel_from_loss(0.1))
         assert abs(quadrature_sharpness(dist, 256)) < 1e-12
 

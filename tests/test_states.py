@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lossyphase import AmplitudeVector, HalfInt, optimal_amplitudes
+from lossyphase import MAX_PHOTON_NUMBER, AmplitudeVector, optimal_amplitudes
 
 SQRT_HALF = 1 / math.sqrt(2)
 
@@ -50,24 +50,54 @@ class TestOptimalAmplitudes:
 
 class TestAmplitudeVector:
     def test_accepts_external_normalized_vector(self):
-        state = AmplitudeVector(HalfInt(2), [SQRT_HALF, 0.0, -SQRT_HALF])
+        state = AmplitudeVector([SQRT_HALF, 0.0, -SQRT_HALF])
         assert state.n_photons == 2
-        assert state.amplitude(HalfInt(-2)) == pytest.approx(SQRT_HALF)
-        assert state.amplitude(HalfInt(2)) == pytest.approx(-SQRT_HALF)
+        assert state.psi[0] == pytest.approx(SQRT_HALF)
+        assert state.psi[2] == pytest.approx(-SQRT_HALF)
 
     def test_rejects_unnormalized_rather_than_fixing(self):
         with pytest.raises(ValueError, match="not normalized"):
-            AmplitudeVector(HalfInt(1), [0.8, 0.7])
+            AmplitudeVector([0.8, 0.7])
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            AmplitudeVector(HalfInt(2), [1.0, 0.0])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            AmplitudeVector([[SQRT_HALF, SQRT_HALF]])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            AmplitudeVector(HalfInt(1), [math.inf, 0.0])
+            AmplitudeVector([math.inf, 0.0])
 
     def test_immutable_after_creation(self):
         state = optimal_amplitudes(3)
         with pytest.raises(ValueError):
             state.psi[0] = 9.9
+
+
+def all_in_lossy_arm(n):
+    """|N, 0>: every photon in the lossy arm, a valid state for any N >= 0."""
+    psi = np.zeros(n + 1)
+    psi[n] = 1.0
+    return psi
+
+
+class TestPhotonNumber:
+    @pytest.mark.parametrize("n", range(0, 51))
+    def test_round_trip(self, n):
+        assert AmplitudeVector(all_in_lossy_arm(n)).n_photons == n
+        if n >= 1:
+            assert optimal_amplitudes(n).n_photons == n
+
+    def test_rejects_above_cap(self):
+        with pytest.raises(ValueError, match="exceeds the supported maximum 4096"):
+            optimal_amplitudes(MAX_PHOTON_NUMBER + 1)
+        with pytest.raises(ValueError, match="exceeds the supported maximum 4096"):
+            AmplitudeVector(all_in_lossy_arm(MAX_PHOTON_NUMBER + 1))
+
+    def test_rejects_negative(self):
+        # an empty vector would be N = -1 photons
+        with pytest.raises(ValueError, match="nonnegative"):
+            AmplitudeVector([])
+
+    def test_rejects_float(self):
+        with pytest.raises(TypeError):
+            optimal_amplitudes(2.0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lossyphase import HalfInt, d_element, jacobi_poly, log_factorial
+from lossyphase import d_element, jacobi_poly, log_factorial
 from lossyphase.oracle import bs_unitary
 
 THETAS = (0.1, 0.7, math.pi / 2, 2.5)
@@ -70,7 +70,7 @@ class TestJacobiPoly:
 
 class TestDElement:
     def test_half_spin_diagonal(self):
-        value = d_element(HalfInt(1), HalfInt(1), HalfInt(1), math.pi / 2)
+        value = d_element(1, 1, 1, math.pi / 2)
         assert value == pytest.approx(math.cos(math.pi / 4), abs=1e-15)
 
     @pytest.mark.parametrize("j2", range(0, 13))
@@ -78,18 +78,17 @@ class TestDElement:
         for a2 in range(-j2, j2 + 1, 2):
             for b2 in range(-j2, j2 + 1, 2):
                 expected = 1.0 if a2 == b2 else 0.0
-                assert d_element(HalfInt(j2), HalfInt(a2), HalfInt(b2), 0.0) == expected
+                assert d_element(j2, a2, b2, 0.0) == expected
 
     def test_corner_identity_at_cos2_07(self):
         # at cos^2(theta/2) = 0.7 the k = 1 corner element equals 0.7
         theta = 2 * math.acos(math.sqrt(0.7))
-        assert d_element(1, 1, 1, theta) == pytest.approx(0.7, abs=1e-12)
+        assert d_element(2, 2, 2, theta) == pytest.approx(0.7, abs=1e-12)
 
     @pytest.mark.parametrize("k2", range(0, 25))
     @pytest.mark.parametrize("theta", THETAS)
     def test_corner_identity(self, k2, theta):
-        k = HalfInt(k2)
-        assert d_element(k, k, k, theta) == pytest.approx(
+        assert d_element(k2, k2, k2, theta) == pytest.approx(
             math.cos(theta / 2) ** k2, abs=1e-12
         )
 
@@ -98,7 +97,7 @@ class TestDElement:
     def test_row_normalization(self, j2, theta):
         for a2 in range(-j2, j2 + 1, 2):
             total = sum(
-                d_element(HalfInt(j2), HalfInt(a2), HalfInt(b2), theta) ** 2
+                d_element(j2, a2, b2, theta) ** 2
                 for b2 in range(-j2, j2 + 1, 2)
             )
             assert total == pytest.approx(1.0, abs=1e-10)
@@ -109,8 +108,8 @@ class TestDElement:
         for a2 in range(-j2, j2 + 1, 2):
             for b2 in range(-j2, j2 + 1, 2):
                 sign = (-1) ** ((a2 - b2) // 2)
-                assert d_element(HalfInt(j2), HalfInt(a2), HalfInt(b2), theta) == pytest.approx(
-                    sign * d_element(HalfInt(j2), HalfInt(b2), HalfInt(a2), theta),
+                assert d_element(j2, a2, b2, theta) == pytest.approx(
+                    sign * d_element(j2, b2, a2, theta),
                     abs=1e-10,
                 )
 
@@ -119,12 +118,12 @@ class TestDElement:
     def test_signed_agreement_with_matrix_exponential(self, j2, theta):
         # undoing the quarter-turn phase of e^{i theta Jx} entry-by-entry
         # must land on the real rotation element, sign included
-        u = bs_unitary(HalfInt(j2), theta)
+        u = bs_unitary(j2, theta)
         for ia, a2 in enumerate(range(-j2, j2 + 1, 2)):
             for ib, b2 in enumerate(range(-j2, j2 + 1, 2)):
                 recovered = (1j) ** ((a2 - b2) // 2 % 4) * u[ia, ib]
                 assert abs(recovered.imag) < 1e-10
-                assert d_element(HalfInt(j2), HalfInt(a2), HalfInt(b2), theta) == pytest.approx(
+                assert d_element(j2, a2, b2, theta) == pytest.approx(
                     recovered.real, abs=1e-8
                 )
 
@@ -133,17 +132,14 @@ class TestDElement:
             for theta in THETAS:
                 for a2 in range(-j2, j2 + 1, 2):
                     for b2 in range(-j2, j2 + 1, 2):
-                        assert abs(d_element(HalfInt(j2), HalfInt(a2), HalfInt(b2), theta)) <= 1 + 1e-12
-
-    def test_accepts_plain_ints_for_whole_spins(self):
-        assert d_element(1, 0, 0, 0.4) == pytest.approx(math.cos(0.4), abs=1e-14)
+                        assert abs(d_element(j2, a2, b2, theta)) <= 1 + 1e-12
 
     def test_rejects_out_of_range_projection(self):
         with pytest.raises(ValueError):
-            d_element(HalfInt(2), HalfInt(4), HalfInt(0), 0.3)
+            d_element(2, 4, 0, 0.3)
         with pytest.raises(ValueError):
-            d_element(HalfInt(2), HalfInt(0), HalfInt(-4), 0.3)
+            d_element(2, 0, -4, 0.3)
 
     def test_rejects_wrong_parity(self):
         with pytest.raises(ValueError):
-            d_element(HalfInt(2), HalfInt(1), HalfInt(0), 0.3)
+            d_element(2, 1, 0, 0.3)
