@@ -55,11 +55,16 @@ class TestGenerators:
         assert np.max(np.abs(jx @ jy - jy @ jx - 1j * jz)) <= 1e-10
 
     @pytest.mark.parametrize("j2", range(0, 25))
-    def test_jz_diagonal_is_the_ladder(self, j2):
-        # m = -j, -j+1, ..., j: 2j+1 values in unit steps, symmetric about zero
+    def test_jz_diagonal_length_and_step(self, j2):
+        # m = -j, -j+1, ..., j: 2j+1 values in unit steps
         m = np.diag(jz_matrix(j2)).real
         assert len(m) == j2 + 1
         np.testing.assert_array_equal(np.diff(m), 1.0)
+
+    @pytest.mark.parametrize("j2", range(0, 25))
+    def test_jz_diagonal_symmetric_about_zero(self, j2):
+        m = np.diag(jz_matrix(j2)).real
+        assert m[0] == -m[-1]
         np.testing.assert_array_equal(m, -m[::-1])
 
     def test_rejects_oversize(self):

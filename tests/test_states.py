@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lossyphase import MAX_PHOTON_NUMBER, AmplitudeVector, optimal_amplitudes
+from lossyphase.oracle import jz_matrix
 
 SQRT_HALF = 1 / math.sqrt(2)
 
@@ -81,6 +82,14 @@ def all_in_lossy_arm(n):
 
 
 class TestPhotonNumber:
+    @pytest.mark.parametrize("n,j2", [(0, 0), (1, 1), (2, 2)])
+    def test_examples(self, n, j2):
+        # N photons carry total spin j = N/2, i.e. the doubled label 2j = N:
+        # psi has as many entries as the spin-j ladder has rungs
+        state = AmplitudeVector(all_in_lossy_arm(n))
+        assert state.n_photons == j2
+        assert len(state.psi) == jz_matrix(j2).shape[0]
+
     @pytest.mark.parametrize("n", range(0, 51))
     def test_round_trip(self, n):
         assert AmplitudeVector(all_in_lossy_arm(n)).n_photons == n
