@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +47,6 @@ class RunConfig:
     out: str | None = None
     format: str = "csv"
     normalized: bool = False
-    jobs: int = 0
 
 
 def _fmt(value) -> str:
@@ -219,17 +217,8 @@ def run_curve(cfg: RunConfig) -> int:
 
 
 def run_nopt(cfg: RunConfig) -> int:
-    grid = cfg.loss_grid
     n_max = cfg.n_max or sweep.DEFAULT_MAX_PHOTONS
-    # the pool forks all its workers upfront, so never ask for more than
-    # there are grid points or CPUs
-    workers = min(cfg.jobs, len(grid), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            opts = list(pool.map(_nopt_worker, [(l, n_max, cfg.normalized) for l in grid]))
-        pairs = list(zip(grid, opts))
-    else:
-        pairs = [(l, sweep.find_n_opt(l, n_max, normalized=cfg.normalized)) for l in grid]
+    pairs = [(l, sweep.find_n_opt(l, n_max, normalized=cfg.normalized)) for l in cfg.loss_grid]
     out = cfg.out or f"nopt.{cfg.format}"
     if cfg.format == "csv":
         rows = [(_fmt(l), "none" if n is None else str(n)) for l, n in pairs]
@@ -240,11 +229,6 @@ def run_nopt(cfg: RunConfig) -> int:
     script = _emit_plot_script(cfg, out, NOPT_COLUMNS, logscale=True, ylabel="n_opt")
     print(f"wrote {out} and {script}")
     return EXIT_OK
-
-
-def _nopt_worker(args) -> int | None:
-    loss_value, n_max, normalized = args
-    return sweep.find_n_opt(loss_value, n_max, normalized=normalized)
 
 
 def run_dist(cfg: RunConfig) -> int:
@@ -281,69 +265,60 @@ _VALIDATE_THETAS = (0.1, 0.7, math.pi / 2, 2.5)
 _VALIDATE_LOSSES = (0.1, 0.3, 0.5)
 
 
-def _check_d_vs_exponential(max_twice_j: int):
+def _largest_defect(cases):
+    """Largest of (defect, witness) pairs, with the witness that first reached it."""
     worst, witness = 0.0, ""
+    for defect, label in cases:
+        if defect > worst:
+            worst, witness = defect, label
+    return worst, witness
+
+
+def _projections(j2: int):
+    return range(-j2, j2 + 1, 2)
+
+
+def _check_d_vs_exponential(max_twice_j: int):
     for j2 in range(0, max_twice_j + 1):
         for theta in _VALIDATE_THETAS:
             u = oracle.bs_unitary(j2, theta)
-            for ia, a2 in enumerate(range(-j2, j2 + 1, 2)):
-                for ib, b2 in enumerate(range(-j2, j2 + 1, 2)):
+            for ia, a2 in enumerate(_projections(j2)):
+                for ib, b2 in enumerate(_projections(j2)):
                     diff = abs(abs(d_element(j2, a2, b2, theta)) - abs(u[ia, ib]))
-                    if diff > worst:
-                        worst = diff
-                        witness = f"2j={j2} 2a={a2} 2b={b2} theta={theta:g}"
-    return worst, witness
+                    yield diff, f"2j={j2} 2a={a2} 2b={b2} theta={theta:g}"
 
 
 def _check_row_normalization(max_twice_j: int):
-    worst, witness = 0.0, ""
     for j2 in range(0, max_twice_j + 1):
         for theta in _VALIDATE_THETAS:
-            for a2 in range(-j2, j2 + 1, 2):
-                total = sum(d_element(j2, a2, b2, theta) ** 2 for b2 in range(-j2, j2 + 1, 2))
-                diff = abs(total - 1.0)
-                if diff > worst:
-                    worst = diff
-                    witness = f"2j={j2} 2a={a2} theta={theta:g}"
-    return worst, witness
+            for a2 in _projections(j2):
+                total = sum(d_element(j2, a2, b2, theta) ** 2 for b2 in _projections(j2))
+                yield abs(total - 1.0), f"2j={j2} 2a={a2} theta={theta:g}"
 
 
 def _check_identity(max_twice_j: int):
-    worst, witness = 0.0, ""
     for j2 in range(0, max_twice_j + 1):
-        for a2 in range(-j2, j2 + 1, 2):
-            for b2 in range(-j2, j2 + 1, 2):
-                value = d_element(j2, a2, b2, 0.0)
-                diff = abs(value - (1.0 if a2 == b2 else 0.0))
-                if diff > worst:
-                    worst = diff
-                    witness = f"2j={j2} 2a={a2} 2b={b2}"
-    return worst, witness
+        for a2 in _projections(j2):
+            for b2 in _projections(j2):
+                diff = abs(d_element(j2, a2, b2, 0.0) - (1.0 if a2 == b2 else 0.0))
+                yield diff, f"2j={j2} 2a={a2} 2b={b2}"
 
 
 def _check_corner(max_twice_j: int):
-    worst, witness = 0.0, ""
     for k2 in range(0, max_twice_j + 1):
         for theta in _VALIDATE_THETAS:
             diff = abs(d_element(k2, k2, k2, theta) - math.cos(theta / 2.0) ** k2)
-            if diff > worst:
-                worst = diff
-                witness = f"2k={k2} theta={theta:g}"
-    return worst, witness
+            yield diff, f"2k={k2} theta={theta:g}"
 
 
 def _check_transpose_symmetry(max_twice_j: int):
-    worst, witness = 0.0, ""
     for j2 in range(0, max_twice_j + 1):
         for theta in _VALIDATE_THETAS:
-            for a2 in range(-j2, j2 + 1, 2):
-                for b2 in range(-j2, j2 + 1, 2):
+            for a2 in _projections(j2):
+                for b2 in _projections(j2):
                     sign = (-1) ** ((a2 - b2) // 2)
                     diff = abs(d_element(j2, a2, b2, theta) - sign * d_element(j2, b2, a2, theta))
-                    if diff > worst:
-                        worst = diff
-                        witness = f"2j={j2} 2a={a2} 2b={b2} theta={theta:g}"
-    return worst, witness
+                    yield diff, f"2j={j2} 2a={a2} 2b={b2} theta={theta:g}"
 
 
 def _block_difference(left, right) -> float:
@@ -354,63 +329,41 @@ def _block_difference(left, right) -> float:
     return worst
 
 
-def _check_partial_trace():
-    worst, witness = 0.0, ""
-    for n in range(1, 9):
+def _lossy_states(n_top: int, losses):
+    """(witness, state, channel) for N = 1..n_top at each loss."""
+    for n in range(1, n_top + 1):
         state = optimal_amplitudes(n)
-        for loss_value in _VALIDATE_LOSSES:
-            channel = loss_mod.channel_from_loss(loss_value)
-            direct = loss_mod.reduced_density(state, channel)
-            explicit = oracle.trace_out_explicit(loss_mod.pure_lossy_state(state, channel))
-            diff = _block_difference(direct, explicit)
-            if diff > worst:
-                worst = diff
-                witness = f"N={n} L={loss_value:g}"
-    return worst, witness
+        for loss_value in losses:
+            yield f"N={n} L={loss_value:g}", state, loss_mod.channel_from_loss(loss_value)
+
+
+def _check_partial_trace():
+    for witness, state, channel in _lossy_states(8, _VALIDATE_LOSSES):
+        direct = loss_mod.reduced_density(state, channel)
+        explicit = oracle.trace_out_explicit(loss_mod.pure_lossy_state(state, channel))
+        yield _block_difference(direct, explicit), witness
 
 
 def _check_dual_path():
-    worst, witness = 0.0, ""
-    for n in range(1, 13):
-        state = optimal_amplitudes(n)
-        for loss_value in (0.0,) + _VALIDATE_LOSSES:
-            channel = loss_mod.channel_from_loss(loss_value)
-            closed = povm.sharpness_closed(state, channel)
-            rho = loss_mod.reduced_density(state, channel)
-            extracted = povm.distribution_from_density(rho).fourier_sharpness()
-            diff = abs(closed - extracted)
-            if diff > worst:
-                worst = diff
-                witness = f"N={n} L={loss_value:g}"
-    return worst, witness
+    for witness, state, channel in _lossy_states(12, (0.0,) + _VALIDATE_LOSSES):
+        closed = povm.sharpness_closed(state, channel)
+        rho = loss_mod.reduced_density(state, channel)
+        yield abs(closed - povm.distribution_from_density(rho).fourier_sharpness()), witness
 
 
 def _check_quadrature():
-    worst, witness = 0.0, ""
-    for n in range(1, 13):
-        state = optimal_amplitudes(n)
-        for loss_value in (0.0,) + _VALIDATE_LOSSES:
-            channel = loss_mod.channel_from_loss(loss_value)
-            closed = povm.sharpness_closed(state, channel)
-            quad = oracle.quadrature_sharpness(povm.distribution(state, channel), 4096)
-            diff = abs(quad - closed)
-            if diff > worst:
-                worst = diff
-                witness = f"N={n} L={loss_value:g}"
-    return worst, witness
+    for witness, state, channel in _lossy_states(12, (0.0,) + _VALIDATE_LOSSES):
+        closed = povm.sharpness_closed(state, channel)
+        quad = oracle.quadrature_sharpness(povm.distribution(state, channel), 4096)
+        yield abs(quad - closed), witness
 
 
 def _check_lossless_anchor():
-    worst, witness = 0.0, ""
     identity = loss_mod.channel_from_loss(0.0)
     for n in range(1, 101):
         variance = povm.holevo(povm.sharpness_closed(optimal_amplitudes(n), identity)).holevo_variance
         reference = povm.lossless_reference(n)
-        diff = abs(variance - reference) / reference
-        if diff > worst:
-            worst = diff
-            witness = f"N={n}"
-    return worst, witness
+        yield abs(variance - reference) / reference, f"N={n}"
 
 
 def run_validate(max_twice_j: int = 12) -> int:
@@ -428,7 +381,7 @@ def run_validate(max_twice_j: int = 12) -> int:
     failures = []
     print(f"{'check':<40} {'max defect':>12} {'tolerance':>12} result")
     for name, tol, fn in checks:
-        defect, witness = fn()
+        defect, witness = _largest_defect(fn())
         ok = defect <= tol
         if not ok:
             failures.append((name, defect, tol, witness))
@@ -463,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     nopt_p = sub.add_parser("nopt", help="optimal photon number over a loss grid")
     nopt_p.add_argument("--loss-grid", required=True, metavar="LO:HI:COUNT[:log]")
     nopt_p.add_argument("--n-max", type=int, default=sweep.DEFAULT_MAX_PHOTONS)
-    nopt_p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    nopt_p.add_argument("--jobs", type=int, help="ignored; nopt runs in one process")
 
     dist_p = sub.add_parser("dist", help="phase distribution at fixed N and loss")
     dist_p.add_argument("--loss", type=float, required=True)
@@ -490,7 +443,6 @@ def _config_from_args(args) -> RunConfig:
         cfg.loss_grid = parse_loss_grid(args.loss_grid)
         cfg.loss_grid_text = args.loss_grid
         cfg.n_max = args.n_max
-        cfg.jobs = args.jobs
         if cfg.n_max < 1:
             raise ValueError(f"n-max must be >= 1, got {cfg.n_max}")
     if args.command == "dist":

@@ -95,14 +95,15 @@ class PhaseDistribution:
         return TWO_PI * float(np.trace(self.coeff, offset=-1))
 
 
-def _survival_factors(state: AmplitudeVector, channel: LossChannel) -> np.ndarray:
-    """(1-L)^(t/2) for t = 0..N lossy-arm photons, from log1p(-L).
+def _loss_factors(n_photons: int, loss: float) -> tuple:
+    """(1-L)^(t/2) and 1-(1-L)^t for t = 0..N lossy-arm photons, from t log1p(-L).
 
-    Taken straight from the loss fraction in the log domain: no underflow,
-    and no digits lost to a round trip through the splitter angle at small L.
+    Taken straight from the loss fraction in the log domain: no underflow, no
+    digits lost to a round trip through the splitter angle at small L, and
+    expm1 keeps the lost fraction exact where it is tiny.
     """
-    t = np.arange(state.n_photons + 1, dtype=float)
-    return np.exp(0.5 * t * math.log1p(-channel.loss))
+    exponent = np.arange(n_photons + 1, dtype=float) * math.log1p(-loss)
+    return np.exp(0.5 * exponent), -np.expm1(exponent)
 
 
 def distribution(state: AmplitudeVector, channel: LossChannel) -> PhaseDistribution:
@@ -111,7 +112,7 @@ def distribution(state: AmplitudeVector, channel: LossChannel) -> PhaseDistribut
     The measured sector weights each amplitude psi_t by (1-L)^(t/2), giving
     the factorized coefficients g_t g_u / 2pi with g = psi * survival.
     """
-    g = state.psi * _survival_factors(state, channel)
+    g = state.psi * _loss_factors(state.n_photons, channel.loss)[0]
     return PhaseDistribution(coeff=np.outer(g, g) / TWO_PI, factor=g)
 
 
@@ -130,6 +131,32 @@ def distribution_from_density(rho: ReducedDensity) -> PhaseDistribution:
     return PhaseDistribution(coeff=coeff)
 
 
+def _sharpness_kernel(
+    psi: np.ndarray,
+    survival: np.ndarray,
+    lost: np.ndarray,
+    normalized: bool,
+) -> tuple:
+    """Sharpness S and its defect 1 - S for amplitudes psi_0..psi_N.
+
+    S = sum_t g_t g_{t-1} with g = psi * survival, the survival factors being
+    (1-L)^(t/2) and ``lost`` being 1 - (1-L)^t for t = 0..N. The defect is
+    not formed as 1 - S but summed from nonnegative terms: with sum psi^2 = 1,
+    1 - S = sum psi_t^2 lost_t + (g_0^2 + g_N^2 + sum (g_t - g_{t-1})^2) / 2,
+    so it keeps its digits where S is within rounding of 1. With
+    ``normalized`` both are divided by the integral sum g^2.
+    """
+    total = np.add.reduce  # np.sum's pairwise summation, without its call overhead
+    g = psi * survival
+    sharp = float(total(g[1:] * g[:-1]))
+    step = g[1:] - g[:-1]
+    spread = 0.5 * (float(g[0]) ** 2 + float(g[-1]) ** 2 + float(total(step * step)))
+    if normalized:
+        mass = float(total(g * g))
+        return sharp / mass, spread / mass
+    return sharp, float(total(psi * psi * lost)) + spread
+
+
 def sharpness_closed(
     state: AmplitudeVector,
     channel: LossChannel,
@@ -144,12 +171,8 @@ def sharpness_closed(
     """
     if state.n_photons < 1:
         raise ValueError("sharpness needs at least one photon")
-    survival = _survival_factors(state, channel)
-    # exponent t-1/2 splits as (t + (t-1))/2 across the neighbor pair
-    sharp = float(np.sum(state.psi[1:] * state.psi[:-1] * survival[1:] * survival[:-1]))
-    if normalized:
-        sharp /= float(np.sum((state.psi * survival) ** 2))
-    return sharp
+    factors = _loss_factors(state.n_photons, channel.loss)
+    return _sharpness_kernel(state.psi, *factors, normalized)[0]
 
 
 @dataclass(frozen=True)

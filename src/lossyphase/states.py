@@ -70,6 +70,10 @@ def optimal_amplitudes(n_photons: int) -> AmplitudeVector:
     if n_photons < 1:
         raise ValueError(f"photon number must be >= 1, got {n_photons}")
     _check_cap(n_photons)  # before allocating anything of that size
+    return AmplitudeVector(_sine_profile(n_photons))
+
+
+def _sine_profile(n_photons: int) -> np.ndarray:
+    """psi_t = sin[(t+1) pi / (N+2)] / sqrt(N/2+1) for t = 0..N, unchecked."""
     ladder = np.arange(1, n_photons + 2, dtype=float)
-    psi = np.sin(ladder * math.pi / (n_photons + 2)) / math.sqrt(n_photons / 2.0 + 1.0)
-    return AmplitudeVector(psi)
+    return np.sin(ladder * math.pi / (n_photons + 2)) / math.sqrt(n_photons / 2.0 + 1.0)

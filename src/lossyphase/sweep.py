@@ -2,7 +2,8 @@
 
 Every point uses the closed-form sharpness, so a scan to N in the thousands
 stays cheap; the density-matrix machinery is deliberately not on this path.
-Points are evaluated independently, making the scan trivially parallel, and
+A scan computes the loss factors once, up to its largest photon number, and
+feeds each N's sine profile and a slice of them to the sharpness kernel;
 the assembled results are deterministic for identical inputs.
 """
 
@@ -12,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .loss import channel_from_loss
-from .povm import holevo, sharpness_closed
-from .states import optimal_amplitudes
+from .povm import _loss_factors, _sharpness_kernel
+from .states import _check_cap, _sine_profile
 
 DEFAULT_MAX_PHOTONS = 1000
 
@@ -43,11 +44,6 @@ class SweepResult:
     n_subshot_max: int | None
 
 
-def _delta_phi(n: int, loss_channel, normalized: bool) -> float:
-    state = optimal_amplitudes(n)
-    return holevo(sharpness_closed(state, loss_channel, normalized=normalized)).min_detectable_phase
-
-
 def curve(
     loss: float,
     n_min: int = 1,
@@ -61,13 +57,18 @@ def curve(
     """
     if n_min < 1 or n_min > n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got {n_min}:{n_max}")
+    _check_cap(n_max)
     ch = channel_from_loss(loss)
+    survival, lost = _loss_factors(n_max, ch.loss)
     points = []
     for n in range(n_min, n_max + 1):
+        keep = slice(0, n + 1)
+        sharp, defect = _sharpness_kernel(_sine_profile(n), survival[keep], lost[keep], normalized)
         points.append(
             CurvePoint(
                 n=n,
-                delta_phi=_delta_phi(n, ch, normalized),
+                # sqrt(1/S^2 - 1), without the cancellation of 1/S^2 - 1 near S = 1
+                delta_phi=math.sqrt(defect * (1.0 + sharp)) / sharp if sharp > 0.0 else math.inf,
                 shot_noise=1.0 / math.sqrt(n),
                 heisenberg=math.tan(math.pi / (n + 2)),
             )
@@ -81,36 +82,24 @@ def curve(
     )
 
 
-def _argmin_index(points) -> int:
-    best = 0
-    for i in range(1, len(points)):
-        if points[i].delta_phi < points[best].delta_phi:
-            best = i
-    return best
-
-
 def _locate_n_opt(points, n_max: int) -> int | None:
     # A minimum sitting at the top of the scan means the curve is still
     # falling there; report that as not-in-range rather than as an optimum.
-    best = _argmin_index(points)
-    if points[best].n == n_max:
-        return None
-    return points[best].n
+    # min() keeps the first of equal minima, so ties go to the smaller N.
+    best = min(points, key=lambda p: p.delta_phi).n
+    return None if best == n_max else best
 
 
 def _locate_subshot_max(points, n_max: int) -> int | None:
-    sub = {i for i, p in enumerate(points) if p.delta_phi < p.shot_noise}
-    if not sub:
+    # The stretch runs right from the lowest sub-shot-noise point, which is
+    # the curve's minimum whenever that minimum beats shot noise.
+    below = [p.delta_phi < p.shot_noise for p in points]
+    if not any(below):
         return None
-    anchor = _argmin_index(points)
-    if anchor not in sub:
-        anchor = min(sub, key=lambda i: points[i].delta_phi)
-    right = anchor
-    while right + 1 in sub:
-        right += 1
-    if points[right].n == n_max:
-        return None
-    return points[right].n
+    start = min((i for i, b in enumerate(below) if b), key=lambda i: points[i].delta_phi)
+    end = next((i for i in range(start, len(below)) if not below[i]), len(below))
+    edge = points[end - 1].n
+    return None if edge == n_max else edge
 
 
 def find_n_opt(loss: float, n_max: int = DEFAULT_MAX_PHOTONS, normalized: bool = False) -> int | None:

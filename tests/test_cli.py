@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from lossyphase import cli
+from lossyphase import sweep
 from lossyphase.cli import _fmt, main, parse_loss_grid, parse_n_range
 
 
@@ -144,41 +144,14 @@ class TestNOptCommand:
         assert payload["rows"][0]["n_opt"] is None
         assert isinstance(payload["rows"][1]["n_opt"], int)
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
-        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
+    @pytest.mark.parametrize("jobs", ["1", "2", "0", "-3", "5000"])
+    def test_parallel_jobs_match_serial(self, tmp_path, jobs):
+        # --jobs is accepted and ignored: nopt runs in this process whatever it says
+        plain, with_jobs = tmp_path / "plain.csv", tmp_path / "jobs.csv"
         base = ["nopt", "--loss-grid", "0.1:0.5:4", "--n-max", "80"]
-        assert main(base + ["--jobs", "1", "--out", str(serial)]) == 0
-        assert main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
-        _, _, rows_s = read_rows(serial)
-        _, _, rows_p = read_rows(parallel)
-        assert rows_s == rows_p
-
-    @pytest.mark.parametrize("points,cpus,expected", [(2, 8, 2), (4, 3, 3)])
-    def test_pool_bounded_by_grid_and_cpus(self, tmp_path, monkeypatch, points, cpus, expected):
-        started = []
-
-        class RecordingPool:
-            """Runs the map in this process and records the requested pool size."""
-
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        grid = f"0.1:0.4:{points}"
-        rc = main(["nopt", "--loss-grid", grid, "--n-max", "40", "--jobs", "5000",
-                   "--out", str(tmp_path / "n.csv")])
-        assert rc == 0
-        assert started == [expected]
+        assert main(base + ["--out", str(plain)]) == 0
+        assert main(base + ["--jobs", jobs, "--out", str(with_jobs)]) == 0
+        assert plain.read_bytes() == with_jobs.read_bytes()
 
 
 class TestDistCommand:
@@ -224,6 +197,18 @@ class TestPhotonNumberCap:
         assert main(args + ["--out", str(tmp_path / "x.csv")]) == 2
         assert "photon number 4097 exceeds the supported maximum 4096" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["curve", "--loss", "0.1", "--n-range", "1:4097"],
+        ["nopt", "--loss-grid", "0.1:0.2:3", "--n-max", "4097"],
+    ])
+    def test_above_cap_computes_no_point(self, tmp_path, capsys, monkeypatch, args):
+        def no_point(*_):
+            raise AssertionError("a curve point was computed before the cap check")
+
+        monkeypatch.setattr(sweep, "_sharpness_kernel", no_point)
+        assert main(args + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert "photon number 4097 exceeds the supported maximum 4096" in capsys.readouterr().err
 
 
 class TestValidateCommand:

@@ -1,16 +1,21 @@
 """Unit tests for the phase distribution, sharpness and Holevo variance."""
 
+import functools
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lossyphase import (
+    MAX_PHOTON_NUMBER,
     AmplitudeVector,
     PhaseDistribution,
     ReducedDensity,
     channel_from_loss,
+    curve,
     distribution,
     distribution_from_density,
     holevo,
@@ -19,23 +24,51 @@ from lossyphase import (
     reduced_density,
     sharpness_closed,
 )
-from lossyphase.povm import EVALUATE_CHUNK_ANGLES, TWO_PI
+from lossyphase.povm import EVALUATE_CHUNK_ANGLES, TWO_PI, _loss_factors, _sharpness_kernel
 
 LOSSES = (0.0, 0.1, 0.3, 0.5)
+EPS = float(np.finfo(float).eps)
+
+# a fixed example sequence keeps Tier-1 reproducible and its cost bounded
+KERNEL_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+PHOTON_NUMBERS = st.integers(1, MAX_PHOTON_NUMBER)
+LOSS_FRACTIONS = st.floats(0.0, 1.0, exclude_max=True)
 
 
 def survival_weights(n, loss):
     return (1 - loss) ** np.arange(n + 1)
 
 
-def mp_sharpness(n, loss):
-    """sum_t psi_t psi_{t-1} (1-L)^(t-1/2) of the sine state at 50 digits."""
+@functools.lru_cache(maxsize=None)
+def mp_sine(n):
+    """sin((t+1) pi / (N+2)) for t = 0..N at 50 digits: psi times sqrt(N/2+1)."""
     with mpmath.workdps(50):
-        keep = 1 - mpmath.mpf(loss)
-        psi = [mpmath.sin((t + 1) * mpmath.pi / (n + 2)) for t in range(n + 1)]
-        half = mpmath.mpf(1) / 2
-        total = mpmath.fsum(psi[t] * psi[t - 1] * keep ** (t - half) for t in range(1, n + 1))
-        return total / (mpmath.mpf(n) / 2 + 1)
+        return tuple(mpmath.sin((t + 1) * mpmath.pi / (n + 2)) for t in range(n + 1))
+
+
+def mp_sharpness(n, loss, normalized=False):
+    """sum_t psi_t psi_{t-1} (1-L)^(t-1/2) of the sine state at 50 digits.
+
+    With ``normalized`` it is divided by the integral sum_t psi_t^2 (1-L)^t.
+    """
+    with mpmath.workdps(50):
+        root = mpmath.sqrt(1 - mpmath.mpf(loss))
+        g = [x * root**t for t, x in enumerate(mp_sine(n))]
+        total = mpmath.fsum(g[t] * g[t - 1] for t in range(1, n + 1))
+        scale = mpmath.fsum(x * x for x in g) if normalized else mpmath.mpf(n) / 2 + 1
+        return total / scale
+
+
+def mp_delta_phi(n, loss, normalized):
+    """sqrt(1/S^2 - 1) of the 50-digit sharpness, rounded to a float."""
+    with mpmath.workdps(50):
+        sharp = mp_sharpness(n, loss, normalized)
+        return float(mpmath.sqrt(1 / sharp**2 - 1))
+
+
+def kernel(n, loss, normalized=False):
+    """(S, 1 - S) of the N-photon sine state from the shared sharpness kernel."""
+    return _sharpness_kernel(optimal_amplitudes(n).psi, *_loss_factors(n, loss), normalized)
 
 
 class TestDistribution:
@@ -147,6 +180,16 @@ class TestSharpness:
         reference = mp_sharpness(n, loss)
         assert abs(closed - reference) / reference <= 2e-15
 
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("loss", [0.0, 1e-8, 1e-5])
+    @pytest.mark.parametrize("n", [1000, 4096])
+    def test_curve_delta_phi_matches_50_digit_reference(self, n, loss, normalized):
+        # promises 13 digits near the Heisenberg line, where S is within 5e-6
+        # of 1 and sqrt(1/S^2 - 1) kept only 9 to 10
+        value = curve(loss, n, n, normalized=normalized).points[0].delta_phi
+        reference = mp_delta_phi(n, loss, normalized)
+        assert abs(value - reference) / reference <= 1e-13
+
     @pytest.mark.parametrize("n", [1, 3, 8, 15])
     def test_strictly_decreasing_in_loss(self, n):
         state = optimal_amplitudes(n)
@@ -168,6 +211,28 @@ class TestSharpness:
         vacuum = AmplitudeVector([1.0])
         with pytest.raises(ValueError):
             sharpness_closed(vacuum, channel_from_loss(0.0))
+
+
+class TestSharpnessKernelProperties:
+    @KERNEL_PROPERTY
+    @given(n=PHOTON_NUMBERS, loss=LOSS_FRACTIONS, normalized=st.booleans())
+    def test_sharpness_and_defect_are_complementary(self, n, loss, normalized):
+        sharp, defect = kernel(n, loss, normalized)
+        assert 0.0 < sharp <= 1.0
+        assert defect >= 0.0
+        assert abs(sharp + defect - 1.0) <= 8 * EPS
+
+    @KERNEL_PROPERTY
+    @given(n=PHOTON_NUMBERS, a=LOSS_FRACTIONS, b=LOSS_FRACTIONS)
+    def test_non_increasing_in_loss(self, n, a, b):
+        low, high = sorted((a, b))
+        assert kernel(n, high)[0] <= kernel(n, low)[0]
+
+    @KERNEL_PROPERTY
+    @given(n=PHOTON_NUMBERS, loss=LOSS_FRACTIONS)
+    def test_normalized_at_least_raw(self, n, loss):
+        # equal at L = 0 up to the rounding of sum psi^2 = 1
+        assert kernel(n, loss, normalized=True)[0] >= kernel(n, loss)[0] * (1 - 4 * EPS)
 
 
 class TestHolevo:

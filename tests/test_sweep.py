@@ -5,7 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from lossyphase import curve, find_n_opt, find_subshot_bound, lossless_reference, nopt_vs_loss
+from lossyphase import (
+    CurvePoint,
+    curve,
+    find_n_opt,
+    find_subshot_bound,
+    lossless_reference,
+    nopt_vs_loss,
+)
+from lossyphase.sweep import _locate_n_opt, _locate_subshot_max
+
+
+def hand_points(deltas, shots):
+    return tuple(
+        CurvePoint(n=i + 1, delta_phi=d, shot_noise=s, heisenberg=0.0)
+        for i, (d, s) in enumerate(zip(deltas, shots))
+    )
 
 
 class TestCurve:
@@ -119,3 +134,20 @@ class TestFindSubshotBound:
         result = curve(0.3, 1, 500)
         assert all(p.delta_phi >= p.shot_noise for p in result.points)
         assert result.n_subshot_max is None
+
+
+class TestLandmarkSearch:
+    def test_tie_goes_to_smaller_n(self):
+        points = hand_points([0.9, 0.5, 0.7, 0.5, 0.8], [1.0] * 5)
+        assert _locate_n_opt(points, 5) == 2
+
+    def test_subshot_stretch_starts_at_lowest_subshot_point(self):
+        # the global minimum (N = 5) is above shot noise, so the stretch runs
+        # right from N = 2, the lowest point below it, and ends at N = 3
+        points = hand_points([0.8, 0.4, 0.5, 0.6, 0.3], [0.9, 0.5, 0.6, 0.5, 0.2])
+        assert _locate_n_opt(points, 5) is None
+        assert _locate_subshot_max(points, 5) == 3
+
+    def test_subshot_stretch_reaching_scan_top_is_none(self):
+        points = hand_points([0.8, 0.4, 0.5], [0.9, 0.5, 0.6])
+        assert _locate_subshot_max(points, 3) is None
