@@ -35,7 +35,6 @@ from .sweep import (
     find_subshot_bound,
     nopt_vs_loss,
 )
-from .wigner import d_element, jacobi_poly, log_factorial
 
 __version__ = "0.1.0"
 
@@ -53,14 +52,11 @@ __all__ = [
     "SweepResult",
     "channel_from_loss",
     "curve",
-    "d_element",
     "distribution",
     "distribution_from_density",
     "find_n_opt",
     "find_subshot_bound",
     "holevo",
-    "jacobi_poly",
-    "log_factorial",
     "lossless_reference",
     "nopt_vs_loss",
     "optimal_amplitudes",

@@ -1,9 +1,11 @@
 """Photon loss as a fictitious beam splitter, and the traced-out density matrix.
 
 Loss of a fraction L in the phase-shift arm is modeled by a beam splitter of
-angle theta with transmission cos^2(theta/2) = 1 - L coupling that arm to a
-vacuum mode. Scattered photons are traced out, leaving a mixed state on the
-inner modes that is block diagonal in the number of photons lost.
+transmission 1 - L coupling that arm to a vacuum mode. Of t photons entering
+it, ell are scattered with the binomial amplitude
+sqrt(C(t, ell)) (1-L)^((t-ell)/2) L^(ell/2), the corner column of the
+splitter's rotation matrix. Scattered photons are traced out, leaving a mixed
+state on the inner modes that is block diagonal in the number of photons lost.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import AmplitudeVector
-from .wigner import d_element
 
 # Dense block construction above this photon number is refused; the closed
 # form in the povm module covers large N without materializing matrices.
@@ -26,14 +27,9 @@ _QUARTER_TURNS = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
 
 @dataclass(frozen=True)
 class LossChannel:
-    """Loss fraction and the equivalent beam-splitter angle, kept consistent."""
+    """Fraction L of the phase-arm photons that the splitter scatters."""
 
     loss: float
-    theta: float
-
-    @property
-    def transmission(self) -> float:
-        return 1.0 - self.loss
 
 
 def channel_from_loss(loss: float) -> LossChannel:
@@ -47,8 +43,29 @@ def channel_from_loss(loss: float) -> LossChannel:
         raise ValueError(f"loss must be >= 0, got {loss}")
     if loss >= 1.0:
         raise ValueError(f"loss must be < 1, got {loss}")
-    theta = 2.0 * math.acos(math.sqrt(1.0 - loss))
-    return LossChannel(loss=loss, theta=theta)
+    return LossChannel(loss=loss)
+
+
+def _loss_column(n: int, loss: float) -> np.ndarray:
+    """K[t, ell] = sqrt(C(t, ell)) (1-L)^((t-ell)/2) L^(ell/2) for 0 <= ell <= t <= n.
+
+    The amplitude for ell of t photons to be scattered; zero above the
+    diagonal. Each row is summed in the log domain and exponentiated in
+    place, so an entry underflows only where its value is below the smallest
+    double, and L = 0 gives exact ones at ell = 0 and exact zeros elsewhere.
+    """
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    log_kept = np.arange(n + 1) * math.log1p(-loss)  # indexed by t - ell
+    log_lost = np.zeros(n + 1)  # indexed by ell; 0 * log(0) stays 0
+    log_lost[1:] = np.arange(1, n + 1) * math.log(loss) if loss > 0.0 else -math.inf
+    column = np.full((n + 1, n + 1), -math.inf)
+    for t in range(n + 1):
+        column[t, : t + 1] = (
+            log_factorial[t] - log_factorial[: t + 1] - log_factorial[t::-1]
+            + log_kept[t::-1] + log_lost[: t + 1]
+        )
+    column *= 0.5
+    return np.exp(column, out=column)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,17 +93,16 @@ def pure_lossy_state(state: AmplitudeVector, channel: LossChannel) -> PureLossyS
     """Send the input through the loss splitter, keeping the scattered mode.
 
     The branch with s of the t lossy-arm photons surviving carries amplitude
-    psi_t * i^(s-t) * d^{t/2}_{s-t/2,t/2}(theta), which is
-    ``d_element(t, 2s-t, t, theta)`` in doubled labels; the splitter is
-    unitary, so the total norm is preserved.
+    psi_t * i^(s-t) * K[t, t-s], K being the binomial loss column; the
+    squares of each row of K sum to one, so the total norm is preserved.
     """
     n = state.n_photons
+    column = _loss_column(n, channel.loss)
+    lost_phase = np.array(_QUARTER_TURNS)[-np.arange(n + 1) % 4]  # i^(-ell)
     coeffs = []
     for t in range(n + 1):
-        branch = np.zeros(t + 1, dtype=complex)
-        for s in range(t + 1):
-            amp = state.psi[t] * d_element(t, 2 * s - t, t, channel.theta)
-            branch[s] = amp * _QUARTER_TURNS[(s - t) % 4]
+        # reversed rows run over s = 0..t kept photons, ell = t - s lost
+        branch = state.psi[t] * column[t, t::-1] * lost_phase[t::-1]
         branch.flags.writeable = False
         coeffs.append(branch)
     return PureLossyState(channel=channel, coeffs=tuple(coeffs))
@@ -98,7 +114,9 @@ class ReducedDensity:
 
     ``blocks[ell]`` is the real symmetric block with exactly ell photons in
     the traced mode; its row index i corresponds to t = ell + i lossy-arm
-    photons. Blocks that vanish identically are omitted.
+    photons. ``reduced_density`` keeps block ell exactly when some factor
+    psi_t * K[t, ell] is a nonzero double; the loss column K underflows only
+    below the smallest double, and at L = 0 only block 0 is kept.
     """
 
     n_photons: int
@@ -155,8 +173,8 @@ def reduced_density(state: AmplitudeVector, channel: LossChannel) -> ReducedDens
 
     Tracing forces the two sides of each entry to lose the same number of
     photons ell, which cancels the quarter-turn phases; each surviving block
-    is the real rank-one outer product of
-    w_ell(t) = psi_t * d^{t/2}_{t/2-ell, t/2}(theta) over t = ell..N.
+    is the real rank-one outer product of w_ell(t) = psi_t * K[t, ell] over
+    t = ell..N, K being the binomial loss column.
     """
     n = state.n_photons
     if n > DENSITY_MATRIX_MAX_PHOTONS:
@@ -164,14 +182,10 @@ def reduced_density(state: AmplitudeVector, channel: LossChannel) -> ReducedDens
             f"photon number {n} exceeds the density-matrix cap {DENSITY_MATRIX_MAX_PHOTONS}; "
             "use the closed-form path for large inputs"
         )
-    d_col = np.zeros((n + 1, n + 1))
-    for t in range(n + 1):
-        for ell in range(t + 1):
-            d_col[t, ell] = d_element(t, t - 2 * ell, t, channel.theta)
+    column = _loss_column(n, channel.loss)
     blocks = {}
     for ell in range(n + 1):
-        ts = np.arange(ell, n + 1)
-        w = state.psi[ts] * d_col[ts, ell]
+        w = state.psi[ell:] * column[ell:, ell]
         if np.any(w != 0.0):
             blocks[ell] = np.outer(w, w)
     return ReducedDensity(n_photons=n, channel=channel, blocks=blocks)

@@ -1,5 +1,9 @@
 """Rotation (Wigner small-d) matrix elements, stable at large spin.
 
+This is an independent oracle for the tests and acceptance criterion 3; no
+production path calls it (the loss channel builds its binomial column
+directly in the loss module).
+
 Elements d^j_{a,b}(theta) are evaluated through the Jacobi-polynomial form,
 with the four index symmetries used to push the polynomial parameters into
 the nonnegative range and the factorial prefactor taken in the log domain.
@@ -18,15 +22,6 @@ import math
 # exp() of the half log-prefactor overflows only past this point; switch the
 # whole magnitude into the log domain there.
 _LOG_PREFACTOR_DIRECT_LIMIT = 700.0
-
-
-def log_factorial(n: int) -> float:
-    """ln(n!) for n >= 0."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError("n must be an int")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return math.lgamma(n + 1)
 
 
 def jacobi_poly(n: int, alpha: int, beta: int, x: float) -> float:
@@ -94,8 +89,8 @@ def d_element(j2: int, a2: int, b2: int, theta: float) -> float:
     # paired differences cancel exactly when big == small, keeping the
     # theta = 0 identity free of rounding
     log_pref = 0.5 * (
-        (log_factorial((j2 + big2) // 2) - log_factorial((j2 + small2) // 2))
-        + (log_factorial((j2 - big2) // 2) - log_factorial((j2 - small2) // 2))
+        (math.lgamma((j2 + big2) // 2 + 1) - math.lgamma((j2 + small2) // 2 + 1))
+        + (math.lgamma((j2 - big2) // 2 + 1) - math.lgamma((j2 - small2) // 2 + 1))
     )
     if log_pref <= _LOG_PREFACTOR_DIRECT_LIMIT:
         magnitude = math.exp(log_pref) * s**alpha * c**beta

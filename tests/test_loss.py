@@ -1,7 +1,9 @@
 """Unit tests for the loss channel and the block-structured density matrix."""
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,27 +15,73 @@ from lossyphase import (
     pure_lossy_state,
     reduced_density,
 )
+from lossyphase.loss import _loss_column
+from lossyphase.oracle import ORACLE_MAX_TWICE_SPIN, bs_unitary
 
 LOSSES = (0.1, 0.3, 0.5, 0.7)
 
 
+@functools.lru_cache(maxsize=None)
+def mp_root_binomials(n):
+    """sqrt(C(t, ell)) for 0 <= ell <= t <= N at 50 digits, row by row."""
+    with mpmath.workdps(50):
+        return tuple(
+            tuple(mpmath.sqrt(math.comb(t, ell)) for ell in range(t + 1)) for t in range(n + 1)
+        )
+
+
+def mp_block_factors(n, loss):
+    """w_ell(t) = psi_t sqrt(C(t, ell)) (1-L)^((t-ell)/2) L^(ell/2) of the sine state at 50 digits.
+
+    Rounded to doubles, as a dict {ell: array over t = ell..N}; the exact
+    block ell is the outer product of its factor with itself.
+    """
+    with mpmath.workdps(50):
+        loss = mpmath.mpf(loss)
+        root = mpmath.sqrt(1 - loss)
+        scale = mpmath.sqrt(mpmath.mpf(n) / 2 + 1)
+        # w_ell(t) = [psi_t (1-L)^(t/2)] [L/(1-L)]^(ell/2) sqrt(C(t, ell))
+        survived = [
+            mpmath.sin((t + 1) * mpmath.pi / (n + 2)) / scale * root**t for t in range(n + 1)
+        ]
+        odds = [(mpmath.sqrt(loss) / root) ** ell for ell in range(n + 1)]
+        roots = mp_root_binomials(n)
+        return {
+            ell: np.array([float(survived[t] * odds[ell] * roots[t][ell]) for t in range(ell, n + 1)])
+            for ell in range(n + 1)
+        }
+
+
 class TestChannelFromLoss:
     def test_no_loss(self):
-        assert channel_from_loss(0.0).theta == 0.0
+        # nothing is scattered: exact ones at ell = 0 and exact zeros elsewhere
+        expected = np.zeros((9, 9))
+        expected[:, 0] = 1.0
+        assert channel_from_loss(0.0).loss == 0.0
+        np.testing.assert_array_equal(_loss_column(8, 0.0), expected)
 
     def test_half_loss(self):
-        assert channel_from_loss(0.5).theta == pytest.approx(math.pi / 2, abs=1e-15)
+        column = _loss_column(12, channel_from_loss(0.5).loss)
+        for t in range(13):
+            for ell in range(t + 1):
+                assert column[t, ell] ** 2 == pytest.approx(math.comb(t, ell) / 2**t, rel=1e-13)
+            assert np.all(column[t, t + 1 :] == 0.0)
 
     def test_thirty_percent(self):
-        ch = channel_from_loss(0.3)
-        assert ch.theta == pytest.approx(2 * math.acos(math.sqrt(0.7)), abs=1e-15)
-        assert ch.theta == pytest.approx(1.15928, abs=5e-6)
+        column = _loss_column(2, channel_from_loss(0.3).loss)
+        np.testing.assert_allclose(column[1, :2], [math.sqrt(0.7), math.sqrt(0.3)], rtol=1e-15)
+        np.testing.assert_allclose(column[2], [0.7, math.sqrt(2 * 0.7 * 0.3), 0.3], rtol=1e-15)
 
     @pytest.mark.parametrize("loss", [0.0, 1e-6, 0.1, 0.3, 0.9, 0.999])
     def test_round_trip(self, loss):
+        # each row is a binomial distribution of lost photons with mean t L
         ch = channel_from_loss(loss)
-        assert 0.0 <= ch.theta < math.pi
-        assert 1 - math.cos(ch.theta / 2) ** 2 == pytest.approx(loss, abs=1e-12)
+        assert ch.loss == loss
+        weights = _loss_column(20, ch.loss) ** 2
+        lost = np.arange(21)
+        for t in range(1, 21):
+            assert np.sum(weights[t]) == pytest.approx(1.0, abs=1e-13)
+            assert np.sum(lost * weights[t]) / t == pytest.approx(loss, rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize("loss", [-0.1, 1.0, 1.5, math.nan])
     def test_rejects_out_of_range(self, loss):
@@ -43,6 +91,29 @@ class TestChannelFromLoss:
     def test_total_loss_message(self):
         with pytest.raises(ValueError, match="loss must be < 1"):
             channel_from_loss(1.0)
+
+
+class TestLossColumn:
+    @pytest.mark.parametrize("loss", [1e-8, 0.1, 0.3, 0.5, 0.9])
+    def test_signed_agreement_with_matrix_exponential(self, loss):
+        # the branches of |t> are the conjugated last column of e^{i theta Jx},
+        # cos^2(theta/2) = 1 - L, sign and quarter-turn phase included
+        theta = 2 * math.atan2(math.sqrt(loss), math.sqrt(1 - loss))
+        for t in range(ORACLE_MAX_TWICE_SPIN + 1):
+            state = AmplitudeVector(np.eye(t + 1)[t])
+            branch = pure_lossy_state(state, channel_from_loss(loss)).coeffs[t]
+            expected = np.conj(bs_unitary(t, theta)[:, t])
+            np.testing.assert_allclose(branch, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("loss", [1e-8, 1e-6, 1e-3, 0.3, 0.9])
+    def test_blocks_match_50_digit_reference(self, n, loss):
+        rho = reduced_density(optimal_amplitudes(n), channel_from_loss(loss))
+        for ell, w in mp_block_factors(n, loss).items():
+            exact = np.outer(w, w)
+            resolved = exact > 1e-290
+            got = rho.block(ell)[resolved]
+            assert np.all(np.abs(got - exact[resolved]) <= 1e-12 * exact[resolved]), ell
 
 
 class TestPureLossyState:

@@ -111,7 +111,7 @@ class TestDistribution:
         state = optimal_amplitudes(3)
         ch = channel_from_loss(0.2)
         dist = distribution(state, ch)
-        g = state.psi * math.cos(ch.theta / 2) ** np.arange(4)
+        g = state.psi * (1 - ch.loss) ** (np.arange(4) / 2)
         np.testing.assert_allclose(dist.coeff, np.outer(g, g) / TWO_PI, atol=1e-15)
 
 

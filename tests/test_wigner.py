@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from lossyphase import d_element, jacobi_poly, log_factorial
 from lossyphase.oracle import bs_unitary
+from lossyphase.wigner import d_element, jacobi_poly
 
 THETAS = (0.1, 0.7, math.pi / 2, 2.5)
 
@@ -22,23 +22,6 @@ def explicit_jacobi(n, alpha, beta, x):
             * ((x + 1) / 2) ** (n - s)
         )
     return total
-
-
-class TestLogFactorial:
-    def test_zero_and_one(self):
-        assert log_factorial(0) == 0.0
-        assert log_factorial(1) == 0.0
-
-    @pytest.mark.parametrize("n", range(2, 21))
-    def test_against_exact_integer_factorial(self, n):
-        assert log_factorial(n) == pytest.approx(math.log(math.factorial(n)), rel=1e-12)
-
-    def test_ten(self):
-        assert log_factorial(10) == pytest.approx(math.log(3628800), rel=1e-12)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            log_factorial(-1)
 
 
 class TestJacobiPoly:
