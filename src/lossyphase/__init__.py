@@ -23,6 +23,7 @@ from .povm import (
     distribution_from_density,
     holevo,
     lossless_reference,
+    phase_estimate,
     sharpness_closed,
 )
 from .states import MAX_PHOTON_NUMBER, AmplitudeVector, optimal_amplitudes
@@ -60,6 +61,7 @@ __all__ = [
     "lossless_reference",
     "nopt_vs_loss",
     "optimal_amplitudes",
+    "phase_estimate",
     "pure_lossy_state",
     "reduced_density",
     "sharpness_closed",

@@ -144,6 +144,23 @@ class TestNOptCommand:
         assert payload["rows"][0]["n_opt"] is None
         assert isinstance(payload["rows"][1]["n_opt"], int)
 
+    @pytest.mark.parametrize("grid,loss", [("0.1:0.1:3", 0.1), ("0:0:2", 0.0)])
+    def test_repeated_grid_values(self, tmp_path, grid, loss):
+        # the parser yields repeated values for lo = hi; nopt keeps one row per
+        # grid point, each with the n_opt of that loss on its own
+        assert parse_loss_grid(grid) == [loss] * int(grid.split(":")[2])
+        out = tmp_path / "nopt.csv"
+        assert main(["nopt", "--loss-grid", grid, "--n-max", "80", "--out", str(out)]) == 0
+        _, _, rows = read_rows(out)
+        n_opt = sweep.find_n_opt(loss, 80)
+        expected = [_fmt(loss), "none" if n_opt is None else str(n_opt)]
+        assert rows == [expected] * len(parse_loss_grid(grid))
+
+    @pytest.mark.parametrize("grid", ["0.1:0.1:3", "0:0:2"])
+    def test_library_grid_stays_strictly_ascending(self, grid):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            sweep.nopt_vs_loss(parse_loss_grid(grid), 80)
+
     @pytest.mark.parametrize("jobs", ["1", "2", "0", "-3", "5000"])
     def test_parallel_jobs_match_serial(self, tmp_path, jobs):
         # --jobs is accepted and ignored: nopt runs in this process whatever it says

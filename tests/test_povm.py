@@ -21,12 +21,20 @@ from lossyphase import (
     holevo,
     lossless_reference,
     optimal_amplitudes,
+    phase_estimate,
     reduced_density,
     sharpness_closed,
 )
-from lossyphase.povm import EVALUATE_CHUNK_ANGLES, TWO_PI, _loss_factors, _sharpness_kernel
+from lossyphase.povm import (
+    EVALUATE_CHUNK_ANGLES,
+    TWO_PI,
+    _holevo_spread,
+    _loss_factors,
+    _sharpness_kernel,
+)
 
 LOSSES = (0.0, 0.1, 0.3, 0.5)
+SQRT_HALF = 1 / math.sqrt(2)
 EPS = float(np.finfo(float).eps)
 
 # a fixed example sequence keeps Tier-1 reproducible and its cost bounded
@@ -259,6 +267,56 @@ class TestHolevo:
             est = holevo(s)
             assert est.holevo_variance == pytest.approx(-1 + s**-2, abs=1e-12)
             assert est.min_detectable_phase == pytest.approx(math.sqrt(est.holevo_variance), abs=1e-12)
+
+
+class TestPhaseEstimate:
+    @pytest.mark.parametrize("n", [100, MAX_PHOTON_NUMBER])
+    def test_lossless_matches_50_digit_reference(self, n):
+        # promises 14 digits where S is within 3e-7 of 1; holevo(S) forms
+        # 1/S^2 - 1 there and is off by 2e-11 at N = 4096
+        est = phase_estimate(optimal_amplitudes(n), channel_from_loss(0.0))
+        reference = mp_delta_phi(n, 0.0, normalized=False)
+        assert abs(est.min_detectable_phase - reference) / reference <= 1e-14
+        assert abs(est.holevo_variance - reference**2) / reference**2 <= 1e-14
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    def test_agrees_with_holevo_of_closed_sharpness(self, n, loss, normalized):
+        state, ch = optimal_amplitudes(n), channel_from_loss(loss)
+        est = phase_estimate(state, ch, normalized=normalized)
+        old = holevo(sharpness_closed(state, ch, normalized=normalized))
+        assert est.sharpness == old.sharpness
+        assert est.holevo_variance == pytest.approx(old.holevo_variance, rel=1e-13)
+        assert est.min_detectable_phase == pytest.approx(old.min_detectable_phase, rel=1e-13)
+
+    def test_agrees_with_curve_point(self):
+        est = phase_estimate(optimal_amplitudes(500), channel_from_loss(1e-3))
+        assert est.min_detectable_phase == curve(1e-3, 500, 500).points[0].delta_phi
+
+    def test_flat_distribution_diverges(self):
+        # a Fock state has no neighbouring amplitudes: S = 0 exactly
+        est = phase_estimate(AmplitudeVector([0.0, 1.0, 0.0]), channel_from_loss(0.1))
+        assert est.sharpness == 0.0
+        assert math.isinf(est.holevo_variance)
+        assert math.isinf(est.min_detectable_phase)
+
+    def test_rejects_negative_sharpness(self):
+        with pytest.raises(ValueError, match="sharpness must lie in"):
+            phase_estimate(AmplitudeVector([SQRT_HALF, -SQRT_HALF]), channel_from_loss(0.0))
+
+    def test_rejects_zero_photons(self):
+        with pytest.raises(ValueError):
+            phase_estimate(AmplitudeVector([1.0]), channel_from_loss(0.0))
+
+
+class TestHolevoSpread:
+    def test_nonpositive_sharpness_is_inf_without_warning(self):
+        # Tier-1 turns any RuntimeWarning into a failure
+        variance, delta_phi = _holevo_spread(np.array([0.0, -0.0, -0.5, 0.5]), np.array([1.0, 1.0, 1.5, 0.5]))
+        assert np.all(np.isinf(variance[:3])) and np.all(np.isinf(delta_phi[:3]))
+        assert variance[3] == pytest.approx(3.0, rel=1e-15)
+        assert delta_phi[3] == pytest.approx(math.sqrt(3.0), rel=1e-15)
 
 
 class TestLosslessReference:

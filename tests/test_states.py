@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -39,6 +40,24 @@ class TestOptimalAmplitudes:
         assert np.sum(psi[1:] * psi[:-1]) == pytest.approx(
             math.cos(math.pi / (n + 2)), abs=1e-10
         )
+
+    @pytest.mark.parametrize("n", list(range(1, 65)) + [MAX_PHOTON_NUMBER])
+    def test_exactly_symmetric(self, n):
+        psi = optimal_amplitudes(n).psi
+        assert np.array_equal(psi, psi[::-1])
+
+    @pytest.mark.parametrize("n", [10, 101, MAX_PHOTON_NUMBER])
+    def test_matches_40_digit_reference(self, n):
+        # promises 15 digits in every entry, the small tails included; a sine
+        # taken at an argument near pi kept only 12.8 at N = 4096
+        psi = optimal_amplitudes(n).psi
+        with mpmath.workdps(40):
+            norm = mpmath.sqrt(mpmath.mpf(n) / 2 + 1)
+            worst = max(
+                abs(mpmath.mpf(float(value)) / (mpmath.sin((t + 1) * mpmath.pi / (n + 2)) / norm) - 1)
+                for t, value in enumerate(psi)
+            )
+        assert worst <= 1e-15
 
     def test_rejects_zero_photons(self):
         with pytest.raises(ValueError):

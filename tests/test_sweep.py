@@ -1,26 +1,71 @@
 """Unit tests for the photon-number sweep and its landmark finders."""
 
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lossyphase import (
-    CurvePoint,
     curve,
     find_n_opt,
     find_subshot_bound,
     lossless_reference,
     nopt_vs_loss,
+    optimal_amplitudes,
+    sweep,
 )
-from lossyphase.sweep import _locate_n_opt, _locate_subshot_max
+from lossyphase.povm import _loss_factors, _sharpness_kernel
+from lossyphase.sweep import _landmarks, _locate_n_opt, _locate_subshot_max, _scan
+
+ENGINE_N_MAX = 512
+# more losses than one engine block, from the Heisenberg line to near-total loss
+ENGINE_LOSSES = [0.0] + [float(x) for x in np.logspace(-7, math.log10(0.9), 64)] + [0.999999]
 
 
-def hand_points(deltas, shots):
-    return tuple(
-        CurvePoint(n=i + 1, delta_phi=d, shot_noise=s, heisenberg=0.0)
-        for i, (d, s) in enumerate(zip(deltas, shots))
-    )
+def oracle_curve(loss, n_max, normalized):
+    """Delta-phi for N = 1..n_max, one (N, L) pair at a time through the 1-D kernel."""
+    survival, lost = _loss_factors(n_max, loss)
+    deltas = []
+    for n in range(1, n_max + 1):
+        keep = slice(0, n + 1)
+        sharp, defect = _sharpness_kernel(optimal_amplitudes(n).psi, survival[keep], lost[keep], normalized)
+        deltas.append(math.sqrt(defect * (1.0 + sharp)) / sharp if sharp > 0.0 else math.inf)
+    return deltas
+
+
+def oracle_landmarks(deltas):
+    """(n_opt, n_subshot_max) of a curve from N = 1, by Python's first-minimum min()."""
+    top = len(deltas)
+    best = min(range(top), key=deltas.__getitem__)
+    below = [d < 1.0 / math.sqrt(i + 1) for i, d in enumerate(deltas)]
+    if not any(below):
+        return (None if best == top - 1 else best + 1), None
+    start = min((i for i in range(top) if below[i]), key=deltas.__getitem__)
+    end = next((i for i in range(start, top) if not below[i]), top)
+    return (None if best == top - 1 else best + 1), (None if end == top else end)
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["raw", "normalized"])
+def engine_oracle(request):
+    """(normalized, {loss: oracle curve}) over ENGINE_LOSSES at N = 1..ENGINE_N_MAX."""
+    normalized = request.param
+    return normalized, {loss: oracle_curve(loss, ENGINE_N_MAX, normalized) for loss in ENGINE_LOSSES}
+
+
+def engine_rows(losses, normalized):
+    return [row for block in _scan(losses, 1, ENGINE_N_MAX, normalized) for row in block]
+
+
+def engine_peak_bytes(count):
+    grid = [float(x) for x in np.logspace(-6, -0.1, count)]
+    tracemalloc.start()
+    try:
+        _landmarks(grid, 256, False)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCurve:
@@ -138,16 +183,81 @@ class TestFindSubshotBound:
 
 class TestLandmarkSearch:
     def test_tie_goes_to_smaller_n(self):
-        points = hand_points([0.9, 0.5, 0.7, 0.5, 0.8], [1.0] * 5)
-        assert _locate_n_opt(points, 5) == 2
+        deltas = np.array([0.9, 0.5, 0.7, 0.5, 0.8])
+        assert _locate_n_opt(deltas, 1) == 2
 
     def test_subshot_stretch_starts_at_lowest_subshot_point(self):
         # the global minimum (N = 5) is above shot noise, so the stretch runs
         # right from N = 2, the lowest point below it, and ends at N = 3
-        points = hand_points([0.8, 0.4, 0.5, 0.6, 0.3], [0.9, 0.5, 0.6, 0.5, 0.2])
-        assert _locate_n_opt(points, 5) is None
-        assert _locate_subshot_max(points, 5) == 3
+        deltas, shots = np.array([0.8, 0.4, 0.5, 0.6, 0.3]), np.array([0.9, 0.5, 0.6, 0.5, 0.2])
+        assert _locate_n_opt(deltas, 1) is None
+        assert _locate_subshot_max(deltas, shots, 1) == 3
 
     def test_subshot_stretch_reaching_scan_top_is_none(self):
-        points = hand_points([0.8, 0.4, 0.5], [0.9, 0.5, 0.6])
-        assert _locate_subshot_max(points, 3) is None
+        deltas, shots = np.array([0.8, 0.4, 0.5]), np.array([0.9, 0.5, 0.6])
+        assert _locate_subshot_max(deltas, shots, 1) is None
+
+
+class TestScanEngine:
+    def test_grid_spans_several_blocks(self):
+        assert len(ENGINE_LOSSES) > sweep.LOSS_BLOCK
+
+    def test_delta_phi_within_4_ulp_of_one_loss_kernel(self, engine_oracle):
+        normalized, oracle = engine_oracle
+        for loss, row in zip(ENGINE_LOSSES, engine_rows(ENGINE_LOSSES, normalized)):
+            expected = np.array(oracle[loss])
+            assert np.all(np.abs(row - expected) <= 4 * np.spacing(expected)), loss
+
+    def test_landmarks_match_oracle(self, engine_oracle):
+        normalized, oracle = engine_oracle
+        expected = [oracle_landmarks(oracle[loss]) for loss in ENGINE_LOSSES]
+        assert _landmarks(ENGINE_LOSSES, ENGINE_N_MAX, normalized) == expected
+
+    def test_unsorted_grid_in_small_blocks(self, engine_oracle, monkeypatch):
+        # a loss gets the same digits whichever block and row it lands in
+        normalized, oracle = engine_oracle
+        grid = list(ENGINE_LOSSES)
+        random.Random(5).shuffle(grid)
+        in_default_blocks = dict(zip(ENGINE_LOSSES, engine_rows(ENGINE_LOSSES, normalized)))
+        monkeypatch.setattr(sweep, "LOSS_BLOCK", 7)  # 10 blocks, the last one partial
+        for loss, row in zip(grid, engine_rows(grid, normalized)):
+            assert np.array_equal(row, in_default_blocks[loss]), loss
+        expected = [oracle_landmarks(oracle[loss]) for loss in grid]
+        assert _landmarks(grid, ENGINE_N_MAX, normalized) == expected
+
+    def test_public_finders_match_oracle(self, engine_oracle):
+        normalized, oracle = engine_oracle
+        for loss in (1e-5, 2e-3, 0.3):
+            n_opt, n_subshot_max = oracle_landmarks(oracle_curve(loss, ENGINE_N_MAX, normalized))
+            assert find_n_opt(loss, ENGINE_N_MAX, normalized) == n_opt
+            assert find_subshot_bound(loss, ENGINE_N_MAX, normalized) == n_subshot_max
+            result = curve(loss, 1, ENGINE_N_MAX, normalized)
+            assert (result.n_opt, result.n_subshot_max) == (n_opt, n_subshot_max)
+        assert nopt_vs_loss(ENGINE_LOSSES, ENGINE_N_MAX, normalized) == [
+            (loss, oracle_landmarks(oracle[loss])[0]) for loss in ENGINE_LOSSES
+        ]
+
+    def test_memory_does_not_grow_with_grid_count(self):
+        # 50 times the losses: a whole-grid batch would need about 50 times the
+        # memory, block by block it stays within the block's share
+        few, many = engine_peak_bytes(8), engine_peak_bytes(400)
+        assert many < 12 * few
+
+    @pytest.mark.parametrize("normalized,n_opt", [(False, 1), (True, None)])
+    def test_losses_near_one_without_warning(self, normalized, n_opt):
+        # S keeps its first term psi_0 psi_1 (1-L)^(1/2) > 0 for every L < 1, so
+        # delta-phi reaches 3e14 (raw) but stays finite and far above shot
+        # noise; any RuntimeWarning on the way fails here, as Tier-1 runs with
+        # warnings as errors. Normalized, the curve still falls at the top.
+        grid = [0.999999, 1 - 2.0**-53]
+        rows = engine_rows(grid, normalized)
+        assert all(np.all(np.isfinite(row)) and row.min() > 100.0 for row in rows)
+        assert _landmarks(grid, ENGINE_N_MAX, normalized) == [(n_opt, None)] * 2
+
+    def test_checks_every_loss_before_any_point(self, monkeypatch):
+        def no_point(*_):
+            raise AssertionError("a point was computed before every loss was checked")
+
+        monkeypatch.setattr(sweep, "_sharpness_kernel", no_point)
+        with pytest.raises(ValueError, match="loss must be < 1"):
+            _landmarks([0.1] * (sweep.LOSS_BLOCK + 1) + [1.0], 10, False)
