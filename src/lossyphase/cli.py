@@ -287,11 +287,11 @@ def _check_lossy_ket(max_twice_j: int):
             yield float(np.max(np.abs(branch - expected))), f"t={t} L={loss_value:g}"
 
 
-def _block_difference(left, right) -> float:
-    keys = set(left.blocks) | set(right.blocks)
+def _block_difference(rho, explicit: dict) -> float:
+    """Largest entry of rho's blocks minus the explicit trace's, absent blocks as zeros."""
     worst = 0.0
-    for ell in keys:
-        worst = max(worst, float(np.max(np.abs(left.block(ell) - right.block(ell)))))
+    for ell in set(rho.factors) | set(explicit):
+        worst = max(worst, float(np.max(np.abs(rho.block(ell) - explicit.get(ell, 0.0)))))
     return worst
 
 

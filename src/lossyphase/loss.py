@@ -17,8 +17,8 @@ import numpy as np
 
 from .states import AmplitudeVector
 
-# Dense block construction above this photon number is refused; the closed
-# form in the povm module covers large N without materializing matrices.
+# The density path builds the (N+1)^2 loss column and is refused above this
+# photon number; the closed form in the povm module covers large N.
 DENSITY_MATRIX_MAX_PHOTONS = 256
 
 # i^n for the kept-photon phase e^{i (pi/2)(m-k)}; exact complex units.
@@ -112,60 +112,61 @@ def pure_lossy_state(state: AmplitudeVector, channel: LossChannel) -> PureLossyS
 class ReducedDensity:
     """Density matrix of the inner modes, block diagonal in photons lost.
 
-    ``blocks[ell]`` is the real symmetric block with exactly ell photons in
-    the traced mode; its row index i corresponds to t = ell + i lossy-arm
-    photons. ``reduced_density`` keeps block ell exactly when some factor
-    psi_t * K[t, ell] is a nonzero double; the loss column K underflows only
-    below the smallest double, and at L = 0 only block 0 is kept.
+    The block with exactly ell photons in the traced mode is the real
+    rank-one outer product of ``factors[ell]``, the vector
+    w_ell(t) = psi_t * K[t, ell] over t = ell..N lossy-arm photons, so its row
+    index i corresponds to t = ell + i. Only the factors are stored;
+    ``block(ell)`` builds one dense block on demand. ``reduced_density`` keeps
+    block ell exactly when some w_ell(t) is a nonzero double; the loss column
+    K underflows only below the smallest double, and at L = 0 only block 0
+    is kept.
     """
 
     n_photons: int
     channel: LossChannel
-    blocks: dict
+    factors: dict
 
     def __post_init__(self):
         n = self.n_photons
         frozen = {}
-        for ell, block in sorted(self.blocks.items()):
-            arr = np.asarray(block, dtype=float)
-            dim = n + 1 - ell
+        for ell, w in sorted(self.factors.items()):
             if not 0 <= ell <= n:
                 raise ValueError(f"lost-photon count {ell} outside 0..{n}")
-            if arr.shape != (dim, dim):
+            arr = np.array(w, dtype=float)
+            if arr.shape != (n + 1 - ell,):
                 raise ValueError(
-                    f"block {ell} has shape {arr.shape}, expected {(dim, dim)}"
+                    f"factor {ell} has shape {arr.shape}, expected {(n + 1 - ell,)}"
                 )
             if not np.all(np.isfinite(arr)):
-                raise ValueError(f"block {ell} has non-finite entries")
-            arr = arr.copy()
+                raise ValueError(f"factor {ell} has non-finite entries")
             arr.flags.writeable = False
             frozen[ell] = arr
-        object.__setattr__(self, "blocks", frozen)
+        object.__setattr__(self, "factors", frozen)
+
+    @property
+    def blocks(self) -> dict:
+        """Every kept block as a dense array, built afresh on each access."""
+        return {ell: self.block(ell) for ell in self.factors}
 
     def lost_photon_counts(self) -> tuple:
-        return tuple(sorted(self.blocks))
+        return tuple(self.factors)
 
     def block(self, ell: int) -> np.ndarray:
-        """Block for ell lost photons; zeros if that sector is absent."""
-        if ell in self.blocks:
-            return self.blocks[ell]
-        dim = self.n_photons + 1 - ell
+        """Dense block for ell lost photons; zeros if that sector is absent."""
         if not 0 <= ell <= self.n_photons:
             raise ValueError(f"lost-photon count {ell} outside 0..{self.n_photons}")
+        if ell in self.factors:
+            return np.outer(self.factors[ell], self.factors[ell])
+        dim = self.n_photons + 1 - ell
         return np.zeros((dim, dim))
 
     def trace(self) -> float:
-        return float(sum(np.trace(b) for b in self.blocks.values()))
+        """Sum over blocks of |w|^2."""
+        return float(sum(np.add.reduce(w * w) for w in self.factors.values()))
 
     def purity(self) -> float:
-        return float(sum(np.sum(b * b) for b in self.blocks.values()))
-
-    def symmetry_defect(self) -> float:
-        return float(max((np.max(np.abs(b - b.T)) for b in self.blocks.values()), default=0.0))
-
-    def min_eigenvalue(self) -> float:
-        lows = [np.linalg.eigvalsh(b)[0] for b in self.blocks.values()]
-        return float(min(lows)) if lows else 0.0
+        """Sum over blocks of |w|^4, the squared Frobenius norm of each rank-one block."""
+        return float(sum(np.add.reduce(w * w) ** 2 for w in self.factors.values()))
 
 
 def reduced_density(state: AmplitudeVector, channel: LossChannel) -> ReducedDensity:
@@ -174,7 +175,7 @@ def reduced_density(state: AmplitudeVector, channel: LossChannel) -> ReducedDens
     Tracing forces the two sides of each entry to lose the same number of
     photons ell, which cancels the quarter-turn phases; each surviving block
     is the real rank-one outer product of w_ell(t) = psi_t * K[t, ell] over
-    t = ell..N, K being the binomial loss column.
+    t = ell..N, K being the binomial loss column, and only w_ell is kept.
     """
     n = state.n_photons
     if n > DENSITY_MATRIX_MAX_PHOTONS:
@@ -183,9 +184,9 @@ def reduced_density(state: AmplitudeVector, channel: LossChannel) -> ReducedDens
             "use the closed-form path for large inputs"
         )
     column = _loss_column(n, channel.loss)
-    blocks = {}
+    factors = {}
     for ell in range(n + 1):
         w = state.psi[ell:] * column[ell:, ell]
         if np.any(w != 0.0):
-            blocks[ell] = np.outer(w, w)
-    return ReducedDensity(n_photons=n, channel=channel, blocks=blocks)
+            factors[ell] = w
+    return ReducedDensity(n_photons=n, channel=channel, factors=factors)

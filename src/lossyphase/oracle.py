@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .loss import PureLossyState, ReducedDensity
+from .loss import PureLossyState
 from .povm import TWO_PI, PhaseDistribution
 
 ORACLE_MAX_TWICE_SPIN = 24
@@ -92,13 +92,15 @@ def bs_unitary(j2: int, theta: float) -> np.ndarray:
     return _expm(1j * theta * jx_matrix(j2))
 
 
-def trace_out_explicit(state: PureLossyState) -> ReducedDensity:
+def trace_out_explicit(state: PureLossyState) -> dict:
     """Partial trace over the scattered mode done the pedestrian way.
 
     The tripartite amplitudes are laid out as a dense (kept, scattered,
     reference) tensor, the scattered index is summed over the outer product,
-    and the result is re-sorted into lost-photon blocks. Entirely independent
-    of the block construction it is meant to check.
+    and the result is re-sorted into lost-photon blocks, returned as
+    ``{ell: dense block}`` for every nonzero block. Entirely independent of
+    the rank-one factors it is meant to check: no block is assumed to be an
+    outer product.
     """
     n = state.n_photons
     if n > EXPLICIT_TRACE_MAX_PHOTONS:
@@ -126,7 +128,7 @@ def trace_out_explicit(state: PureLossyState) -> ReducedDensity:
         block = block.real
         if np.any(block != 0.0):
             blocks[ell] = block
-    return ReducedDensity(n_photons=n, channel=state.channel, blocks=blocks)
+    return blocks
 
 
 def quadrature_sharpness(dist: PhaseDistribution, n_points: int) -> complex:
@@ -136,7 +138,7 @@ def quadrature_sharpness(dist: PhaseDistribution, n_points: int) -> complex:
     integrands exactly, so anything beyond rounding is a real discrepancy;
     the grid must stay above four points per harmonic.
     """
-    harmonics = dist.coeff.shape[0]
+    harmonics = dist.factor.size
     if n_points < 4 * harmonics:
         raise ValueError(
             f"n_points = {n_points} is below the Nyquist guard {4 * harmonics}"

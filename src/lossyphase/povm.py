@@ -2,9 +2,11 @@
 
 The canonical measurement projects onto equal-weight phase states of the full
 photon number, so with loss only the zero-photons-lost sector of the density
-matrix contributes. Two routes to the same distribution are provided: the
-closed form built directly from the input amplitudes, and the extraction from
-a reduced density matrix; their agreement is a standing cross-check.
+matrix contributes. That sector is rank one, so a distribution is stored as
+its factor g alone: P(phi) = |sum_t g_t e^{i t phi}|^2 / 2pi. Two routes give
+the factor: the closed form built directly from the input amplitudes, and
+block 0 of a reduced density matrix; their agreement is a standing
+cross-check.
 
 With loss the distribution integrates to less than one (the measured sector
 is reached with probability sum_t psi_t^2 (1-L)^t). That raw quantity
@@ -24,75 +26,56 @@ from .states import AmplitudeVector
 
 TWO_PI = 2.0 * math.pi
 
-# PhaseDistribution.evaluate builds an (angles x harmonics) complex matrix;
-# it does so for at most this many angles at a time to bound its memory.
-EVALUATE_CHUNK_ANGLES = 4096
+# PhaseDistribution.evaluate builds an (angles x harmonics) complex matrix a
+# block of angles at a time, each block holding at most this many entries.
+EVALUATE_CHUNK_ENTRIES = 2**20
 
 
 @dataclass(frozen=True, eq=False)
 class PhaseDistribution:
-    """Trigonometric-polynomial phase distribution via its coefficient matrix.
+    """Phase distribution P(phi) = |sum_t g_t e^{i t phi}|^2 / 2pi of a factor g.
 
-    P(phi) = sum_{t,u} coeff[t,u] e^{i(u-t)phi} with t, u = 0..N lossy-arm
-    photons, so only integer harmonics appear. The matrix is real and
-    symmetric. When the distribution comes from a pure input the
-    factor vector g with coeff = outer(g,g)/2pi is kept alongside, which lets
-    evaluation go through the manifestly nonnegative |G(phi)|^2 form.
+    g_t runs over t = 0..N lossy-arm photons, so only integer harmonics
+    appear and P is nonnegative by construction. Its coefficient matrix in
+    the photon basis is the rank-one g g^T / 2pi; only g is stored.
     """
 
-    coeff: np.ndarray
-    factor: np.ndarray | None = None
+    factor: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.coeff, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"coeff has shape {arr.shape}, expected a square matrix")
-        dim = arr.shape[0]
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coeff entries must be finite")
-        if np.max(np.abs(arr - arr.T), initial=0.0) > 1e-12:
-            raise ValueError("coeff must be symmetric")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeff", arr)
-        if self.factor is not None:
-            g = np.asarray(self.factor, dtype=float).copy()
-            if g.shape != (dim,):
-                raise ValueError(f"factor has shape {g.shape}, expected {(dim,)}")
-            g.flags.writeable = False
-            object.__setattr__(self, "factor", g)
+        g = np.array(self.factor, dtype=float)
+        if g.ndim != 1 or g.size == 0:
+            raise ValueError(f"factor has shape {g.shape}, expected a nonempty vector")
+        g.flags.writeable = False
+        object.__setattr__(self, "factor", g)
 
     def evaluate(self, phi) -> np.ndarray:
         """P(phi) on an array of angles."""
         phi = np.asarray(phi, dtype=float)
-        if self.factor is not None:
-            harmonics = np.arange(self.factor.shape[0])
-            flat = phi.ravel()
-            result = np.empty(flat.shape)
-            for start in range(0, flat.size, EVALUATE_CHUNK_ANGLES):
-                rows = slice(start, start + EVALUATE_CHUNK_ANGLES)
-                g_of_phi = np.exp(1j * np.multiply.outer(flat[rows], harmonics)) @ self.factor
-                result[rows] = np.abs(g_of_phi) ** 2 / TWO_PI
-            return result.reshape(phi.shape)
-        dim = self.coeff.shape[0]
-        result = np.full(phi.shape, np.trace(self.coeff))
-        for d in range(1, dim):
-            a_d = float(np.trace(self.coeff, offset=d))
-            if a_d != 0.0:
-                result += 2.0 * a_d * np.cos(d * phi)
-        return result
+        harmonics = np.arange(self.factor.size)
+        rows = max(1, EVALUATE_CHUNK_ENTRIES // harmonics.size)
+        flat = phi.ravel()
+        result = np.empty(flat.shape)
+        for start in range(0, flat.size, rows):
+            chunk = slice(start, start + rows)
+            g_of_phi = np.exp(1j * np.multiply.outer(flat[chunk], harmonics)) @ self.factor
+            result[chunk] = np.abs(g_of_phi) ** 2 / TWO_PI
+        return result.reshape(phi.shape)
 
     def total_mass(self) -> float:
-        """Integral of P over a full turn; below 1 whenever photons are lost."""
-        return TWO_PI * float(np.trace(self.coeff))
+        """Integral of P over a full turn, sum g^2; below 1 whenever photons are lost."""
+        g = self.factor
+        return float(np.add.reduce(g * g))
 
     def fourier_sharpness(self) -> float:
-        """First Fourier coefficient int P(phi) e^{i phi} dphi, summed exactly.
+        """First Fourier coefficient int P(phi) e^{i phi} dphi = sum_t g_t g_{t-1}.
 
-        Real by construction: the coefficient matrix is real and the mean
-        phase of every state built here is zero, so no centering is needed.
+        Real by construction: the factor is real and the mean phase of every
+        state built here is zero, so no centering is needed. Summed pairwise,
+        as the sharpness kernel sums it.
         """
-        return TWO_PI * float(np.trace(self.coeff, offset=-1))
+        g = self.factor
+        return float(np.add.reduce(g[1:] * g[:-1]))
 
 
 def _loss_factors(n_photons: int, loss) -> tuple:
@@ -113,25 +96,19 @@ def distribution(state: AmplitudeVector, channel: LossChannel) -> PhaseDistribut
     """Closed-form phase distribution of the surviving-photon sector.
 
     The measured sector weights each amplitude psi_t by (1-L)^(t/2), giving
-    the factorized coefficients g_t g_u / 2pi with g = psi * survival.
+    the factor g = psi * survival.
     """
-    g = state.psi * _loss_factors(state.n_photons, channel.loss)[0]
-    return PhaseDistribution(coeff=np.outer(g, g) / TWO_PI, factor=g)
+    return PhaseDistribution(state.psi * _loss_factors(state.n_photons, channel.loss)[0])
 
 
 def distribution_from_density(rho: ReducedDensity) -> PhaseDistribution:
     """Phase distribution read off a reduced density matrix.
 
     Only the zero-lost-photons block overlaps the full-photon-number phase
-    states, so the coefficient matrix is that block over 2pi; a density
-    matrix with no such block yields the null distribution.
+    states, so the factor is that block's factor w_0; a density matrix with
+    no such block yields the null distribution.
     """
-    dim = rho.n_photons + 1
-    if 0 in rho.blocks:
-        coeff = rho.blocks[0] / TWO_PI
-    else:
-        coeff = np.zeros((dim, dim))
-    return PhaseDistribution(coeff=coeff)
+    return PhaseDistribution(rho.factors.get(0, np.zeros(rho.n_photons + 1)))
 
 
 def _sharpness_kernel(

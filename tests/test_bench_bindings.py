@@ -1,0 +1,50 @@
+"""The benchmark scripts under bench/ still bind to the library they measure.
+
+``bench/traced.py`` wraps library functions by attribute name and reads the
+density matrix the way the density script does; a renamed function or a
+changed return type would only show up as a failed ``--trace 1`` run. These
+tests import both scripts and run their library-facing parts on small inputs.
+"""
+
+import importlib
+import json
+from pathlib import Path
+
+import pytest
+
+from lossyphase import channel_from_loss, optimal_amplitudes, reduced_density
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def bench_module(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module
+
+
+def test_every_traced_target_exists(bench_module):
+    traced = bench_module("traced")
+    targets = traced._targets()
+    assert targets
+    for name, owner, attr, _ in targets:
+        assert attr in vars(owner), name
+
+
+def test_block_counter_reads_reduced_density(bench_module):
+    traced = bench_module("traced")
+    tracer = traced.Tracer()
+    traced._count_blocks(tracer, reduced_density(optimal_amplitudes(6), channel_from_loss(0.25)))
+    assert tracer.counts["loss.blocks_kept"] == 7
+    assert tracer.counts["loss.block_bytes"] == 8 * sum(k * k for k in range(1, 8))
+
+
+def test_density_script_runs(bench_module, tmp_path):
+    density_job = bench_module("density_job")
+    out = tmp_path / "density.json"
+    assert density_job.main(["--n", "4,8", "--loss", "1e-7,0.2", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text(encoding="utf-8"))["rows"]
+    assert [(r["n"], r["loss"]) for r in rows] == [(4, 1e-7), (4, 0.2), (8, 1e-7), (8, 0.2)]
+    for row in rows:
+        assert row["blocks"] == row["n"] + 1
+        assert abs(row["sharpness_density"] - row["sharpness_closed"]) <= 1e-10

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from lossyphase import (
     DENSITY_MATRIX_MAX_PHOTONS,
     AmplitudeVector,
+    ReducedDensity,
     channel_from_loss,
     optimal_amplitudes,
     pure_lossy_state,
@@ -161,12 +163,12 @@ class TestReducedDensity:
         state = optimal_amplitudes(4)
         rho = reduced_density(state, channel_from_loss(0.0))
         assert rho.lost_photon_counts() == (0,)
-        np.testing.assert_allclose(rho.blocks[0], np.outer(state.psi, state.psi), atol=1e-15)
+        np.testing.assert_allclose(rho.block(0), np.outer(state.psi, state.psi), atol=1e-15)
         assert rho.purity() == pytest.approx(1.0, abs=1e-12)
 
     def test_single_photon_lost_block(self):
         rho = reduced_density(optimal_amplitudes(1), channel_from_loss(0.3))
-        np.testing.assert_allclose(rho.blocks[1], [[0.15]], atol=1e-12)
+        np.testing.assert_allclose(rho.block(1), [[0.15]], atol=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 11))
     @pytest.mark.parametrize("loss", LOSSES)
@@ -178,8 +180,10 @@ class TestReducedDensity:
     @pytest.mark.parametrize("loss", LOSSES)
     def test_physicality(self, n, loss):
         rho = reduced_density(optimal_amplitudes(n), channel_from_loss(loss))
-        assert rho.symmetry_defect() <= 1e-12
-        assert rho.min_eigenvalue() >= -1e-10
+        for ell in rho.lost_photon_counts():
+            block = rho.block(ell)
+            assert np.max(np.abs(block - block.T)) <= 1e-12
+            assert np.linalg.eigvalsh(block)[0] >= -1e-10
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_purity_strictly_mixed_under_loss(self, n):
@@ -192,8 +196,48 @@ class TestReducedDensity:
         n = 6
         rho = reduced_density(optimal_amplitudes(n), channel_from_loss(0.25))
         assert rho.lost_photon_counts() == tuple(range(n + 1))
-        for ell, block in rho.blocks.items():
-            assert block.shape == (n + 1 - ell, n + 1 - ell)
+        for ell in rho.lost_photon_counts():
+            assert rho.factors[ell].shape == (n + 1 - ell,)
+            assert rho.block(ell).shape == (n + 1 - ell, n + 1 - ell)
+
+    @pytest.mark.parametrize("loss", (0.0, 1e-8, 0.25))
+    def test_blocks_are_outer_products_of_the_loss_column(self, loss):
+        n = 12
+        state = optimal_amplitudes(n)
+        rho = reduced_density(state, channel_from_loss(loss))
+        column = _loss_column(n, loss)
+        for ell in range(n + 1):
+            w = state.psi[ell:] * column[ell:, ell]
+            if ell in rho.lost_photon_counts():
+                np.testing.assert_array_equal(rho.factors[ell], w)
+                np.testing.assert_array_equal(rho.block(ell), np.outer(w, w))
+                np.testing.assert_array_equal(rho.blocks[ell], np.outer(w, w))
+            else:
+                assert not np.any(w)
+                np.testing.assert_array_equal(rho.block(ell), np.zeros((n + 1 - ell,) * 2))
+        assert set(rho.blocks) == set(rho.lost_photon_counts())
+        with pytest.raises(ValueError, match="outside"):
+            rho.block(n + 1)
+
+    def test_stores_factors_not_dense_blocks(self):
+        state = optimal_amplitudes(DENSITY_MATRIX_MAX_PHOTONS)
+        channel = channel_from_loss(0.02)
+        tracemalloc.start()
+        try:
+            reduced_density(state, channel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_rejects_malformed_factors(self):
+        channel = channel_from_loss(0.1)
+        with pytest.raises(ValueError, match="shape"):
+            ReducedDensity(n_photons=2, channel=channel, factors={1: np.ones(3)})
+        with pytest.raises(ValueError, match="outside"):
+            ReducedDensity(n_photons=2, channel=channel, factors={3: np.ones(1)})
+        with pytest.raises(ValueError, match="non-finite"):
+            ReducedDensity(n_photons=2, channel=channel, factors={0: [1.0, math.nan, 0.0]})
 
     def test_memory_guard(self):
         state = optimal_amplitudes(DENSITY_MATRIX_MAX_PHOTONS + 1)

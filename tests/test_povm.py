@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -26,7 +27,7 @@ from lossyphase import (
     sharpness_closed,
 )
 from lossyphase.povm import (
-    EVALUATE_CHUNK_ANGLES,
+    EVALUATE_CHUNK_ENTRIES,
     TWO_PI,
     _holevo_spread,
     _loss_factors,
@@ -91,8 +92,9 @@ class TestDistribution:
         state = optimal_amplitudes(2)
         dist = distribution(state, channel_from_loss(0.0))
         mu = np.arange(3) - 1.0
-        # the second grid spans more than one evaluation chunk
-        for samples in (64, 2 * EVALUATE_CHUNK_ANGLES + 5):
+        # the second grid spans three evaluation chunks
+        rows = EVALUATE_CHUNK_ENTRIES // 3
+        for samples in (64, 2 * rows + 5):
             phi = np.linspace(0, TWO_PI, samples, endpoint=False)
             direct = np.abs(np.exp(1j * np.outer(phi, mu)) @ state.psi) ** 2 / TWO_PI
             np.testing.assert_allclose(dist.evaluate(phi), direct, atol=1e-14)
@@ -120,7 +122,34 @@ class TestDistribution:
         ch = channel_from_loss(0.2)
         dist = distribution(state, ch)
         g = state.psi * (1 - ch.loss) ** (np.arange(4) / 2)
-        np.testing.assert_allclose(dist.coeff, np.outer(g, g) / TWO_PI, atol=1e-15)
+        np.testing.assert_allclose(dist.factor, g, atol=1e-15)
+        # P is the trigonometric polynomial of the coefficient matrix g g^T / 2pi
+        coeff = np.outer(g, g) / TWO_PI
+        phi = np.linspace(0, TWO_PI, 64, endpoint=False)
+        dense = sum(coeff[t, u] * np.cos((u - t) * phi) for t in range(4) for u in range(4))
+        np.testing.assert_allclose(dist.evaluate(phi), dense, atol=1e-15)
+
+    def test_distribution_stores_no_dense_matrix(self):
+        state = optimal_amplitudes(MAX_PHOTON_NUMBER)
+        ch = channel_from_loss(0.01)
+        tracemalloc.start()
+        try:
+            distribution(state, ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_evaluate_memory_bounded_by_entries(self):
+        dist = distribution(optimal_amplitudes(MAX_PHOTON_NUMBER), channel_from_loss(0.01))
+        phi = np.linspace(0, TWO_PI, 2048, endpoint=False)
+        tracemalloc.start()
+        try:
+            dist.evaluate(phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestDistributionFromDensity:
@@ -129,7 +158,7 @@ class TestDistributionFromDensity:
         state = optimal_amplitudes(n)
         ch = channel_from_loss(0.0)
         via_rho = distribution_from_density(reduced_density(state, ch))
-        np.testing.assert_allclose(via_rho.coeff, distribution(state, ch).coeff, atol=1e-12)
+        np.testing.assert_allclose(via_rho.factor, distribution(state, ch).factor, atol=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 11))
     @pytest.mark.parametrize("loss", LOSSES)
@@ -137,17 +166,18 @@ class TestDistributionFromDensity:
         state = optimal_amplitudes(n)
         ch = channel_from_loss(loss)
         via_rho = distribution_from_density(reduced_density(state, ch))
-        np.testing.assert_allclose(via_rho.coeff, distribution(state, ch).coeff, atol=1e-12)
+        np.testing.assert_allclose(via_rho.factor, distribution(state, ch).factor, atol=1e-12)
 
     def test_density_without_full_sector_gives_null(self):
         rho = reduced_density(optimal_amplitudes(2), channel_from_loss(0.4))
         stripped = ReducedDensity(
             n_photons=rho.n_photons,
             channel=rho.channel,
-            blocks={ell: b for ell, b in rho.blocks.items() if ell >= 1},
+            factors={ell: w for ell, w in rho.factors.items() if ell >= 1},
         )
         dist = distribution_from_density(stripped)
-        assert np.all(dist.coeff == 0.0)
+        assert dist.factor.shape == (3,)
+        assert np.all(dist.factor == 0.0)
         assert dist.total_mass() == 0.0
 
 
@@ -334,10 +364,15 @@ class TestLosslessReference:
 
 
 class TestPhaseDistributionType:
-    def test_rejects_asymmetric_coeff(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            PhaseDistribution([[1.0, 0.5], [0.1, 1.0]])
-
     def test_rejects_wrong_shape(self):
+        for factor in ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[0.5, 0.5]], [], 1.0):
+            with pytest.raises(ValueError, match="shape"):
+                PhaseDistribution(factor)
+
+    def test_factor_is_a_read_only_copy(self):
+        g = np.array([0.6, 0.8])
+        dist = PhaseDistribution(g)
+        g[0] = 0.0
+        assert dist.factor[0] == 0.6
         with pytest.raises(ValueError):
-            PhaseDistribution([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+            dist.factor[0] = 1.0
