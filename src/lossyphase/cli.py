@@ -1,10 +1,25 @@
 """Command-line front end: curve/nopt/dist data emission and self-validation.
 
+Each of ``run_curve``, ``run_nopt`` and ``run_dist`` checks its inputs before
+computing anything, builds its rows once as tuples of plain values, and hands
+them to ``_emit``, the one writer of every data file and plot script.
+
 Data files are deterministic for a fixed configuration: stable row order,
-17-significant-digit decimals, no timestamps. Infinities serialize as the
-literal ``inf`` in CSV and the string ``"inf"`` in JSON. Each data file gets
-a companion plot script (gnuplot for CSV, matplotlib for JSON) so the curves
-can be rendered without adding any plotting dependency to the library.
+17-significant-digit decimals, no timestamps. A CSV file opens with
+``# key = value`` lines, then the column line; a JSON file holds ``config``,
+any extra header value, then ``rows``. The header keys are ``command``,
+``format`` and ``normalized``, then per command:
+
+- curve: ``loss``, ``n_range``;
+- nopt: ``loss_grid``, ``n_max``;
+- dist: ``loss``, ``n``, ``phi_samples``, then ``integral_p``, the integral
+  of P(phi) over the circle.
+
+In CSV a cell is ``none``, an int, or a ``.17g`` decimal (``inf`` for an
+infinity); in JSON ``None`` is ``null`` and ``inf`` the string ``"inf"``.
+Each data file gets a companion plot script (gnuplot for CSV, matplotlib for
+JSON) so the curves can be rendered without adding any plotting dependency
+to the library.
 """
 
 from __future__ import annotations
@@ -14,13 +29,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import loss as loss_mod
 from . import oracle, povm, sweep
-from .states import MAX_PHOTON_NUMBER, AmplitudeVector, optimal_amplitudes
+from .states import MAX_PHOTON_NUMBER, AmplitudeVector, _check_cap, optimal_amplitudes
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -33,30 +47,16 @@ NOPT_COLUMNS = ("loss", "n_opt")
 DIST_COLUMNS = ("phi", "p")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    loss: float | None = None
-    loss_grid: list | None = None
-    loss_grid_text: str | None = None
-    n: int | None = None
-    n_min: int | None = None
-    n_max: int | None = None
-    phi_samples: int = 1024
-    out: str | None = None
-    format: str = "csv"
-    normalized: bool = False
-
-
 def _fmt(value) -> str:
-    """Fixed 17-significant-digit decimal; round-trips any float64."""
-    return format(float(value), ".17g")
+    """One CSV cell: ``none``, or 17 significant digits.
+
+    That round-trips any float64, and an int below 2**53 prints as itself.
+    """
+    return "none" if value is None else "%.17g" % value
 
 
-def _json_value(value):
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    return value
+def _json_cell(value):
+    return "inf" if value == math.inf else value
 
 
 def parse_n_range(text: str) -> tuple:
@@ -97,30 +97,9 @@ def parse_loss_grid(text: str) -> list:
     return [float(v) for v in values]
 
 
-def _check_loss(value: float) -> float:
-    # surface the same message the channel constructor uses
-    loss_mod.channel_from_loss(value)
-    return float(value)
-
-
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
-
-
-def _csv_text(comments: list, columns: tuple, rows: list) -> str:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(columns))
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _json_text(config: dict, rows: list, extra: dict | None = None) -> str:
-    payload = {"config": config}
-    if extra:
-        payload.update(extra)
-    payload["rows"] = rows
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def _gnuplot_script(data_path: str, columns, logscale: bool, ylabel: str) -> str:
@@ -160,102 +139,75 @@ def _matplotlib_script(data_path: str, columns, logscale: bool, ylabel: str) -> 
     )
 
 
-def _emit_plot_script(cfg: RunConfig, data_path: str, columns, logscale: bool, ylabel: str) -> str:
-    if cfg.format == "csv":
-        path = data_path + ".gp"
-        _write_text(path, _gnuplot_script(data_path, columns, logscale, ylabel))
+def _emit(args, config: dict, columns: tuple, rows, logscale: bool, ylabel: str,
+          extra: dict | None = None) -> int:
+    """Write one command's data file and its plot script; the only writer of either.
+
+    ``rows`` is an iterable of tuples of ints, floats or None, read once.
+    ``config`` holds the command's own header keys, after ``command``,
+    ``format`` and ``normalized``. ``extra`` holds header values computed
+    with the rows: CSV comments after the config, JSON keys before ``rows``.
+    """
+    out = args.out or f"{args.command}.{args.format}"
+    config = {"command": args.command, "format": args.format,
+              "normalized": args.normalized, **config}
+    extra = extra or {}
+    if args.format == "csv":
+        lines = [f"# {k} = {str(v).lower() if isinstance(v, bool) else v}" for k, v in config.items()]
+        lines += [f"# {k} = {_fmt(v)}" for k, v in extra.items()]
+        lines.append(",".join(columns))
+        cells = ",".join(["%.17g"] * len(columns))  # _fmt of every cell of a row with no None
+        lines += [cells % row if None not in row else ",".join(map(_fmt, row)) for row in rows]
+        text = "\n".join(lines) + "\n"
+        script, script_text = out + ".gp", _gnuplot_script(out, columns, logscale, ylabel)
     else:
-        path = data_path + "_plot.py"
-        _write_text(path, _matplotlib_script(data_path, columns, logscale, ylabel))
-    return path
-
-
-def _config_dict(cfg: RunConfig) -> dict:
-    out = {"command": cfg.command, "format": cfg.format, "normalized": cfg.normalized}
-    if cfg.loss is not None:
-        out["loss"] = cfg.loss
-    if cfg.loss_grid_text is not None:
-        out["loss_grid"] = cfg.loss_grid_text
-    if cfg.n is not None:
-        out["n"] = cfg.n
-    if cfg.n_min is not None:
-        out["n_range"] = f"{cfg.n_min}:{cfg.n_max}"
-    if cfg.command == "dist":
-        out["phi_samples"] = cfg.phi_samples
-    return out
-
-
-def _comment_lines(cfg: RunConfig, extra: list | None = None) -> list:
-    lines = [f"{k} = {str(v).lower() if isinstance(v, bool) else v}" for k, v in _config_dict(cfg).items()]
-    return lines + (extra or [])
-
-
-def run_curve(cfg: RunConfig) -> int:
-    result = sweep.curve(cfg.loss, cfg.n_min, cfg.n_max, normalized=cfg.normalized)
-    out = cfg.out or f"curve.{cfg.format}"
-    if cfg.format == "csv":
-        rows = [
-            (str(p.n), _fmt(p.delta_phi), _fmt(p.shot_noise), _fmt(p.heisenberg))
-            for p in result.points
-        ]
-        _write_text(out, _csv_text(_comment_lines(cfg), CURVE_COLUMNS, rows))
-    else:
-        rows = [
-            {
-                "n": p.n,
-                "delta_phi": _json_value(p.delta_phi),
-                "shot_noise": p.shot_noise,
-                "heisenberg": p.heisenberg,
-            }
-            for p in result.points
-        ]
-        _write_text(out, _json_text(_config_dict(cfg), rows))
-    script = _emit_plot_script(cfg, out, CURVE_COLUMNS, logscale=True, ylabel="delta_phi")
+        payload = {"config": config, **{k: _json_cell(v) for k, v in extra.items()}}
+        payload["rows"] = [dict(zip(columns, map(_json_cell, row) if math.inf in row else row))
+                           for row in rows]
+        text = json.dumps(payload, indent=2) + "\n"
+        script, script_text = out + "_plot.py", _matplotlib_script(out, columns, logscale, ylabel)
+    _write_text(out, text)
+    _write_text(script, script_text)
     print(f"wrote {out} and {script}")
     return EXIT_OK
 
 
-def run_nopt(cfg: RunConfig) -> int:
-    n_max = cfg.n_max or sweep.DEFAULT_MAX_PHOTONS
+def run_curve(args) -> int:
+    loss = loss_mod.channel_from_loss(args.loss).loss
+    n_min, n_max = parse_n_range(args.n_range)
+    result = sweep.curve(loss, n_min, n_max, normalized=args.normalized)
+    rows = ((p.n, p.delta_phi, p.shot_noise, p.heisenberg) for p in result.points)
+    config = {"loss": loss, "n_range": f"{n_min}:{n_max}"}
+    return _emit(args, config, CURVE_COLUMNS, rows, logscale=True, ylabel="delta_phi")
+
+
+def run_nopt(args) -> int:
+    grid = parse_loss_grid(args.loss_grid)
+    if args.n_max < 1:
+        raise ValueError(f"n-max must be >= 1, got {args.n_max}")
     # the scan engine, not nopt_vs_loss: a parsed grid may repeat a value
-    landmarks = sweep._landmarks(cfg.loss_grid, n_max, cfg.normalized)
-    pairs = [(l, n_opt) for l, (n_opt, _) in zip(cfg.loss_grid, landmarks)]
-    out = cfg.out or f"nopt.{cfg.format}"
-    if cfg.format == "csv":
-        rows = [(_fmt(l), "none" if n is None else str(n)) for l, n in pairs]
-        _write_text(out, _csv_text(_comment_lines(cfg), NOPT_COLUMNS, rows))
-    else:
-        rows = [{"loss": l, "n_opt": n} for l, n in pairs]
-        _write_text(out, _json_text(_config_dict(cfg), rows))
-    script = _emit_plot_script(cfg, out, NOPT_COLUMNS, logscale=True, ylabel="n_opt")
-    print(f"wrote {out} and {script}")
-    return EXIT_OK
+    landmarks = sweep._landmarks(grid, args.n_max, args.normalized)
+    rows = [(loss, n_opt) for loss, (n_opt, _) in zip(grid, landmarks)]
+    config = {"loss_grid": args.loss_grid, "n_max": args.n_max}
+    return _emit(args, config, NOPT_COLUMNS, rows, logscale=True, ylabel="n_opt")
 
 
-def run_dist(cfg: RunConfig) -> int:
-    state = optimal_amplitudes(cfg.n)
-    channel = loss_mod.channel_from_loss(cfg.loss)
-    dist = povm.distribution(state, channel)
-    nyquist = 4 * (cfg.n + 1)
-    if cfg.phi_samples < max(MIN_PHI_SAMPLES, nyquist):
+def run_dist(args) -> int:
+    channel, n = loss_mod.channel_from_loss(args.loss), args.n
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    _check_cap(n)
+    guard = max(MIN_PHI_SAMPLES, 4 * (n + 1))
+    if args.phi_samples < guard:
         raise ValueError(
-            f"phi-samples = {cfg.phi_samples} below the Nyquist guard "
-            f"{max(MIN_PHI_SAMPLES, nyquist)} for n = {cfg.n}"
+            f"phi-samples = {args.phi_samples} below the Nyquist guard {guard} for n = {n}"
         )
-    phi = np.linspace(0.0, povm.TWO_PI, cfg.phi_samples, endpoint=False)
-    values = dist.evaluate(phi)
-    integral = dist.total_mass()
-    out = cfg.out or f"dist.{cfg.format}"
-    if cfg.format == "csv":
-        rows = [(_fmt(x), _fmt(p)) for x, p in zip(phi, values)]
-        comments = _comment_lines(cfg, [f"integral_p = {_fmt(integral)}"])
-        _write_text(out, _csv_text(comments, DIST_COLUMNS, rows))
-    else:
-        rows = [{"phi": float(x), "p": float(p)} for x, p in zip(phi, values)]
-        _write_text(out, _json_text(_config_dict(cfg), rows, extra={"integral_p": integral}))
-    script = _emit_plot_script(cfg, out, DIST_COLUMNS, logscale=False, ylabel="P(phi)")
-    print(f"wrote {out} and {script}")
-    return EXIT_OK
+    dist = povm.distribution(optimal_amplitudes(n), channel)
+    phi = np.linspace(0.0, povm.TWO_PI, args.phi_samples, endpoint=False)
+    rows = zip(phi.tolist(), dist.evaluate(phi).tolist())
+    config = {"loss": channel.loss, "n": n, "phi_samples": args.phi_samples}
+    return _emit(args, config, DIST_COLUMNS, rows, logscale=False, ylabel="P(phi)",
+                 extra={"integral_p": dist.total_mass()})
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +285,8 @@ def _check_lossless_anchor():
 
 
 def run_validate(max_twice_j: int = 12) -> int:
+    if not 0 <= max_twice_j <= oracle.ORACLE_MAX_TWICE_SPIN:
+        raise ValueError(f"max-2j must be in 0..{oracle.ORACLE_MAX_TWICE_SPIN}, got {max_twice_j}")
     checks = [
         ("lossy ket vs matrix exponential, signed", 1e-12, lambda: _check_lossy_ket(max_twice_j)),
         ("partial trace, blocks vs explicit", 1e-12, _check_partial_trace),
@@ -386,7 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     dist_p.add_argument("--phi-samples", type=int, default=1024)
 
     val_p = sub.add_parser("validate", help="run the oracle cross-check table")
-    val_p.add_argument("--max-2j", type=int, default=12)
+    val_p.add_argument(
+        "--max-2j", type=int, default=12, metavar="T",
+        help="largest photon number t of the lossy-ket row, "
+        f"0..{oracle.ORACLE_MAX_TWICE_SPIN} (default 12)",
+    )
 
     for p in (curve_p, nopt_p, dist_p):
         p.add_argument("--out", default=None)
@@ -395,41 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if args.command in ("curve", "dist"):
-        cfg.loss = _check_loss(args.loss)
-    if args.command == "curve":
-        cfg.n_min, cfg.n_max = parse_n_range(args.n_range)
-    if args.command == "nopt":
-        cfg.loss_grid = parse_loss_grid(args.loss_grid)
-        cfg.loss_grid_text = args.loss_grid
-        cfg.n_max = args.n_max
-        if cfg.n_max < 1:
-            raise ValueError(f"n-max must be >= 1, got {cfg.n_max}")
-    if args.command == "dist":
-        cfg.n = args.n
-        if cfg.n < 1:
-            raise ValueError(f"n must be >= 1, got {cfg.n}")
-        cfg.phi_samples = args.phi_samples
-        if cfg.phi_samples < MIN_PHI_SAMPLES:
-            raise ValueError(f"phi-samples must be >= {MIN_PHI_SAMPLES}, got {cfg.phi_samples}")
-    if args.command != "validate":
-        cfg.out = args.out
-        cfg.format = args.format
-        cfg.normalized = args.normalized
-    return cfg
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "validate":
             return run_validate(max_twice_j=args.max_2j)
-        cfg = _config_from_args(args)
-        runner = {"curve": run_curve, "nopt": run_nopt, "dist": run_dist}[args.command]
-        return runner(cfg)
+        return {"curve": run_curve, "nopt": run_nopt, "dist": run_dist}[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

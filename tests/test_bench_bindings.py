@@ -2,8 +2,9 @@
 
 ``bench/traced.py`` wraps library functions by attribute name and reads the
 density matrix the way the density script does; a renamed function or a
-changed return type would only show up as a failed ``--trace 1`` run. These
-tests import both scripts and run their library-facing parts on small inputs.
+changed return type would only show up as a failed ``--trace 1`` run, and a
+command line the CLI no longer accepts only as a fall in ``ok_frac``. These
+tests import the scripts and run their library-facing parts on small inputs.
 """
 
 import importlib
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from lossyphase import channel_from_loss, optimal_amplitudes, reduced_density
+from lossyphase import channel_from_loss, cli, optimal_amplitudes, reduced_density
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -48,3 +49,23 @@ def test_density_script_runs(bench_module, tmp_path):
     for row in rows:
         assert row["blocks"] == row["n"] + 1
         assert abs(row["sharpness_density"] - row["sharpness_closed"]) <= 1e-10
+
+
+@pytest.mark.parametrize("workload", ["sweep", "density"])
+@pytest.mark.parametrize("seed", [0, 1, 7, 101])
+def test_workload_command_lines_parse(bench_module, workload, seed):
+    jobs = [job for job in bench_module("workloads").jobs_for(workload, seed) if job.is_cli]
+    assert jobs
+    for job in jobs:
+        args = cli.build_parser().parse_args(list(job.argv))
+        assert args.command == job.kind
+
+
+def test_bench_test_command_lines_parse(bench_module):
+    test_bench = bench_module("test_bench")
+    nopt = cli.build_parser().parse_args(list(test_bench._nopt_job().argv))
+    assert (nopt.command, nopt.jobs) == ("nopt", 1)
+    for fmt in ("csv", "json"):
+        for normalized in (False, True):
+            argv = list(test_bench._curve_job(fmt, normalized).argv)
+            assert cli.build_parser().parse_args(argv).command == "curve"

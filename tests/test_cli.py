@@ -161,6 +161,24 @@ class TestNOptCommand:
         with pytest.raises(ValueError, match="strictly ascending"):
             sweep.nopt_vs_loss(parse_loss_grid(grid), 80)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_header_records_n_max(self, tmp_path, fmt):
+        # whether n_opt is none depends on --n-max, so the header must say which
+        headers = []
+        for n_max in ("50", "500"):
+            out = tmp_path / f"nopt{n_max}.{fmt}"
+            argv = ["nopt", "--loss-grid", "0.01:0.2:3", "--n-max", n_max, "--format", fmt]
+            assert main(argv + ["--out", str(out)]) == 0
+            if fmt == "csv":
+                headers.append([line for line in out.read_text().splitlines() if line.startswith("# ")])
+            else:
+                headers.append(json.loads(out.read_text())["config"])
+        assert headers[0] != headers[1]
+        if fmt == "csv":
+            assert "# n_max = 500" in headers[1]
+        else:
+            assert headers[1]["n_max"] == 500
+
     @pytest.mark.parametrize("jobs", ["1", "2", "0", "-3", "5000"])
     def test_parallel_jobs_match_serial(self, tmp_path, jobs):
         # --jobs is accepted and ignored: nopt runs in this process whatever it says
@@ -234,3 +252,119 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("t", ["-1", "25"])
+    def test_max_2j_out_of_range_prints_nothing(self, capsys, t):
+        assert main(["validate", "--max-2j", t]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: max-2j must be in 0..24, got {t}\n"
+
+
+def _run_in(directory, monkeypatch, argv):
+    """Exit code of the CLI run in ``directory``; argparse's own exit counts as one."""
+    monkeypatch.chdir(directory)
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestDomainEdges:
+    # every input at an edge of the accepted domain works or is refused with a
+    # message; none raises, leaves a partial file or writes a NaN
+    @pytest.mark.parametrize("argv,code", [
+        (["curve", "--loss", "0.1", "--n-range", "1:1"], 0),
+        (["curve", "--loss", "0.1", "--n-range", "4096:4096"], 0),
+        (["curve", "--loss", "0", "--n-range", "1:8"], 0),
+        (["curve", "--loss", "0.9999999999999999", "--n-range", "1:8"], 0),
+        (["curve", "--loss", "0.9999999999999999", "--n-range", "4096:4096", "--normalized"], 0),
+        (["curve", "--loss", "nan", "--n-range", "1:8"], 2),
+        (["curve", "--loss", "inf", "--n-range", "1:8"], 2),
+        (["curve", "--loss=-1e-300", "--n-range", "1:8"], 2),
+        (["curve", "--loss", "-1e-300", "--n-range", "1:8"], 2),
+        (["curve", "--loss", "0.1", "--n-range", "0:5"], 2),
+        (["dist", "--loss", "nan", "--n", "2"], 2),
+        (["nopt", "--loss-grid", "0.1:0.1:1", "--n-max", "40"], 0),
+        (["nopt", "--loss-grid", "nan:0.1:3", "--n-max", "40"], 2),
+        (["nopt", "--loss-grid", "0.1:0.2:3", "--n-max", "0"], 2),
+        (["dist", "--loss", "0.1", "--n", "0"], 2),
+        (["dist", "--loss", "0.1", "--n", "20", "--phi-samples", "84"], 0),
+        (["dist", "--loss", "0.1", "--n", "20", "--phi-samples", "83"], 2),
+        (["validate", "--max-2j", "-1"], 2),
+        (["validate", "--max-2j", "0"], 0),
+        (["validate", "--max-2j", "24"], 0),
+        (["validate", "--max-2j", "25"], 2),
+    ], ids=lambda value: "_".join(value) if isinstance(value, list) else None)
+    def test_exits_0_or_2(self, tmp_path, monkeypatch, capsys, argv, code):
+        assert _run_in(tmp_path, monkeypatch, argv) == code
+        captured = capsys.readouterr()
+        written = sorted(path.name for path in tmp_path.iterdir())
+        if code == 0:
+            assert captured.err == ""
+            if argv[0] != "validate":
+                data = tmp_path / f"{argv[0]}.csv"
+                assert written == [data.name, data.name + ".gp"]
+                assert "nan" not in data.read_text()
+        else:
+            assert captured.out == ""
+            errors = [line for line in captured.err.splitlines() if "error:" in line]
+            assert len(errors) == 1 and captured.err.splitlines()[-1] == errors[0]
+            assert written == []
+
+
+# The exact header block, column line, JSON key order and plot-script name of
+# each command, written with the default --out into the working directory.
+FORMAT_CASES = {
+    "curve": (
+        ["--loss", "0.25", "--n-range", "1:3"],
+        [("loss", 0.25), ("n_range", "1:3")],
+        {},
+        "n,delta_phi,shot_noise,heisenberg",
+    ),
+    "nopt": (
+        ["--loss-grid", "0:0.3:2", "--n-max", "50"],
+        [("loss_grid", "0:0.3:2"), ("n_max", 50)],
+        {},
+        "loss,n_opt",
+    ),
+    "dist": (
+        ["--loss", "0.25", "--n", "2", "--phi-samples", "64", "--normalized"],
+        [("loss", 0.25), ("n", 2), ("phi_samples", 64)],
+        {"integral_p": ("0.76562499999999989", 0.7656249999999999)},
+        "phi,p",
+    ),
+}
+
+
+class TestFileFormats:
+    @pytest.mark.parametrize("command", sorted(FORMAT_CASES))
+    def test_csv_layout(self, tmp_path, monkeypatch, capsys, command):
+        argv, config, extra, columns = FORMAT_CASES[command]
+        monkeypatch.chdir(tmp_path)
+        assert main([command] + argv) == 0
+        assert capsys.readouterr().out == f"wrote {command}.csv and {command}.csv.gp\n"
+        lines = (tmp_path / f"{command}.csv").read_text().splitlines()
+        normalized = "true" if "--normalized" in argv else "false"
+        expected = [f"# command = {command}", "# format = csv", f"# normalized = {normalized}"]
+        expected += [f"# {key} = {value}" for key, value in config]
+        expected += [f"# {key} = {text}" for key, (text, _) in extra.items()]
+        assert lines[: len(expected) + 1] == expected + [columns]
+        assert not lines[len(expected) + 1].startswith("#")
+        assert f"'{command}.csv'" in (tmp_path / f"{command}.csv.gp").read_text()
+
+    @pytest.mark.parametrize("command", sorted(FORMAT_CASES))
+    def test_json_layout(self, tmp_path, monkeypatch, capsys, command):
+        argv, config, extra, columns = FORMAT_CASES[command]
+        monkeypatch.chdir(tmp_path)
+        assert main([command] + argv + ["--format", "json"]) == 0
+        assert capsys.readouterr().out == f"wrote {command}.json and {command}.json_plot.py\n"
+        payload = json.loads((tmp_path / f"{command}.json").read_text())
+        assert list(payload) == ["config"] + list(extra) + ["rows"]
+        expected = {"command": command, "format": "json", "normalized": "--normalized" in argv}
+        expected.update(config)
+        assert list(payload["config"]) == list(expected)
+        assert payload["config"] == expected
+        assert {key: payload[key] for key in extra} == {k: v for k, (_, v) in extra.items()}
+        assert all(list(row) == columns.split(",") for row in payload["rows"])
+        assert f"'{command}.json'" in (tmp_path / f"{command}.json_plot.py").read_text()
