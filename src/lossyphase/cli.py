@@ -40,7 +40,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 
+# the upper bounds cap what one input can allocate: 2**20 phase samples is 64
+# times the Nyquist guard at N = 4096, and a 1024-point grid is 16 scan blocks
 MIN_PHI_SAMPLES = 64
+MAX_PHI_SAMPLES = 2**20
+MAX_LOSS_GRID_POINTS = 1024
 
 CURVE_COLUMNS = ("n", "delta_phi", "shot_noise", "heisenberg")
 NOPT_COLUMNS = ("loss", "n_opt")
@@ -82,8 +86,8 @@ def parse_loss_grid(text: str) -> list:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValueError(f"bad loss-grid numbers in {text!r}") from None
-    if count < 1:
-        raise ValueError("loss-grid needs at least one point")
+    if not 1 <= count <= MAX_LOSS_GRID_POINTS:
+        raise ValueError(f"loss-grid takes 1..{MAX_LOSS_GRID_POINTS} points, got {count}")
     if not 0.0 <= lo <= hi < 1.0:
         raise ValueError(f"loss-grid values must satisfy 0 <= lo <= hi < 1, got {text!r}")
     if count == 1:
@@ -197,14 +201,13 @@ def run_dist(args) -> int:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_cap(n)
-    guard = max(MIN_PHI_SAMPLES, 4 * (n + 1))
-    if args.phi_samples < guard:
+    if not MIN_PHI_SAMPLES <= args.phi_samples <= MAX_PHI_SAMPLES:
         raise ValueError(
-            f"phi-samples = {args.phi_samples} below the Nyquist guard {guard} for n = {n}"
+            f"phi-samples must be in {MIN_PHI_SAMPLES}..{MAX_PHI_SAMPLES}, got {args.phi_samples}"
         )
     dist = povm.distribution(optimal_amplitudes(n), channel)
-    phi = np.linspace(0.0, povm.TWO_PI, args.phi_samples, endpoint=False)
-    rows = zip(phi.tolist(), dist.evaluate(phi).tolist())
+    phi, p = dist.evaluate(args.phi_samples)
+    rows = zip(phi.tolist(), p.tolist())
     config = {"loss": channel.loss, "n": n, "phi_samples": args.phi_samples}
     return _emit(args, config, DIST_COLUMNS, rows, logscale=False, ylabel="P(phi)",
                  extra={"integral_p": dist.total_mass()})
@@ -291,7 +294,7 @@ def run_validate(max_twice_j: int = 12) -> int:
         ("lossy ket vs matrix exponential, signed", 1e-12, lambda: _check_lossy_ket(max_twice_j)),
         ("partial trace, blocks vs explicit", 1e-12, _check_partial_trace),
         ("sharpness, closed vs density path", 1e-10, _check_dual_path),
-        ("sharpness, closed vs quadrature", 1e-8, _check_quadrature),
+        ("sharpness, closed vs quadrature", 1e-14, _check_quadrature),
         ("lossless variance anchor (relative)", 5e-15, _check_lossless_anchor),
     ]
     failures = []

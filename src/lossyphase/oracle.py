@@ -50,25 +50,6 @@ def jx_matrix(j2: int) -> np.ndarray:
     return out
 
 
-def jy_matrix(j2: int) -> np.ndarray:
-    """J_y for spin j = j2/2 in the ascending |j,m> basis."""
-    _check_oracle_spin(j2)
-    m = _m_values(j2)
-    jj = j2 / 2.0
-    raising = np.sqrt(jj * (jj + 1.0) - m[:-1] * (m[:-1] + 1.0))
-    out = np.zeros((len(m), len(m)), dtype=complex)
-    idx = np.arange(len(m) - 1)
-    out[idx + 1, idx] = -0.5j * raising
-    out[idx, idx + 1] = 0.5j * raising
-    return out
-
-
-def jz_matrix(j2: int) -> np.ndarray:
-    """J_z for spin j = j2/2 in the ascending |j,m> basis."""
-    _check_oracle_spin(j2)
-    return np.diag(_m_values(j2)).astype(complex)
-
-
 def _expm(matrix: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a fixed Taylor tail."""
     norm = float(np.linalg.norm(matrix, np.inf))
@@ -136,13 +117,7 @@ def quadrature_sharpness(dist: PhaseDistribution, n_points: int) -> complex:
 
     On a uniform periodic grid the trapezoid rule integrates band-limited
     integrands exactly, so anything beyond rounding is a real discrepancy;
-    the grid must stay above four points per harmonic.
+    ``dist.evaluate`` refuses a grid below its Nyquist guard.
     """
-    harmonics = dist.factor.size
-    if n_points < 4 * harmonics:
-        raise ValueError(
-            f"n_points = {n_points} is below the Nyquist guard {4 * harmonics}"
-        )
-    phi = np.linspace(0.0, TWO_PI, n_points, endpoint=False)
-    values = dist.evaluate(phi)
+    phi, values = dist.evaluate(n_points)
     return complex(np.sum(values * np.exp(1j * phi)) * (TWO_PI / n_points))

@@ -8,6 +8,11 @@ the factor: the closed form built directly from the input amplitudes, and
 block 0 of a reduced density matrix; their agreement is a standing
 cross-check.
 
+P is a trigonometric polynomial in the N + 1 harmonics of g, so its values on
+the uniform grid phi_k = 2pi k / S are one zero-padded DFT of g, and
+``PhaseDistribution.evaluate`` samples it there and nowhere else. That method
+also holds the one Nyquist guard of the package, S >= 4(N+1).
+
 With loss the distribution integrates to less than one (the measured sector
 is reached with probability sum_t psi_t^2 (1-L)^t). That raw quantity
 is the default everywhere; dividing the sharpness by the integral is offered
@@ -25,10 +30,6 @@ from .loss import LossChannel, ReducedDensity
 from .states import AmplitudeVector
 
 TWO_PI = 2.0 * math.pi
-
-# PhaseDistribution.evaluate builds an (angles x harmonics) complex matrix a
-# block of angles at a time, each block holding at most this many entries.
-EVALUATE_CHUNK_ENTRIES = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,18 +50,23 @@ class PhaseDistribution:
         g.flags.writeable = False
         object.__setattr__(self, "factor", g)
 
-    def evaluate(self, phi) -> np.ndarray:
-        """P(phi) on an array of angles."""
-        phi = np.asarray(phi, dtype=float)
-        harmonics = np.arange(self.factor.size)
-        rows = max(1, EVALUATE_CHUNK_ENTRIES // harmonics.size)
-        flat = phi.ravel()
-        result = np.empty(flat.shape)
-        for start in range(0, flat.size, rows):
-            chunk = slice(start, start + rows)
-            g_of_phi = np.exp(1j * np.multiply.outer(flat[chunk], harmonics)) @ self.factor
-            result[chunk] = np.abs(g_of_phi) ** 2 / TWO_PI
-        return result.reshape(phi.shape)
+    def evaluate(self, samples: int) -> tuple:
+        """(phi, P(phi)) on the grid phi_k = 2pi k / samples, k = 0..samples-1.
+
+        P(phi_k) = |FFT(g, samples)_k|^2 / 2pi: the FFT's e^{-i t phi_k} is the
+        conjugate of e^{i t phi_k}, which the modulus of a real g ignores. Costs
+        O(samples log samples) whatever N. The grid must hold at least four
+        points per harmonic, samples >= 4(N+1), which keeps the trapezoid sum of
+        P e^{i phi} over it exact; below that a ValueError is raised.
+        """
+        guard = 4 * self.factor.size
+        if samples < guard:
+            raise ValueError(
+                f"{samples} phase samples are below the Nyquist guard {guard} "
+                f"for N = {self.factor.size - 1}"
+            )
+        phi = np.arange(samples) * (TWO_PI / samples)
+        return phi, np.abs(np.fft.fft(self.factor, samples)) ** 2 / TWO_PI
 
     def total_mass(self) -> float:
         """Integral of P over a full turn, sum g^2; below 1 whenever photons are lost."""

@@ -11,6 +11,7 @@ import importlib
 import json
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from lossyphase import channel_from_loss, cli, optimal_amplitudes, reduced_density
@@ -69,3 +70,23 @@ def test_bench_test_command_lines_parse(bench_module):
         for normalized in (False, True):
             argv = list(test_bench._curve_job(fmt, normalized).argv)
             assert cli.build_parser().parse_args(argv).command == "curve"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_reference_accepts_dist_and_validate_output(
+    bench_module, tmp_path, monkeypatch, capsys, seed
+):
+    # the reference check sets mpmath to 50 digits when first imported; keep
+    # that for its checks and give the tests after this one their precision back
+    with mpmath.workdps(50):
+        reference = bench_module("reference")
+        monkeypatch.chdir(tmp_path)
+        jobs = [j for j in bench_module("workloads").jobs_for("density", seed)
+                if j.kind in ("dist", "validate")]
+        assert [j.kind for j in jobs] == ["validate", "dist"]
+        for job in jobs:
+            assert cli.main(list(job.argv)) == 0
+            if job.kind == "validate":
+                (tmp_path / f"{job.name}.stdout").write_text(capsys.readouterr().out, encoding="utf-8")
+            check = reference.check_job(job, str(tmp_path))
+            assert check.ok, check.detail

@@ -291,6 +291,11 @@ class TestDomainEdges:
         (["dist", "--loss", "0.1", "--n", "0"], 2),
         (["dist", "--loss", "0.1", "--n", "20", "--phi-samples", "84"], 0),
         (["dist", "--loss", "0.1", "--n", "20", "--phi-samples", "83"], 2),
+        (["dist", "--loss", "0.1", "--n", "1", "--phi-samples", "1048577"], 2),
+        (["dist", "--loss", "0.1", "--n", "1", "--phi-samples", "1000000000000"], 2),
+        (["nopt", "--loss-grid", "0.1:0.2:1024", "--n-max", "2"], 0),
+        (["nopt", "--loss-grid", "0.1:0.2:1025", "--n-max", "2"], 2),
+        (["nopt", "--loss-grid", "0.1:0.2:1000000000000", "--n-max", "2"], 2),
         (["validate", "--max-2j", "-1"], 2),
         (["validate", "--max-2j", "0"], 0),
         (["validate", "--max-2j", "24"], 0),

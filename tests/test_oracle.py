@@ -17,8 +17,6 @@ from lossyphase import (
 from lossyphase.oracle import (
     bs_unitary,
     jx_matrix,
-    jy_matrix,
-    jz_matrix,
     quadrature_sharpness,
     trace_out_explicit,
 )
@@ -45,27 +43,8 @@ class TestGenerators:
 
     @pytest.mark.parametrize("j2", range(0, 13))
     def test_hermitian(self, j2):
-        for gen in (jx_matrix, jy_matrix, jz_matrix):
-            m = gen(j2)
-            assert np.max(np.abs(m - m.conj().T)) <= 1e-12
-
-    @pytest.mark.parametrize("j2", range(0, 13))
-    def test_commutation(self, j2):
-        jx, jy, jz = jx_matrix(j2), jy_matrix(j2), jz_matrix(j2)
-        assert np.max(np.abs(jx @ jy - jy @ jx - 1j * jz)) <= 1e-10
-
-    @pytest.mark.parametrize("j2", range(0, 25))
-    def test_jz_diagonal_length_and_step(self, j2):
-        # m = -j, -j+1, ..., j: 2j+1 values in unit steps
-        m = np.diag(jz_matrix(j2)).real
-        assert len(m) == j2 + 1
-        np.testing.assert_array_equal(np.diff(m), 1.0)
-
-    @pytest.mark.parametrize("j2", range(0, 25))
-    def test_jz_diagonal_symmetric_about_zero(self, j2):
-        m = np.diag(jz_matrix(j2)).real
-        assert m[0] == -m[-1]
-        np.testing.assert_array_equal(m, -m[::-1])
+        m = jx_matrix(j2)
+        assert np.max(np.abs(m - m.conj().T)) <= 1e-12
 
     def test_rejects_oversize(self):
         with pytest.raises(ValueError):
@@ -156,7 +135,7 @@ class TestQuadratureSharpness:
         ch = channel_from_loss(loss)
         dist = distribution(state, ch)
         quad = quadrature_sharpness(dist, 4 * (n + 1))
-        assert abs(quad - sharpness_closed(state, ch)) <= 1e-10
+        assert abs(quad - sharpness_closed(state, ch)) <= 1e-14
 
     def test_nyquist_guard(self):
         dist = distribution(optimal_amplitudes(20), channel_from_loss(0.0))

@@ -27,7 +27,6 @@ from lossyphase import (
     sharpness_closed,
 )
 from lossyphase.povm import (
-    EVALUATE_CHUNK_ENTRIES,
     TWO_PI,
     _holevo_spread,
     _loss_factors,
@@ -80,24 +79,36 @@ def kernel(n, loss, normalized=False):
     return _sharpness_kernel(optimal_amplitudes(n).psi, *_loss_factors(n, loss), normalized)
 
 
+def mp_phase_density(g, k, samples):
+    """P(phi) = |sum_t g_t e^{i t phi}|^2 / 2pi at phi = 2pi k / samples, to 40 digits.
+
+    The angle is taken exactly, not as its float: near a peak of width 1/N
+    the float's rounding alone would move P by up to 1e-12 of the peak at
+    N = 4096. The sum is Horner's rule in e^{i phi}.
+    """
+    with mpmath.workdps(40):
+        z = mpmath.expjpi(mpmath.mpf(2 * k) / samples)
+        return abs(mpmath.polyval(g[::-1].tolist(), z)) ** 2 / (2 * mpmath.pi)
+
+
 class TestDistribution:
     def test_lossless_peak_at_zero(self):
         dist = distribution(optimal_amplitudes(2), channel_from_loss(0.0))
-        phi = np.linspace(-math.pi, math.pi, 401)
-        values = dist.evaluate(phi)
-        assert np.argmax(values) == 200
+        phi, values = dist.evaluate(400)
+        assert phi[0] == 0.0
+        assert np.argmax(values) == 0
         assert dist.total_mass() == pytest.approx(1.0, abs=1e-12)
 
     def test_lossless_matches_squared_sum(self):
         state = optimal_amplitudes(2)
         dist = distribution(state, channel_from_loss(0.0))
         mu = np.arange(3) - 1.0
-        # the second grid spans three evaluation chunks
-        rows = EVALUATE_CHUNK_ENTRIES // 3
-        for samples in (64, 2 * rows + 5):
-            phi = np.linspace(0, TWO_PI, samples, endpoint=False)
+        # the direct sum at arbitrary angles is the reference the FFT grid is gated against
+        for samples in (64, 1000, 12345):
+            phi, values = dist.evaluate(samples)
+            np.testing.assert_array_equal(phi, np.linspace(0, TWO_PI, samples, endpoint=False))
             direct = np.abs(np.exp(1j * np.outer(phi, mu)) @ state.psi) ** 2 / TWO_PI
-            np.testing.assert_allclose(dist.evaluate(phi), direct, atol=1e-14)
+            np.testing.assert_allclose(values, direct, atol=1e-14)
 
     def test_hand_integral_n1_l03(self):
         dist = distribution(optimal_amplitudes(1), channel_from_loss(0.3))
@@ -114,8 +125,7 @@ class TestDistribution:
     @pytest.mark.parametrize("n,loss", [(1, 0.0), (5, 0.3), (12, 0.6)])
     def test_nonnegative_on_dense_grid(self, n, loss):
         dist = distribution(optimal_amplitudes(n), channel_from_loss(loss))
-        phi = np.linspace(0, TWO_PI, 4096, endpoint=False)
-        assert np.all(dist.evaluate(phi) >= 0.0)
+        assert np.all(dist.evaluate(4096)[1] >= 0.0)
 
     def test_coefficients_factorize(self):
         state = optimal_amplitudes(3)
@@ -125,9 +135,9 @@ class TestDistribution:
         np.testing.assert_allclose(dist.factor, g, atol=1e-15)
         # P is the trigonometric polynomial of the coefficient matrix g g^T / 2pi
         coeff = np.outer(g, g) / TWO_PI
-        phi = np.linspace(0, TWO_PI, 64, endpoint=False)
+        phi, values = dist.evaluate(64)
         dense = sum(coeff[t, u] * np.cos((u - t) * phi) for t in range(4) for u in range(4))
-        np.testing.assert_allclose(dist.evaluate(phi), dense, atol=1e-15)
+        np.testing.assert_allclose(values, dense, atol=1e-15)
 
     def test_distribution_stores_no_dense_matrix(self):
         state = optimal_amplitudes(MAX_PHOTON_NUMBER)
@@ -141,15 +151,53 @@ class TestDistribution:
         assert peak < 1e6
 
     def test_evaluate_memory_bounded_by_entries(self):
+        # a few arrays of 65536 entries (1 MB complex), nothing of size samples x (N+1)
         dist = distribution(optimal_amplitudes(MAX_PHOTON_NUMBER), channel_from_loss(0.01))
-        phi = np.linspace(0, TWO_PI, 2048, endpoint=False)
         tracemalloc.start()
         try:
-            dist.evaluate(phi)
+            dist.evaluate(65536)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64e6
+        assert peak < 4e6
+
+    @pytest.mark.parametrize("n", [1, 20, MAX_PHOTON_NUMBER])
+    def test_nyquist_guard(self, n):
+        dist = distribution(optimal_amplitudes(n), channel_from_loss(0.1))
+        guard = 4 * (n + 1)
+        assert dist.evaluate(guard)[1].shape == (guard,)
+        with pytest.raises(ValueError, match=f"Nyquist guard {guard} for N = {n}"):
+            dist.evaluate(guard - 1)
+
+    @pytest.mark.parametrize("loss", [0.0, 0.01, 0.3])
+    @pytest.mark.parametrize("n", [1, 256, MAX_PHOTON_NUMBER])
+    def test_matches_40_digit_reference(self, n, loss):
+        # promises 5e-15 of the peak at the first and last rows and at seeded ones
+        dist = distribution(optimal_amplitudes(n), channel_from_loss(loss))
+        samples = 65536
+        values = dist.evaluate(samples)[1]
+        rng = np.random.default_rng(n)
+        rows = [*range(12), *range(samples - 6, samples), *rng.integers(0, samples, 8).tolist()]
+        peak = float(np.max(values))
+        for k in rows:
+            exact = mp_phase_density(dist.factor, k, samples)
+            assert abs(values[k] - exact) <= 5e-15 * peak, k
+
+    @KERNEL_PROPERTY
+    @given(n=PHOTON_NUMBERS, loss=LOSS_FRACTIONS, extra=st.integers(0, 500))
+    def test_total_mass_matches_40_digit_sum_and_parseval(self, n, loss, extra):
+        state = optimal_amplitudes(n)
+        dist = distribution(state, channel_from_loss(loss))
+        with mpmath.workdps(40):
+            keep, weight, exact = 1 - mpmath.mpf(loss), mpmath.mpf(1), mpmath.mpf(0)
+            for x in state.psi:
+                exact += mpmath.mpf(x) ** 2 * weight
+                weight *= keep
+        mass = dist.total_mass()
+        assert abs(mass - exact) <= 1e-14 * exact
+        # Parseval: the mean of P over the grid is the mass / 2pi, which ties the FFT's scale to g
+        values = dist.evaluate(4 * (n + 1) + extra)[1]
+        assert abs(TWO_PI * float(np.mean(values)) - exact) <= 1e-14 * exact
 
 
 class TestDistributionFromDensity:
