@@ -7,13 +7,16 @@ them to ``_emit``, the one writer of every data file and plot script.
 Data files are deterministic for a fixed configuration: stable row order,
 17-significant-digit decimals, no timestamps. A CSV file opens with
 ``# key = value`` lines, then the column line; a JSON file holds ``config``,
-any extra header value, then ``rows``. The header keys are ``command``,
-``format`` and ``normalized``, then per command:
+any extra header value, then ``rows``. The header keys are ``command`` and
+``format``, then per command:
 
-- curve: ``loss``, ``n_range``;
-- nopt: ``loss_grid``, ``n_max``;
+- curve: ``normalized``, ``loss``, ``n_range``;
+- nopt: ``normalized``, ``loss_grid``, ``n_max``;
 - dist: ``loss``, ``n``, ``phi_samples``, then ``integral_p``, the integral
   of P(phi) over the circle.
+
+Only ``curve`` and ``nopt`` take ``--normalized`` (the renormalized sharpness
+variant), so only their headers carry ``normalized``.
 
 In CSV a cell is ``none``, an int, or a ``.17g`` decimal (``inf`` for an
 infinity); in JSON ``None`` is ``null`` and ``inf`` the string ``"inf"``.
@@ -148,13 +151,12 @@ def _emit(args, config: dict, columns: tuple, rows, logscale: bool, ylabel: str,
     """Write one command's data file and its plot script; the only writer of either.
 
     ``rows`` is an iterable of tuples of ints, floats or None, read once.
-    ``config`` holds the command's own header keys, after ``command``,
-    ``format`` and ``normalized``. ``extra`` holds header values computed
-    with the rows: CSV comments after the config, JSON keys before ``rows``.
+    ``config`` holds the command's own header keys, after ``command`` and
+    ``format``. ``extra`` holds header values computed with the rows: CSV
+    comments after the config, JSON keys before ``rows``.
     """
     out = args.out or f"{args.command}.{args.format}"
-    config = {"command": args.command, "format": args.format,
-              "normalized": args.normalized, **config}
+    config = {"command": args.command, "format": args.format, **config}
     extra = extra or {}
     if args.format == "csv":
         lines = [f"# {k} = {str(v).lower() if isinstance(v, bool) else v}" for k, v in config.items()]
@@ -181,7 +183,7 @@ def run_curve(args) -> int:
     n_min, n_max = parse_n_range(args.n_range)
     result = sweep.curve(loss, n_min, n_max, normalized=args.normalized)
     rows = ((p.n, p.delta_phi, p.shot_noise, p.heisenberg) for p in result.points)
-    config = {"loss": loss, "n_range": f"{n_min}:{n_max}"}
+    config = {"normalized": args.normalized, "loss": loss, "n_range": f"{n_min}:{n_max}"}
     return _emit(args, config, CURVE_COLUMNS, rows, logscale=True, ylabel="delta_phi")
 
 
@@ -192,7 +194,7 @@ def run_nopt(args) -> int:
     # the scan engine, not nopt_vs_loss: a parsed grid may repeat a value
     landmarks = sweep._landmarks(grid, args.n_max, args.normalized)
     rows = [(loss, n_opt) for loss, (n_opt, _) in zip(grid, landmarks)]
-    config = {"loss_grid": args.loss_grid, "n_max": args.n_max}
+    config = {"normalized": args.normalized, "loss_grid": args.loss_grid, "n_max": args.n_max}
     return _emit(args, config, NOPT_COLUMNS, rows, logscale=True, ylabel="n_opt")
 
 
@@ -214,104 +216,91 @@ def run_dist(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# validation suite
+# validation suite: one table, run by `validate` and by the tests row by row
 # ---------------------------------------------------------------------------
 
-_VALIDATE_LOSSES = (0.1, 0.3, 0.5)
 
-
-def _largest_defect(cases):
-    """Largest of (defect, witness) pairs, with the witness that first reached it."""
-    worst, witness = 0.0, ""
-    for defect, label in cases:
-        if defect > worst:
-            worst, witness = defect, label
-    return worst, witness
-
-
-def _check_lossy_ket(max_twice_j: int):
+def _lossy_ket_defect(t: int, loss: float) -> float:
     """Splitter branches of |t photons in the lossy arm> against e^{i theta Jx}, signed."""
-    for t in range(max_twice_j + 1):
-        state = AmplitudeVector(np.eye(t + 1)[t])
-        for loss_value in (0.0,) + _VALIDATE_LOSSES:
-            # cos^2(theta/2) = 1 - L, taken by atan2 so theta keeps its digits at small L
-            theta = 2.0 * math.atan2(math.sqrt(loss_value), math.sqrt(1.0 - loss_value))
-            expected = np.conj(oracle.bs_unitary(t, theta)[:, t])
-            channel = loss_mod.channel_from_loss(loss_value)
-            branch = loss_mod.pure_lossy_state(state, channel).coeffs[t]
-            yield float(np.max(np.abs(branch - expected))), f"t={t} L={loss_value:g}"
+    # cos^2(theta/2) = 1 - L, taken by atan2 so theta keeps its digits at small L
+    theta = 2.0 * math.atan2(math.sqrt(loss), math.sqrt(1.0 - loss))
+    expected = np.conj(oracle.bs_unitary(t, theta)[:, t])
+    state = AmplitudeVector(np.eye(t + 1)[t])
+    branch = loss_mod.pure_lossy_state(state, loss_mod.channel_from_loss(loss)).coeffs[t]
+    return float(np.max(np.abs(branch - expected)))
 
 
-def _block_difference(rho, explicit: dict) -> float:
+def _partial_trace_defect(n: int, loss: float) -> float:
     """Largest entry of rho's blocks minus the explicit trace's, absent blocks as zeros."""
-    worst = 0.0
-    for ell in set(rho.factors) | set(explicit):
-        worst = max(worst, float(np.max(np.abs(rho.block(ell) - explicit.get(ell, 0.0)))))
-    return worst
+    state, channel = optimal_amplitudes(n), loss_mod.channel_from_loss(loss)
+    rho = loss_mod.reduced_density(state, channel)
+    explicit = oracle.trace_out_explicit(loss_mod.pure_lossy_state(state, channel))
+    return max(float(np.max(np.abs(rho.block(ell) - explicit.get(ell, 0.0))))
+               for ell in set(rho.factors) | set(explicit))
 
 
-def _lossy_states(n_top: int, losses):
-    """(witness, state, channel) for N = 1..n_top at each loss."""
-    for n in range(1, n_top + 1):
-        state = optimal_amplitudes(n)
-        for loss_value in losses:
-            yield f"N={n} L={loss_value:g}", state, loss_mod.channel_from_loss(loss_value)
+def _dual_path_defect(n: int, loss: float) -> float:
+    state, channel = optimal_amplitudes(n), loss_mod.channel_from_loss(loss)
+    rho = loss_mod.reduced_density(state, channel)
+    return abs(povm.sharpness_closed(state, channel)
+               - povm.distribution_from_density(rho).fourier_sharpness())
 
 
-def _check_partial_trace():
-    for witness, state, channel in _lossy_states(8, _VALIDATE_LOSSES):
-        direct = loss_mod.reduced_density(state, channel)
-        explicit = oracle.trace_out_explicit(loss_mod.pure_lossy_state(state, channel))
-        yield _block_difference(direct, explicit), witness
+def _quadrature_defect(n: int, loss: float) -> float:
+    state, channel = optimal_amplitudes(n), loss_mod.channel_from_loss(loss)
+    quad = oracle.quadrature_sharpness(povm.distribution(state, channel), 4096)
+    return abs(quad - povm.sharpness_closed(state, channel))
 
 
-def _check_dual_path():
-    for witness, state, channel in _lossy_states(12, (0.0,) + _VALIDATE_LOSSES):
-        closed = povm.sharpness_closed(state, channel)
-        rho = loss_mod.reduced_density(state, channel)
-        yield abs(closed - povm.distribution_from_density(rho).fourier_sharpness()), witness
+def _lossless_anchor_defect(n: int, loss: float) -> float:
+    channel = loss_mod.channel_from_loss(loss)
+    variance = povm.phase_estimate(optimal_amplitudes(n), channel).holevo_variance
+    reference = povm.lossless_reference(n)
+    return abs(variance - reference) / reference
 
 
-def _check_quadrature():
-    for witness, state, channel in _lossy_states(12, (0.0,) + _VALIDATE_LOSSES):
-        closed = povm.sharpness_closed(state, channel)
-        quad = oracle.quadrature_sharpness(povm.distribution(state, channel), 4096)
-        yield abs(quad - closed), witness
+# one row per cross-check: (name, tolerance, defect(n, loss), photon numbers,
+# losses); photon numbers None means t = 0..--max-2j from the command line
+CHECKS = (
+    ("lossy ket vs matrix exponential, signed", 1e-14, _lossy_ket_defect,
+     None, (0.0, 1e-8, 0.1, 0.3, 0.5, 0.9)),
+    ("partial trace, blocks vs explicit", 1e-15, _partial_trace_defect,
+     range(1, 9), (0.1, 0.3, 0.5)),
+    ("sharpness, closed vs density path", 1e-15, _dual_path_defect,
+     range(1, 13), (0.0, 0.1, 0.3, 0.5)),
+    ("sharpness, closed vs quadrature", 1e-14, _quadrature_defect,
+     range(1, 13), (0.0, 0.1, 0.3, 0.5)),
+    ("lossless variance anchor (relative)", 5e-15, _lossless_anchor_defect,
+     (*range(1, 101), MAX_PHOTON_NUMBER), (0.0,)),
+)
 
 
-def _check_lossless_anchor():
-    identity = loss_mod.channel_from_loss(0.0)
-    for n in list(range(1, 101)) + [MAX_PHOTON_NUMBER]:
-        variance = povm.phase_estimate(optimal_amplitudes(n), identity).holevo_variance
-        reference = povm.lossless_reference(n)
-        yield abs(variance - reference) / reference, f"N={n}"
+def worst_defect(check, max_twice_j: int) -> tuple:
+    """Largest defect of one ``CHECKS`` row, and the first ``N=… L=…`` that reached it.
+
+    A NaN defect ranks above every number, so a broken check cannot pass.
+    """
+    _, _, defect, photon_numbers, losses = check
+    grid = range(max_twice_j + 1) if photon_numbers is None else photon_numbers
+    cases = ((defect(n, loss), f"N={n} L={loss:g}") for n in grid for loss in losses)
+    return max(cases, key=lambda case: math.inf if math.isnan(case[0]) else case[0])
 
 
 def run_validate(max_twice_j: int = 12) -> int:
     if not 0 <= max_twice_j <= oracle.ORACLE_MAX_TWICE_SPIN:
         raise ValueError(f"max-2j must be in 0..{oracle.ORACLE_MAX_TWICE_SPIN}, got {max_twice_j}")
-    checks = [
-        ("lossy ket vs matrix exponential, signed", 1e-12, lambda: _check_lossy_ket(max_twice_j)),
-        ("partial trace, blocks vs explicit", 1e-12, _check_partial_trace),
-        ("sharpness, closed vs density path", 1e-10, _check_dual_path),
-        ("sharpness, closed vs quadrature", 1e-14, _check_quadrature),
-        ("lossless variance anchor (relative)", 5e-15, _check_lossless_anchor),
-    ]
-    failures = []
+    failure = None
     print(f"{'check':<40} {'max defect':>12} {'tolerance':>12} result")
-    for name, tol, fn in checks:
-        defect, witness = _largest_defect(fn())
+    for check in CHECKS:
+        name, tol = check[:2]
+        defect, witness = worst_defect(check, max_twice_j)
         ok = defect <= tol
-        if not ok:
-            failures.append((name, defect, tol, witness))
+        if not ok and failure is None:
+            failure = f"{name} defect {defect:.3e} exceeds {tol:.3e} at {witness}"
         tag = "PASS" if ok else f"FAIL at {witness}"
         print(f"{name:<40} {defect:>12.3e} {tol:>12.3e} {tag}")
-    if failures:
-        name, defect, tol, witness = failures[0]
-        print(
-            f"validation failed: {name} defect {defect:.3e} exceeds {tol:.3e} at {witness}",
-            file=sys.stderr,
-        )
+    if failure is not None:
+        print(f"validation failed: {failure}", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK
 
@@ -352,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (curve_p, nopt_p, dist_p):
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+    for p in (curve_p, nopt_p):
         p.add_argument("--normalized", action="store_true")
     return parser
 

@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from lossyphase import sweep
+from lossyphase import cli, sweep
 from lossyphase.cli import _fmt, main, parse_loss_grid, parse_n_range
+from lossyphase.oracle import ORACLE_MAX_TWICE_SPIN
 
 
 def read_rows(path):
@@ -253,6 +254,35 @@ class TestValidateCommand:
         assert "PASS" in out
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("check", cli.CHECKS, ids=[check[0] for check in cli.CHECKS])
+    def test_row_within_tolerance(self, check):
+        # the rows validate prints, each on its own, the ket row up to the oracle's cap
+        name, tol = check[:2]
+        defect, witness = cli.worst_defect(check, ORACLE_MAX_TWICE_SPIN)
+        assert defect <= tol, f"{name}: defect {defect:.3e} above {tol:.0e} at {witness}"
+
+    @pytest.mark.parametrize("bad", [1e-3, math.nan])
+    def test_failing_row_is_reported_once(self, monkeypatch, capsys, bad):
+        # a middle row fails at one grid point; every row still prints and
+        # stderr names the failure in one line
+        checks = list(cli.CHECKS)
+        name, _, _, photon_numbers, losses = checks[2]
+
+        def failing(n, loss):
+            return bad if (n, loss) == (5, 0.3) else 0.0
+
+        checks[2] = (name, 0.0, failing, photon_numbers, losses)
+        monkeypatch.setattr(cli, "CHECKS", tuple(checks))
+        assert main(["validate", "--max-2j", "2"]) == 3
+        captured = capsys.readouterr()
+        rows = captured.out.splitlines()[1:]
+        assert [row[:40].rstrip() for row in rows] == [check[0] for check in checks]
+        assert rows[2].endswith(" FAIL at N=5 L=0.3")
+        assert all(row.endswith(" PASS") for i, row in enumerate(rows) if i != 2)
+        assert captured.err == (
+            f"validation failed: {name} defect {bad:.3e} exceeds 0.000e+00 at N=5 L=0.3\n"
+        )
+
     @pytest.mark.parametrize("t", ["-1", "25"])
     def test_max_2j_out_of_range_prints_nothing(self, capsys, t):
         assert main(["validate", "--max-2j", t]) == 2
@@ -293,6 +323,7 @@ class TestDomainEdges:
         (["dist", "--loss", "0.1", "--n", "20", "--phi-samples", "83"], 2),
         (["dist", "--loss", "0.1", "--n", "1", "--phi-samples", "1048577"], 2),
         (["dist", "--loss", "0.1", "--n", "1", "--phi-samples", "1000000000000"], 2),
+        (["dist", "--loss", "0.3", "--n", "2", "--phi-samples", "64", "--normalized"], 2),
         (["nopt", "--loss-grid", "0.1:0.2:1024", "--n-max", "2"], 0),
         (["nopt", "--loss-grid", "0.1:0.2:1025", "--n-max", "2"], 2),
         (["nopt", "--loss-grid", "0.1:0.2:1000000000000", "--n-max", "2"], 2),
@@ -319,22 +350,23 @@ class TestDomainEdges:
 
 
 # The exact header block, column line, JSON key order and plot-script name of
-# each command, written with the default --out into the working directory.
+# each command, written with the default --out into the working directory;
+# only curve and nopt carry ``normalized``.
 FORMAT_CASES = {
     "curve": (
         ["--loss", "0.25", "--n-range", "1:3"],
-        [("loss", 0.25), ("n_range", "1:3")],
+        [("normalized", False), ("loss", 0.25), ("n_range", "1:3")],
         {},
         "n,delta_phi,shot_noise,heisenberg",
     ),
     "nopt": (
-        ["--loss-grid", "0:0.3:2", "--n-max", "50"],
-        [("loss_grid", "0:0.3:2"), ("n_max", 50)],
+        ["--loss-grid", "0:0.3:2", "--n-max", "50", "--normalized"],
+        [("normalized", True), ("loss_grid", "0:0.3:2"), ("n_max", 50)],
         {},
         "loss,n_opt",
     ),
     "dist": (
-        ["--loss", "0.25", "--n", "2", "--phi-samples", "64", "--normalized"],
+        ["--loss", "0.25", "--n", "2", "--phi-samples", "64"],
         [("loss", 0.25), ("n", 2), ("phi_samples", 64)],
         {"integral_p": ("0.76562499999999989", 0.7656249999999999)},
         "phi,p",
@@ -350,9 +382,9 @@ class TestFileFormats:
         assert main([command] + argv) == 0
         assert capsys.readouterr().out == f"wrote {command}.csv and {command}.csv.gp\n"
         lines = (tmp_path / f"{command}.csv").read_text().splitlines()
-        normalized = "true" if "--normalized" in argv else "false"
-        expected = [f"# command = {command}", "# format = csv", f"# normalized = {normalized}"]
-        expected += [f"# {key} = {value}" for key, value in config]
+        expected = [f"# command = {command}", "# format = csv"]
+        expected += [f"# {key} = {json.dumps(value) if isinstance(value, bool) else value}"
+                     for key, value in config]
         expected += [f"# {key} = {text}" for key, (text, _) in extra.items()]
         assert lines[: len(expected) + 1] == expected + [columns]
         assert not lines[len(expected) + 1].startswith("#")
@@ -366,8 +398,7 @@ class TestFileFormats:
         assert capsys.readouterr().out == f"wrote {command}.json and {command}.json_plot.py\n"
         payload = json.loads((tmp_path / f"{command}.json").read_text())
         assert list(payload) == ["config"] + list(extra) + ["rows"]
-        expected = {"command": command, "format": "json", "normalized": "--normalized" in argv}
-        expected.update(config)
+        expected = {"command": command, "format": "json", **dict(config)}
         assert list(payload["config"]) == list(expected)
         assert payload["config"] == expected
         assert {key: payload[key] for key in extra} == {k: v for k, (_, v) in extra.items()}

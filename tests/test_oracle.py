@@ -85,17 +85,6 @@ class TestTraceOutExplicit:
         assert tuple(sorted(explicit)) == direct.lost_photon_counts() == (0,)
         np.testing.assert_allclose(explicit[0], direct.block(0), atol=1e-15)
 
-    @pytest.mark.parametrize("n", range(1, 9))
-    @pytest.mark.parametrize("loss", (0.1, 0.3, 0.7))
-    def test_matches_block_path(self, n, loss):
-        state = optimal_amplitudes(n)
-        ch = channel_from_loss(loss)
-        explicit = trace_out_explicit(pure_lossy_state(state, ch))
-        direct = reduced_density(state, ch)
-        assert tuple(sorted(explicit)) == direct.lost_photon_counts()
-        for ell, block in explicit.items():
-            np.testing.assert_allclose(block, direct.block(ell), atol=1e-12)
-
     def test_random_state_trace_preserved(self):
         rng = np.random.default_rng(7)
         psi = rng.standard_normal(5)
