@@ -18,6 +18,7 @@ from lossyphase import (
     reduced_density,
 )
 from lossyphase.loss import _loss_column
+from lossyphase.oracle import ORACLE_MAX_TWICE_SPIN, bs_unitary
 
 LOSSES = (0.1, 0.3, 0.5, 0.7)
 
@@ -95,6 +96,17 @@ class TestChannelFromLoss:
 
 
 class TestLossColumn:
+    @pytest.mark.parametrize("loss", [1e-8, 0.1, 0.3, 0.5, 0.9])
+    def test_signed_agreement_with_matrix_exponential(self, loss):
+        # the branches of |t> are the conjugated last column of e^{i theta Jx},
+        # cos^2(theta/2) = 1 - L, sign and quarter-turn phase included
+        theta = 2 * math.atan2(math.sqrt(loss), math.sqrt(1 - loss))
+        for t in range(ORACLE_MAX_TWICE_SPIN + 1):
+            state = AmplitudeVector(np.eye(t + 1)[t])
+            branch = pure_lossy_state(state, channel_from_loss(loss)).coeffs[t]
+            expected = np.conj(bs_unitary(t, theta)[:, t])
+            np.testing.assert_allclose(branch, expected, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize("loss", [1e-8, 1e-6, 1e-3, 0.3, 0.9])
     def test_blocks_match_50_digit_reference(self, n, loss):
