@@ -31,6 +31,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -43,8 +44,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 
-# the upper bounds cap what one input can allocate: 2**20 phase samples is 64
-# times the Nyquist guard at N = 4096, and a 1024-point grid is 16 scan blocks
+# the upper bounds cap what one input can cost: 2**20 phase samples is 64
+# times the Nyquist guard at N = 4096, and a 1024-point grid is 1024 scans
 MIN_PHI_SAMPLES = 64
 MAX_PHI_SAMPLES = 2**20
 MAX_LOSS_GRID_POINTS = 1024
@@ -346,9 +347,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_loss_value(argv) -> list:
+    """``--loss VALUE`` as ``--loss=VALUE`` where VALUE is a negative number.
+
+    argparse reads a word such as ``-1e-300`` as an option (its negative-number
+    pattern has no exponent), which would refuse ``--loss -1e-300`` as a
+    missing value instead of letting it reach the loss check.
+    """
+    words = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(words) - 1, 0, -1):
+        if words[i - 1] == "--loss" and re.match(r"-\.?\d", words[i]):
+            words[i - 1 : i + 1] = [f"--loss={words[i]}"]
+    return words
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_loss_value(argv))
     try:
         if args.command == "validate":
             return run_validate(max_twice_j=args.max_2j)

@@ -84,17 +84,14 @@ class PhaseDistribution:
         return float(np.add.reduce(g[1:] * g[:-1]))
 
 
-def _loss_factors(n_photons: int, loss) -> tuple:
+def _loss_factors(n_photons: int, loss: float) -> tuple:
     """(1-L)^(t/2) and 1-(1-L)^t for t = 0..N lossy-arm photons, from t log1p(-L).
 
-    ``loss`` is one loss fraction, giving two (N+1,) arrays, or a sequence of
-    B of them, giving two (B, N+1) arrays with one row per loss. Taken
-    straight from the loss fraction in the log domain: no underflow, no
+    Taken straight from the loss fraction in the log domain: no underflow, no
     digits lost to a round trip through the splitter angle at small L, and
     expm1 keeps the lost fraction exact where it is tiny.
     """
-    rate = np.reshape([math.log1p(-x) for x in np.ravel(loss)], np.shape(loss))
-    exponent = np.multiply.outer(rate, np.arange(n_photons + 1, dtype=float))
+    exponent = math.log1p(-loss) * np.arange(n_photons + 1, dtype=float)
     return np.exp(0.5 * exponent), -np.expm1(exponent)
 
 
@@ -130,36 +127,27 @@ def _sharpness_kernel(
     not formed as 1 - S but summed from nonnegative terms: with sum psi^2 = 1,
     1 - S = sum psi_t^2 lost_t + (g_0^2 + g_N^2 + sum (g_t - g_{t-1})^2) / 2,
     so it keeps its digits where S is within rounding of 1. With
-    ``normalized`` both are divided by the integral sum g^2.
-
-    ``survival`` and ``lost`` are (N+1,) arrays for one loss, giving scalar
-    S and 1 - S, or (B, N+1) arrays for B losses, giving (B,) arrays. Every
-    sum runs over the last axis with numpy's pairwise summation, so a row
-    of a batch gets the same digits as the loss on its own.
+    ``normalized`` both are divided by the integral sum g^2. Every sum is
+    numpy's pairwise summation.
     """
     total = np.add.reduce  # np.sum's pairwise summation, without its call overhead
     g = psi * survival
-    head, tail = g[..., :-1], g[..., 1:]
-    # each pass over a batch is memory-bound, so the temporaries are reused in place
-    work = tail * head
-    sharp = total(work, axis=-1)
-    np.subtract(tail, head, out=work)
-    work *= work
-    first, last = g[..., 0], g[..., -1]
-    spread = 0.5 * (first * first + last * last + total(work, axis=-1))
+    sharp = total(g[1:] * g[:-1])
+    step = g[1:] - g[:-1]
+    spread = 0.5 * (g[0] * g[0] + g[-1] * g[-1] + total(step * step))
     if normalized:
-        g *= g
-        mass = total(g, axis=-1)
+        mass = total(g * g)
         return sharp / mass, spread / mass
-    return sharp, total(np.multiply(psi * psi, lost, out=g), axis=-1) + spread
+    return sharp, total(psi * psi * lost) + spread
 
 
 def _holevo_spread(sharp, defect) -> tuple:
     """Holevo variance (1-S)(1+S)/S^2 and its root delta-phi, from S and 1 - S.
 
-    Elementwise over arrays. Taking 1 - S as the kernel sums it, rather than
-    forming 1/S^2 - 1, keeps the digits near the Heisenberg line where S is
-    within 1e-7 of 1. Where S <= 0 both are inf, and nothing is divided.
+    Elementwise over arrays. Taking 1 - S as the kernel or the sweep's closed
+    form gives it, rather than forming 1/S^2 - 1, keeps the digits near the
+    Heisenberg line where S is within 1e-7 of 1. Where S <= 0 both are inf,
+    and nothing is divided.
     """
     sharp = np.asarray(sharp, dtype=float)
     spread = defect * (1.0 + sharp)

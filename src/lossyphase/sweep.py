@@ -1,16 +1,29 @@
 """Minimum-detectable-phase curves over photon number and their landmarks.
 
-Every point uses the closed-form sharpness, so a scan to N in the thousands
-stays cheap; the density-matrix machinery is deliberately not on this path.
-One scan engine serves ``curve``, the landmark finders and ``nopt_vs_loss``:
-it takes the losses in blocks of at most ``LOSS_BLOCK``, builds their loss
-factors once per block as a (losses x t) array, and then walks N once,
-building each sine profile once and handing it with the first N + 1 columns
-of the factors to the sharpness kernel, which sums every loss of the block
-at the same time. S and 1 - S go into preallocated (N x losses) arrays, and
-delta-phi = sqrt((1-S)(1+S))/S is formed for the whole block after the walk.
-A single curve is a one-loss block. The results are deterministic for
-identical inputs, and a loss gets the same digits in any block.
+Every curve point is the sharpness S and its defect 1 - S of the sine state
+in closed form, a few dozen numpy operations over the whole vector of photon
+numbers at one loss: no per-N loop, no amplitudes, and memory O(n_max) per
+loss whatever the length of a loss grid. ``_scan`` yields delta-phi =
+sqrt((1-S)(1+S))/S one loss at a time and serves ``curve``, the landmark
+finders and ``nopt_vs_loss``. ``povm._sharpness_kernel`` sums the same S for
+any amplitudes and stays the reference the tests hold this form to.
+
+With m = N + 2, a = pi/m and q = 1 - L, the sine state has
+g_t = sqrt(2/m) sin((t+1)a) q^(t/2). Since sin((t+1)a) vanishes at t = -1 and
+t = N + 1 and flips sign under t -> t + m, the terms of the infinite sums
+sum_t g_t g_{t-1} and sum_t g_t^2 past t = N are the whole sums' terms again,
+times q^m; each finite sum is the geometric infinite sum times 1 - q^m. With
+R = (1 - q^m)/(1 - q) and D = L^2 + 4q sin^2 a (both positive):
+
+    S = (4/m) sqrt(q) cos(a) sin^2(a) R / D
+    M = sum g^2 = (2/m) (1 + q) sin^2(a) R / D
+    M - S = (2/m) sin^2(a) R [(1 - sqrt q)^2 + 4 sqrt(q) sin^2(a/2)] / D
+
+Raw, 1 - S = (1 - M) + (M - S), a sum of nonnegative parts. Normalized, R/D
+cancels: S/M = 2 sqrt(q) cos(a) / (1 + q) and 1 - S/M = (M - S)/M. Every
+quantity keeps about 15 digits (within 2e-15 of 50-digit mpmath); see
+``_sine_sharpness`` for 1 - M. The results are deterministic for identical
+inputs, and a loss gets the same row on its own as in any grid.
 """
 
 from __future__ import annotations
@@ -21,14 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .loss import channel_from_loss
-from .povm import _holevo_spread, _loss_factors, _sharpness_kernel
-from .states import _check_cap, _sine_profile
+from .povm import _holevo_spread
+from .states import _check_cap
 
 DEFAULT_MAX_PHOTONS = 1000
 
-# Losses scanned together. The engine's arrays are LOSS_BLOCK x (n_max + 1)
-# at most, so its memory does not grow with the length of the loss grid.
-LOSS_BLOCK = 64
+# Taylor coefficients 1/(k+2)! of (e^{-u} - 1 + u)/u^2 in powers of -u; 17
+# terms leave a remainder below 1/19! < 1e-17 of the sum for u < 1.
+_PHI_SERIES = tuple(1.0 / math.factorial(k + 2) for k in range(17))
 
 
 @dataclass(frozen=True)
@@ -56,28 +69,70 @@ class SweepResult:
     n_subshot_max: int | None
 
 
-def _scan(losses, n_min: int, n_max: int, normalized: bool):
-    """Delta-phi over N = n_min..n_max at each loss, one block of losses at a time.
+def _phi_over_square(u: np.ndarray) -> np.ndarray:
+    """(e^{-u} - 1 + u)/u^2 for u >= 0: its series below u = 1, no cancellation above."""
+    out = np.empty_like(u)
+    small = u < 1.0
+    x = u[small]
+    acc = np.full_like(x, _PHI_SERIES[-1])
+    for c in _PHI_SERIES[-2::-1]:
+        acc *= -x
+        acc += c
+    out[small] = acc
+    x = u[~small]
+    out[~small] = (np.expm1(-x) + x) / (x * x)
+    return out
 
-    Yields one (block, n_max - n_min + 1) array per block, a row per loss in
-    the order given; divergent points are explicit infinities. The range,
-    the photon-number cap and every loss are checked before any point.
+
+def _sine_sharpness(loss: float, n: np.ndarray, normalized: bool) -> tuple:
+    """S and 1 - S of the sine state at one loss, for every photon number in ``n``.
+
+    The closed form of the module docstring, in lambda = -log1p(-L) so that
+    1 - q^m = -expm1(-m lambda) and 1 - sqrt(q) = -expm1(-lambda/2) keep their
+    digits at small L. Where M >= 2/3 the difference 1 - M would cancel, so it
+    is formed as [L^2 + sin^2(a) lambda B] / D with phi(u) = e^{-u} - 1 + u and
+
+        lambda B = (4/m)(phi(m lambda) - m phi(lambda))/L - 4L + (2/m)(1 - q^m),
+
+    where phi(u) = u^2 (phi(u)/u^2) lets lambda factor out of B, so nothing
+    underflows down to L = 5e-324 and 1 - M stays nonnegative. Below 2/3 the
+    subtraction 1 - M at most doubles M's rounding and is used as it is.
+    """
+    m = n + 2.0
+    a = np.pi / m
+    rate = -math.log1p(-loss)
+    root_q = math.sqrt(1.0 - loss)
+    half = np.sin(0.5 * a)
+    near = math.expm1(-0.5 * rate) ** 2 + 4.0 * root_q * half * half
+    if normalized:
+        return 2.0 * root_q * np.cos(a) / (2.0 - loss), near / (2.0 - loss)
+    # R = kept * ratio with kept = (1 - q^m)/lambda and ratio = lambda/L, whose
+    # limits at L = 0 are m and 1
+    kept, ratio = (m, 1.0) if loss == 0.0 else (-np.expm1(-m * rate) / rate, rate / loss)
+    sin2 = np.sin(a) ** 2
+    denom = loss * loss + 4.0 * (1.0 - loss) * sin2
+    base = (2.0 / m) * sin2 * (kept * ratio) / denom
+    mass = (2.0 - loss) * base
+    phis = _phi_over_square(np.append(rate, m * rate))
+    bracket = 4.0 * ratio * (m * phis[1:] - phis[0]) - 4.0 / ratio + (2.0 / m) * kept
+    unkept = (loss * loss + sin2 * (rate * bracket)) / denom
+    unkept = np.where(mass < 2.0 / 3.0, 1.0 - mass, unkept)
+    return 2.0 * root_q * np.cos(a) * base, unkept + near * base
+
+
+def _scan(losses, n_min: int, n_max: int, normalized: bool):
+    """Delta-phi over N = n_min..n_max at each loss, one row per loss in the order given.
+
+    Divergent points are explicit infinities. The range, the photon-number
+    cap and every loss are checked before any point.
     """
     if n_min < 1 or n_min > n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got {n_min}:{n_max}")
     _check_cap(n_max)
     losses = [channel_from_loss(x).loss for x in losses]
-    for start in range(0, len(losses), LOSS_BLOCK):
-        block = losses[start : start + LOSS_BLOCK]
-        survival, lost = _loss_factors(n_max, block)
-        sharp = np.empty((n_max - n_min + 1, len(block)))
-        defect = np.empty_like(sharp)
-        for i, n in enumerate(range(n_min, n_max + 1)):
-            keep = slice(0, n + 1)
-            sharp[i], defect[i] = _sharpness_kernel(
-                _sine_profile(n), survival[:, keep], lost[:, keep], normalized
-            )
-        yield _holevo_spread(sharp, defect)[1].T
+    n = np.arange(n_min, n_max + 1, dtype=float)
+    for loss in losses:
+        yield _holevo_spread(*_sine_sharpness(loss, n, normalized))[1]
 
 
 def _shot_noise(n_min: int, n_max: int) -> np.ndarray:
@@ -95,7 +150,7 @@ def curve(
     Divergent points are carried through as explicit infinities; no photon
     number is ever dropped from the scan.
     """
-    (delta_phi,) = next(_scan([loss], n_min, n_max, normalized))
+    delta_phi = next(_scan([loss], n_min, n_max, normalized))
     shot_noise = _shot_noise(n_min, n_max)
     points = tuple(
         CurvePoint(n=n, delta_phi=d, shot_noise=s, heisenberg=math.tan(math.pi / (n + 2)))
@@ -133,8 +188,7 @@ def _landmarks(losses, n_max: int, normalized: bool) -> list:
     shot_noise = _shot_noise(1, n_max)
     return [
         (_locate_n_opt(row, 1), _locate_subshot_max(row, shot_noise, 1))
-        for block in _scan(losses, 1, n_max, normalized)
-        for row in block
+        for row in _scan(losses, 1, n_max, normalized)
     ]
 
 

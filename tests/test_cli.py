@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -180,6 +181,21 @@ class TestNOptCommand:
         else:
             assert headers[1]["n_max"] == 500
 
+    def test_largest_accepted_input(self, tmp_path):
+        # 1024 losses x N <= 4096 runs one loss at a time: measured 0.9 MB of
+        # tracemalloc peak and about 1 s, where a (losses x N) array is 32 MB
+        out = tmp_path / "nopt.csv"
+        argv = ["nopt", "--loss-grid", "1e-7:0.9:1024:log", "--n-max", "4096", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        _, _, rows = read_rows(out)
+        assert len(rows) == 1024 and rows[-1][1] != "none"
+
     @pytest.mark.parametrize("jobs", ["1", "2", "0", "-3", "5000"])
     def test_parallel_jobs_match_serial(self, tmp_path, jobs):
         # --jobs is accepted and ignored: nopt runs in this process whatever it says
@@ -242,7 +258,7 @@ class TestPhotonNumberCap:
         def no_point(*_):
             raise AssertionError("a curve point was computed before the cap check")
 
-        monkeypatch.setattr(sweep, "_sharpness_kernel", no_point)
+        monkeypatch.setattr(sweep, "_sine_sharpness", no_point)
         assert main(args + ["--out", str(tmp_path / "x.csv")]) == 2
         assert "photon number 4097 exceeds the supported maximum 4096" in capsys.readouterr().err
 
@@ -347,6 +363,17 @@ class TestDomainEdges:
             errors = [line for line in captured.err.splitlines() if "error:" in line]
             assert len(errors) == 1 and captured.err.splitlines()[-1] == errors[0]
             assert written == []
+
+    @pytest.mark.parametrize("argv,shown", [
+        (["curve", "--loss=-1e-300", "--n-range", "1:8"], "-1e-300"),
+        (["curve", "--loss", "-1e-300", "--n-range", "1:8"], "-1e-300"),
+        (["curve", "--n-range", "1:8", "--loss", "-.5"], "-0.5"),
+        (["dist", "--loss", "-1e-300", "--n", "2"], "-1e-300"),
+    ], ids=lambda value: "_".join(value) if isinstance(value, list) else None)
+    def test_negative_loss_message(self, tmp_path, monkeypatch, capsys, argv, shown):
+        # a negative value after --loss reaches the loss check in any spelling
+        assert _run_in(tmp_path, monkeypatch, argv) == 2
+        assert capsys.readouterr().err == f"error: loss must be >= 0, got {shown}\n"
 
 
 # The exact header block, column line, JSON key order and plot-script name of

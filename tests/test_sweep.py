@@ -1,9 +1,11 @@
 """Unit tests for the photon-number sweep and its landmark finders."""
 
+import functools
 import math
 import random
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,12 +18,18 @@ from lossyphase import (
     optimal_amplitudes,
     sweep,
 )
-from lossyphase.povm import _loss_factors, _sharpness_kernel
-from lossyphase.sweep import _landmarks, _locate_n_opt, _locate_subshot_max, _scan
+from lossyphase.povm import _holevo_spread, _loss_factors, _sharpness_kernel
+from lossyphase.sweep import _landmarks, _locate_n_opt, _locate_subshot_max, _scan, _sine_sharpness
 
 ENGINE_N_MAX = 512
-# more losses than one engine block, from the Heisenberg line to near-total loss
+# from the Heisenberg line to near-total loss
 ENGINE_LOSSES = [0.0] + [float(x) for x in np.logspace(-7, math.log10(0.9), 64)] + [0.999999]
+# the closed form and the kernel are two algorithms for S and 1 - S; the widest
+# delta-phi gap measured over ENGINE_LOSSES x N <= ENGINE_N_MAX is 8 ulp in
+# both variants
+ORACLE_ULPS = 8
+PRECISION_NS = (1, 2, 3, 10, 100, 1000, 2000, 4096)
+PRECISION_LOSSES = (0.0, 5e-324, 1e-300, 1e-12, 1e-8, 1e-5, 1e-3, 0.168, 0.5, 0.999, 0.999999)
 
 
 def oracle_curve(loss, n_max, normalized):
@@ -55,7 +63,18 @@ def engine_oracle(request):
 
 
 def engine_rows(losses, normalized):
-    return [row for block in _scan(losses, 1, ENGINE_N_MAX, normalized) for row in block]
+    return list(_scan(losses, 1, ENGINE_N_MAX, normalized))
+
+
+@functools.lru_cache(maxsize=None)
+def mp_sums(n, loss):
+    """(sum g_t g_{t-1}, sum g_t^2) of the N-photon sine state, term by term at 50 digits."""
+    with mpmath.workdps(50):
+        a, root = mpmath.pi / (n + 2), mpmath.sqrt(1 - mpmath.mpf(loss))
+        scale = mpmath.mpf(2) / (n + 2)
+        g = [mpmath.sin((t + 1) * a) * root**t for t in range(n + 1)]
+        return (scale * mpmath.fsum(g[t] * g[t - 1] for t in range(1, n + 1)),
+                scale * mpmath.fsum(x * x for x in g))
 
 
 def engine_peak_bytes(count):
@@ -199,29 +218,41 @@ class TestLandmarkSearch:
 
 
 class TestScanEngine:
-    def test_grid_spans_several_blocks(self):
-        assert len(ENGINE_LOSSES) > sweep.LOSS_BLOCK
-
-    def test_delta_phi_within_4_ulp_of_one_loss_kernel(self, engine_oracle):
+    def test_delta_phi_within_8_ulp_of_kernel_oracle(self, engine_oracle):
         normalized, oracle = engine_oracle
         for loss, row in zip(ENGINE_LOSSES, engine_rows(ENGINE_LOSSES, normalized)):
             expected = np.array(oracle[loss])
-            assert np.all(np.abs(row - expected) <= 4 * np.spacing(expected)), loss
+            assert np.all(np.abs(row - expected) <= ORACLE_ULPS * np.spacing(expected)), loss
+
+    @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "normalized"])
+    @pytest.mark.parametrize("loss", PRECISION_LOSSES)
+    def test_closed_form_matches_50_digit_reference(self, loss, normalized):
+        # promises 14.7 digits of S, 1 - S and delta-phi; 1 - S stays
+        # nonnegative down to the smallest subnormal loss
+        n = np.array(PRECISION_NS, dtype=float)
+        sharp, defect = _sine_sharpness(loss, n, normalized)
+        delta_phi = _holevo_spread(sharp, defect)[1]
+        assert np.all(defect >= 0.0)
+        with mpmath.workdps(50):
+            for i, count in enumerate(PRECISION_NS):
+                pair, mass = mp_sums(count, loss)
+                exact = pair / mass if normalized else pair
+                reference = (exact, 1 - exact, mpmath.sqrt((1 - exact) * (1 + exact)) / exact)
+                for value, ref in zip((sharp[i], defect[i], delta_phi[i]), reference):
+                    assert abs(value - ref) / ref <= 2e-15, (count, value, ref)
 
     def test_landmarks_match_oracle(self, engine_oracle):
         normalized, oracle = engine_oracle
         expected = [oracle_landmarks(oracle[loss]) for loss in ENGINE_LOSSES]
         assert _landmarks(ENGINE_LOSSES, ENGINE_N_MAX, normalized) == expected
 
-    def test_unsorted_grid_in_small_blocks(self, engine_oracle, monkeypatch):
-        # a loss gets the same digits whichever block and row it lands in
+    def test_shuffled_grid_rows_match_single_loss(self, engine_oracle):
+        # a loss gets bitwise the row it gets on its own, wherever it sits in a grid
         normalized, oracle = engine_oracle
         grid = list(ENGINE_LOSSES)
         random.Random(5).shuffle(grid)
-        in_default_blocks = dict(zip(ENGINE_LOSSES, engine_rows(ENGINE_LOSSES, normalized)))
-        monkeypatch.setattr(sweep, "LOSS_BLOCK", 7)  # 10 blocks, the last one partial
         for loss, row in zip(grid, engine_rows(grid, normalized)):
-            assert np.array_equal(row, in_default_blocks[loss]), loss
+            assert np.array_equal(row, engine_rows([loss], normalized)[0]), loss
         expected = [oracle_landmarks(oracle[loss]) for loss in grid]
         assert _landmarks(grid, ENGINE_N_MAX, normalized) == expected
 
@@ -238,8 +269,8 @@ class TestScanEngine:
         ]
 
     def test_memory_does_not_grow_with_grid_count(self):
-        # 50 times the losses: a whole-grid batch would need about 50 times the
-        # memory, block by block it stays within the block's share
+        # 50 times the losses: a whole-grid array would need about 50 times the
+        # memory, one loss at a time it stays at one row's share
         few, many = engine_peak_bytes(8), engine_peak_bytes(400)
         assert many < 12 * few
 
@@ -258,6 +289,6 @@ class TestScanEngine:
         def no_point(*_):
             raise AssertionError("a point was computed before every loss was checked")
 
-        monkeypatch.setattr(sweep, "_sharpness_kernel", no_point)
+        monkeypatch.setattr(sweep, "_sine_sharpness", no_point)
         with pytest.raises(ValueError, match="loss must be < 1"):
-            _landmarks([0.1] * (sweep.LOSS_BLOCK + 1) + [1.0], 10, False)
+            _landmarks([0.1] * 100 + [1.0], 10, False)
