@@ -1,14 +1,19 @@
 """Command-line front end: curve/nopt/dist data emission and self-validation.
 
 Each of ``run_curve``, ``run_nopt`` and ``run_dist`` checks its inputs before
-computing anything, builds its rows once as tuples of plain values, and hands
-them to ``_emit``, the one writer of every data file and plot script.
+computing anything and hands its rows, tuples of plain values, to ``_emit``,
+the one writer of every data file and plot script. Every check runs before
+``_emit`` opens the data file; ``_emit`` streams the rows into the open file,
+so its memory does not grow with the file, and removes a partly written
+file if anything raises.
 
 Data files are deterministic for a fixed configuration: stable row order,
 17-significant-digit decimals, no timestamps. A CSV file opens with
-``# key = value`` lines, then the column line; a JSON file holds ``config``,
-any extra header value, then ``rows``. The header keys are ``command`` and
-``format``, then per command:
+``# key = value`` lines, then the column line, then one line per row. A
+JSON file's first line holds ``config`` and any extra header value and
+opens ``rows``; each following line is one row object, exactly
+``json.dumps`` of the row's dict, and the last line is ``]}``. The header
+keys are ``command`` and ``format``, then per command:
 
 - curve: ``normalized``, ``loss``, ``n_range``;
 - nopt: ``normalized``, ``loss_grid``, ``n_max``;
@@ -28,6 +33,7 @@ to the library.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -53,6 +59,9 @@ MAX_LOSS_GRID_POINTS = 1024
 CURVE_COLUMNS = ("n", "delta_phi", "shot_noise", "heisenberg")
 NOPT_COLUMNS = ("loss", "n_opt")
 DIST_COLUMNS = ("phi", "p")
+
+# rows taken from arrays reach the writer this many at a time
+ROW_SLICE = 4096
 
 
 def _fmt(value) -> str:
@@ -105,11 +114,6 @@ def parse_loss_grid(text: str) -> list:
     return [float(v) for v in values]
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
-
-
 def _gnuplot_script(data_path: str, columns, logscale: bool, ylabel: str) -> str:
     name = os.path.basename(data_path)
     lines = [
@@ -147,36 +151,84 @@ def _matplotlib_script(data_path: str, columns, logscale: bool, ylabel: str) -> 
     )
 
 
+@contextlib.contextmanager
+def _open_or_remove(path: str):
+    """Open ``path`` for writing text; remove the file if the block raises.
+
+    Rows stream into the open file, so a failure part way through would
+    otherwise leave a truncated data file behind.
+    """
+    handle = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with handle:
+            yield handle
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(path)
+        raise
+
+
+def _csv_text(config: dict, extra: dict, columns: tuple, rows):
+    """A CSV data file in pieces: the header and column line, then one piece per row."""
+    header = [f"# {k} = {str(v).lower() if isinstance(v, bool) else v}" for k, v in config.items()]
+    header += [f"# {k} = {_fmt(v)}" for k, v in extra.items()]
+    yield "\n".join(header + [",".join(columns)]) + "\n"
+    cells = ",".join(["%.17g"] * len(columns)) + "\n"  # _fmt of every cell of a row with no None
+    for row in rows:
+        yield cells % row if None not in row else ",".join(map(_fmt, row)) + "\n"
+
+
+def _json_text(config: dict, extra: dict, columns: tuple, rows):
+    """A JSON data file in pieces: the header keys on one line, then one row object per line."""
+    head = {"config": config, **{k: _json_cell(v) for k, v in extra.items()}}
+    yield json.dumps(head)[:-1] + ', "rows": ['
+    # json.dumps of the row's dict when every cell is an int or a finite float
+    cells = "{" + ", ".join(f"{json.dumps(c)}: %r" for c in columns) + "}"
+    separator = "\n"
+    for row in rows:
+        if None in row or math.inf in row:
+            yield separator + json.dumps(dict(zip(columns, map(_json_cell, row))))
+        else:
+            yield separator + cells % row
+        separator = ",\n"
+    yield "\n]}\n"
+
+
 def _emit(args, config: dict, columns: tuple, rows, logscale: bool, ylabel: str,
           extra: dict | None = None) -> int:
     """Write one command's data file and its plot script; the only writer of either.
 
-    ``rows`` is an iterable of tuples of ints, floats or None, read once.
-    ``config`` holds the command's own header keys, after ``command`` and
-    ``format``. ``extra`` holds header values computed with the rows: CSV
-    comments after the config, JSON keys before ``rows``.
+    ``rows`` is an iterable of tuples of ints, floats or None, read once and
+    streamed into the open file. ``config`` holds the command's own header
+    keys, after ``command`` and ``format``. ``extra`` holds header values
+    computed with the rows: CSV comments after the config, JSON keys before
+    ``rows``. If anything raises while the files are written, neither is
+    left behind.
     """
     out = args.out or f"{args.command}.{args.format}"
     config = {"command": args.command, "format": args.format, **config}
     extra = extra or {}
     if args.format == "csv":
-        lines = [f"# {k} = {str(v).lower() if isinstance(v, bool) else v}" for k, v in config.items()]
-        lines += [f"# {k} = {_fmt(v)}" for k, v in extra.items()]
-        lines.append(",".join(columns))
-        cells = ",".join(["%.17g"] * len(columns))  # _fmt of every cell of a row with no None
-        lines += [cells % row if None not in row else ",".join(map(_fmt, row)) for row in rows]
-        text = "\n".join(lines) + "\n"
+        text = _csv_text(config, extra, columns, rows)
         script, script_text = out + ".gp", _gnuplot_script(out, columns, logscale, ylabel)
     else:
-        payload = {"config": config, **{k: _json_cell(v) for k, v in extra.items()}}
-        payload["rows"] = [dict(zip(columns, map(_json_cell, row) if math.inf in row else row))
-                           for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(config, extra, columns, rows)
         script, script_text = out + "_plot.py", _matplotlib_script(out, columns, logscale, ylabel)
-    _write_text(out, text)
-    _write_text(script, script_text)
+    with _open_or_remove(out) as data:
+        data.writelines(text)
+        with _open_or_remove(script) as plot:
+            plot.write(script_text)
     print(f"wrote {out} and {script}")
     return EXIT_OK
+
+
+def _array_rows(*columns):
+    """Rows of equal-length arrays as tuples of Python numbers, one slice at a time.
+
+    No Python list of a whole column is built.
+    """
+    for start in range(0, len(columns[0]), ROW_SLICE):
+        yield from zip(*(column[start : start + ROW_SLICE].tolist() for column in columns))
 
 
 def run_curve(args) -> int:
@@ -210,7 +262,7 @@ def run_dist(args) -> int:
         )
     dist = povm.distribution(optimal_amplitudes(n), channel)
     phi, p = dist.evaluate(args.phi_samples)
-    rows = zip(phi.tolist(), p.tolist())
+    rows = _array_rows(phi, p)
     config = {"loss": channel.loss, "n": n, "phi_samples": args.phi_samples}
     return _emit(args, config, DIST_COLUMNS, rows, logscale=False, ylabel="P(phi)",
                  extra={"integral_p": dist.total_mass()})

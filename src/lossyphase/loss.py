@@ -11,6 +11,7 @@ state on the inner modes that is block diagonal in the number of photons lost.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,10 +117,11 @@ class ReducedDensity:
     rank-one outer product of ``factors[ell]``, the vector
     w_ell(t) = psi_t * K[t, ell] over t = ell..N lossy-arm photons, so its row
     index i corresponds to t = ell + i. Only the factors are stored;
-    ``block(ell)`` builds one dense block on demand. ``reduced_density`` keeps
-    block ell exactly when some w_ell(t) is a nonzero double; the loss column
-    K underflows only below the smallest double, and at L = 0 only block 0
-    is kept.
+    ``block(ell)`` builds one dense block on demand, and ``blocks`` is a
+    read-only mapping over the kept ell that builds a block only when it is
+    indexed. ``reduced_density`` keeps block ell exactly when some w_ell(t)
+    is a nonzero double; the loss column K underflows only below the
+    smallest double, and at L = 0 only block 0 is kept.
     """
 
     n_photons: int
@@ -144,9 +146,9 @@ class ReducedDensity:
         object.__setattr__(self, "factors", frozen)
 
     @property
-    def blocks(self) -> dict:
-        """Every kept block as a dense array, built afresh on each access."""
-        return {ell: self.block(ell) for ell in self.factors}
+    def blocks(self) -> Mapping:
+        """Read-only map from each kept ell to its dense block, built only when read."""
+        return _BlockView(self)
 
     def lost_photon_counts(self) -> tuple:
         return tuple(self.factors)
@@ -167,6 +169,31 @@ class ReducedDensity:
     def purity(self) -> float:
         """Sum over blocks of |w|^4, the squared Frobenius norm of each rank-one block."""
         return float(sum(np.add.reduce(w * w) ** 2 for w in self.factors.values()))
+
+
+class _BlockView(Mapping):
+    """``ReducedDensity.blocks``: each kept ell mapped to ``block(ell)``.
+
+    Length, iteration and membership read the factors alone; indexing builds
+    the one block asked for and raises KeyError for an ell that is not kept.
+    """
+
+    def __init__(self, rho: ReducedDensity):
+        self._rho = rho
+
+    def __getitem__(self, ell) -> np.ndarray:
+        if ell not in self._rho.factors:
+            raise KeyError(ell)
+        return self._rho.block(ell)
+
+    def __iter__(self):
+        return iter(self._rho.factors)
+
+    def __len__(self) -> int:
+        return len(self._rho.factors)
+
+    def __contains__(self, ell) -> bool:
+        return ell in self._rho.factors
 
 
 def reduced_density(state: AmplitudeVector, channel: LossChannel) -> ReducedDensity:

@@ -90,3 +90,19 @@ def test_reference_accepts_dist_and_validate_output(
                 (tmp_path / f"{job.name}.stdout").write_text(capsys.readouterr().out, encoding="utf-8")
             check = reference.check_job(job, str(tmp_path))
             assert check.ok, check.detail
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_reference_accepts_json_curve_output(bench_module, tmp_path, monkeypatch, seed):
+    # the JSON layout is read by the reference check of the sweep workload; a
+    # slip in it would show only as a fall in ok_frac
+    with mpmath.workdps(50):
+        reference = bench_module("reference")
+        monkeypatch.chdir(tmp_path)
+        jobs = [j for j in bench_module("workloads").jobs_for("sweep", seed)
+                if j.kind == "curve" and j.params["format"] == "json"]
+        assert jobs
+        job = jobs[0]
+        assert cli.main(list(job.argv)) == 0
+        check = reference.check_job(job, str(tmp_path))
+        assert check.ok, check.detail

@@ -1,8 +1,10 @@
 """Unit tests for the command-line interface and its file formats."""
 
+import argparse
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -431,3 +433,140 @@ class TestFileFormats:
         assert {key: payload[key] for key in extra} == {k: v for k, (_, v) in extra.items()}
         assert all(list(row) == columns.split(",") for row in payload["rows"])
         assert f"'{command}.json'" in (tmp_path / f"{command}.json_plot.py").read_text()
+
+
+# tests/golden holds the files these command lines wrote before rows were
+# streamed into the open file: CSV must still match byte for byte, and JSON,
+# whose layout changed to one row per line, must parse to the same payload
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = {
+    "curve": ["--loss", "0.25", "--n-range", "1:3"],
+    "nopt": ["--loss-grid", "0:0.3:3", "--n-max", "50"],
+    "dist": ["--loss", "0.25", "--n", "2", "--phi-samples", "64"],
+}
+
+# rows with an inf and a none cell, written by _emit itself (no command yields
+# them from this configuration); the CSV bytes are those of the same call
+# before streaming
+EDGE_ROWS = [(1, 0.1), (2, math.inf), (3, None)]
+EDGE_CSV = (
+    "# command = curve\n# format = csv\n# loss = 0.5\n# integral_p = inf\n"
+    "n,delta_phi\n1,0.10000000000000001\n2,inf\n3,none\n"
+)
+EDGE_JSON = (
+    '{"config": {"command": "curve", "format": "json", "loss": 0.5}, "integral_p": "inf", "rows": [\n'
+    '{"n": 1, "delta_phi": 0.1},\n'
+    '{"n": 2, "delta_phi": "inf"},\n'
+    '{"n": 3, "delta_phi": null}\n'
+    "]}\n"
+)
+
+
+def _emit_edge_rows(directory, fmt):
+    out = directory / f"edge.{fmt}"
+    args = argparse.Namespace(command="curve", format=fmt, out=str(out))
+    assert cli._emit(args, {"loss": 0.5}, ("n", "delta_phi"), iter(EDGE_ROWS),
+                     logscale=True, ylabel="delta_phi", extra={"integral_p": math.inf}) == 0
+    return out.read_text(encoding="utf-8")
+
+
+class TestStreamedFiles:
+    @pytest.mark.parametrize("command", sorted(GOLDEN_CASES))
+    def test_csv_bytes_match_golden(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        assert main([command] + GOLDEN_CASES[command]) == 0
+        assert (tmp_path / f"{command}.csv").read_bytes() == (GOLDEN / f"{command}.csv").read_bytes()
+
+    def test_csv_bytes_of_inf_and_none_cells(self, tmp_path):
+        assert _emit_edge_rows(tmp_path, "csv") == EDGE_CSV
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN_CASES))
+    def test_json_rows_one_per_line(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        assert main([command] + GOLDEN_CASES[command] + ["--format", "json"]) == 0
+        text = (tmp_path / f"{command}.json").read_text(encoding="utf-8")
+        payload = json.loads(text)
+        assert payload == json.loads((GOLDEN / f"{command}.json").read_text(encoding="utf-8"))
+        lines = text.split("\n")
+        assert lines[0].endswith(', "rows": [') and lines[-2:] == ["]}", ""]
+        rows = [json.dumps(row) for row in payload["rows"]]
+        assert lines[1:-2] == [row + "," for row in rows[:-1]] + rows[-1:]
+
+    @pytest.mark.parametrize("command,text", [
+        ("curve",
+         '{"config": {"command": "curve", "format": "json", "normalized": false, "loss": 0.25, '
+         '"n_range": "1:3"}, "rows": [\n'
+         '{"n": 1, "delta_phi": 2.081665999466132, "shot_noise": 1.0, "heisenberg": 1.7320508075688767},\n'
+         '{"n": 2, "delta_phi": 1.5757516293118374, "shot_noise": 0.7071067811865475, '
+         '"heisenberg": 0.9999999999999999},\n'
+         '{"n": 3, "delta_phi": 1.568554869338804, "shot_noise": 0.5773502691896258, '
+         '"heisenberg": 0.7265425280053609}\n'
+         "]}\n"),
+        ("nopt",
+         '{"config": {"command": "nopt", "format": "json", "normalized": false, "loss_grid": "0:0.3:3", '
+         '"n_max": 50}, "rows": [\n'
+         '{"loss": 0.0, "n_opt": null},\n'
+         '{"loss": 0.15, "n_opt": 3},\n'
+         '{"loss": 0.3, "n_opt": 2}\n'
+         "]}\n"),
+    ])
+    def test_json_text(self, tmp_path, monkeypatch, command, text):
+        monkeypatch.chdir(tmp_path)
+        assert main([command] + GOLDEN_CASES[command] + ["--format", "json"]) == 0
+        assert (tmp_path / f"{command}.json").read_text(encoding="utf-8") == text
+
+    def test_json_text_of_inf_and_none_cells(self, tmp_path):
+        text = _emit_edge_rows(tmp_path, "json")
+        assert text == EDGE_JSON
+        assert json.loads(text) == {
+            "config": {"command": "curve", "format": "json", "loss": 0.5}, "integral_p": "inf",
+            "rows": [{"n": 1, "delta_phi": 0.1}, {"n": 2, "delta_phi": "inf"},
+                     {"n": 3, "delta_phi": None}],
+        }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_dist_memory_does_not_grow_with_the_file(self, tmp_path, fmt):
+        # 65536 rows, a 2.6 MB CSV file: measured 2.1 MB of tracemalloc peak
+        # (the FFT arrays), where holding the rows and text took 14 and 53 MB
+        out = tmp_path / f"dist.{fmt}"
+        argv = ["dist", "--loss", "0.02", "--n", "256", "--phi-samples", "65536",
+                "--format", fmt, "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        assert out.stat().st_size > 2_000_000
+
+    @pytest.mark.parametrize("command,argv", [
+        ("curve", ["--loss", "0.1", "--n-range", "1:4097"]),
+        ("nopt", ["--loss-grid", "0.1:0.2:3", "--n-max", "4097"]),
+        ("dist", ["--loss", "0.1", "--n", "20", "--phi-samples", "64"]),
+    ])
+    def test_rejected_input_leaves_an_earlier_file_alone(self, tmp_path, monkeypatch, command, argv):
+        # every check runs before the data file is opened, so a refused run
+        # neither truncates nor removes what an earlier run wrote
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / f"{command}.csv").write_text("earlier\n", encoding="utf-8")
+        assert main([command] + argv) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{command}.csv"]
+        assert (tmp_path / f"{command}.csv").read_text(encoding="utf-8") == "earlier\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", sorted(GOLDEN_CASES))
+    def test_failure_while_streaming_leaves_no_file(self, tmp_path, monkeypatch, capsys, command, fmt):
+        emit = cli._emit
+
+        def emit_failing_after_one_row(args, config, columns, rows, *rest, **kwargs):
+            def failing_rows():
+                yield next(iter(rows))
+                raise OSError("device full")
+            return emit(args, config, columns, failing_rows(), *rest, **kwargs)
+
+        monkeypatch.setattr(cli, "_emit", emit_failing_after_one_row)
+        monkeypatch.chdir(tmp_path)
+        assert main([command] + GOLDEN_CASES[command] + ["--format", fmt]) == 2
+        assert capsys.readouterr().err == "error: cannot write output: device full\n"
+        assert list(tmp_path.iterdir()) == []

@@ -230,6 +230,33 @@ class TestReducedDensity:
             tracemalloc.stop()
         assert peak < 4e6
 
+    def test_block_view_builds_no_block_to_count_or_list(self):
+        # every dense block at this size is 43.5 MB under tracemalloc; the
+        # view's length, keys and membership read the factors alone (11 KB measured)
+        rho = reduced_density(optimal_amplitudes(DENSITY_MATRIX_MAX_PHOTONS), channel_from_loss(0.02))
+        tracemalloc.start()
+        try:
+            count, kept = len(rho.blocks), set(rho.blocks)
+            member = all(ell in rho.blocks for ell in rho.factors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000
+        assert member and count == len(kept) and kept == set(rho.factors)
+
+    def test_block_view_is_read_only_and_keyed_by_kept_sectors(self):
+        n = 5
+        rho = reduced_density(optimal_amplitudes(n), channel_from_loss(0.0))
+        assert list(rho.blocks) == list(rho.blocks.keys()) == [0]
+        np.testing.assert_array_equal(rho.blocks[0], rho.block(0))
+        for ell in (1, n, n + 1, -1):
+            assert ell not in rho.blocks
+            with pytest.raises(KeyError):
+                rho.blocks[ell]
+        with pytest.raises(TypeError):
+            rho.blocks[0] = np.zeros((n + 1, n + 1))
+        assert rho.blocks.get(1) is None
+
     def test_rejects_malformed_factors(self):
         channel = channel_from_loss(0.1)
         with pytest.raises(ValueError, match="shape"):
