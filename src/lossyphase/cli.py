@@ -5,7 +5,7 @@ computing anything and hands its rows, tuples of plain values, to ``_emit``,
 the one writer of every data file and plot script. Every check runs before
 ``_emit`` opens the data file; ``_emit`` streams the rows into the open file,
 so its memory does not grow with the file, and removes a partly written
-file if anything raises.
+regular file if anything raises.
 
 Data files are deterministic for a fixed configuration: stable row order,
 17-significant-digit decimals, no timestamps. A CSV file opens with
@@ -38,6 +38,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 
 import numpy as np
@@ -156,15 +157,18 @@ def _open_or_remove(path: str):
     """Open ``path`` for writing text; remove the file if the block raises.
 
     Rows stream into the open file, so a failure part way through would
-    otherwise leave a truncated data file behind.
+    otherwise leave a truncated data file behind. Only a regular file is
+    removed: a FIFO or a device named as the output stays where it is.
     """
     handle = open(path, "w", encoding="utf-8", newline="")
+    regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
     try:
         with handle:
             yield handle
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(path)
+        if regular:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         raise
 
 
@@ -182,14 +186,9 @@ def _json_text(config: dict, extra: dict, columns: tuple, rows):
     """A JSON data file in pieces: the header keys on one line, then one row object per line."""
     head = {"config": config, **{k: _json_cell(v) for k, v in extra.items()}}
     yield json.dumps(head)[:-1] + ', "rows": ['
-    # json.dumps of the row's dict when every cell is an int or a finite float
-    cells = "{" + ", ".join(f"{json.dumps(c)}: %r" for c in columns) + "}"
     separator = "\n"
     for row in rows:
-        if None in row or math.inf in row:
-            yield separator + json.dumps(dict(zip(columns, map(_json_cell, row))))
-        else:
-            yield separator + cells % row
+        yield separator + json.dumps(dict(zip(columns, map(_json_cell, row))))
         separator = ",\n"
     yield "\n]}\n"
 

@@ -1,8 +1,12 @@
 """Unit tests for the command-line interface and its file formats."""
 
 import argparse
+import contextlib
 import json
 import math
+import os
+import stat
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -554,9 +558,8 @@ class TestStreamedFiles:
         assert sorted(p.name for p in tmp_path.iterdir()) == [f"{command}.csv"]
         assert (tmp_path / f"{command}.csv").read_text(encoding="utf-8") == "earlier\n"
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("command", sorted(GOLDEN_CASES))
-    def test_failure_while_streaming_leaves_no_file(self, tmp_path, monkeypatch, capsys, command, fmt):
+    @staticmethod
+    def _fail_after_one_row(monkeypatch):
         emit = cli._emit
 
         def emit_failing_after_one_row(args, config, columns, rows, *rest, **kwargs):
@@ -566,7 +569,34 @@ class TestStreamedFiles:
             return emit(args, config, columns, failing_rows(), *rest, **kwargs)
 
         monkeypatch.setattr(cli, "_emit", emit_failing_after_one_row)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", sorted(GOLDEN_CASES))
+    def test_failure_while_streaming_leaves_no_file(self, tmp_path, monkeypatch, capsys, command, fmt):
+        self._fail_after_one_row(monkeypatch)
         monkeypatch.chdir(tmp_path)
         assert main([command] + GOLDEN_CASES[command] + ["--format", fmt]) == 2
         assert capsys.readouterr().err == "error: cannot write output: device full\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_failure_while_streaming_keeps_a_fifo(self, tmp_path, monkeypatch, capsys):
+        # only a regular file is removed: a FIFO (or a device) named by
+        # --out is not the writer's to delete
+        fifo = tmp_path / "rows"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        self._fail_after_one_row(monkeypatch)
+        try:
+            assert main(["curve"] + GOLDEN_CASES["curve"] + ["--out", str(fifo)]) == 2
+        finally:
+            if reader.is_alive():  # unblock a reader whose writer never opened the pipe
+                with contextlib.suppress(OSError):
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+        assert capsys.readouterr().err == "error: cannot write output: device full\n"
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rows"]
+        assert received[0].startswith(b"# command = curve\n")
