@@ -5,64 +5,38 @@ beam-splitter loss channel, and read off the phase distribution, sharpness,
 and Holevo variance, either in closed form or through the reduced density
 matrix. The sweep module scans photon number to locate the loss-dependent
 optimum and the sub-shot-noise operating range.
+
+The names of ``__all__`` resolve on first access (PEP 562), so
+``import lossyphase`` imports no numpy: ``python -m lossyphase`` can choose
+the BLAS thread count in ``__main__`` before numpy loads.
 """
 
-from .loss import (
-    DENSITY_MATRIX_MAX_PHOTONS,
-    LossChannel,
-    PureLossyState,
-    ReducedDensity,
-    channel_from_loss,
-    pure_lossy_state,
-    reduced_density,
-)
-from .povm import (
-    PhaseDistribution,
-    PhaseEstimate,
-    distribution,
-    distribution_from_density,
-    holevo,
-    lossless_reference,
-    phase_estimate,
-    sharpness_closed,
-)
-from .states import MAX_PHOTON_NUMBER, AmplitudeVector, optimal_amplitudes
-from .sweep import (
-    DEFAULT_MAX_PHOTONS,
-    CurvePoint,
-    SweepResult,
-    curve,
-    find_n_opt,
-    find_subshot_bound,
-    nopt_vs_loss,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmplitudeVector",
-    "CurvePoint",
-    "DEFAULT_MAX_PHOTONS",
-    "DENSITY_MATRIX_MAX_PHOTONS",
-    "LossChannel",
-    "MAX_PHOTON_NUMBER",
-    "PhaseDistribution",
-    "PhaseEstimate",
-    "PureLossyState",
-    "ReducedDensity",
-    "SweepResult",
-    "channel_from_loss",
-    "curve",
-    "distribution",
-    "distribution_from_density",
-    "find_n_opt",
-    "find_subshot_bound",
-    "holevo",
-    "lossless_reference",
-    "nopt_vs_loss",
-    "optimal_amplitudes",
-    "phase_estimate",
-    "pure_lossy_state",
-    "reduced_density",
-    "sharpness_closed",
-]
+# the public names of each submodule
+_SUBMODULE_NAMES = {
+    "loss": ("DENSITY_MATRIX_MAX_PHOTONS", "LossChannel", "PureLossyState", "ReducedDensity",
+             "channel_from_loss", "pure_lossy_state", "reduced_density"),
+    "povm": ("PhaseDistribution", "PhaseEstimate", "distribution", "distribution_from_density",
+             "holevo", "lossless_reference", "phase_estimate", "sharpness_closed"),
+    "states": ("MAX_PHOTON_NUMBER", "AmplitudeVector", "optimal_amplitudes"),
+    "sweep": ("DEFAULT_MAX_PHOTONS", "CurvePoint", "SweepResult", "curve", "find_n_opt",
+              "find_subshot_bound", "nopt_vs_loss"),
+}
+_EXPORTS = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later reads find it without this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

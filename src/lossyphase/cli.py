@@ -1,11 +1,12 @@
 """Command-line front end: curve/nopt/dist data emission and self-validation.
 
 Each of ``run_curve``, ``run_nopt`` and ``run_dist`` checks its inputs before
-computing anything and hands its rows, tuples of plain values, to ``_emit``,
-the one writer of every data file and plot script. Every check runs before
-``_emit`` opens the data file; ``_emit`` streams the rows into the open file,
-so its memory does not grow with the file, and removes a partly written
-regular file if anything raises.
+computing anything and hands its rows to ``_emit``, the one writer of every
+data file and plot script, as row slices: tuples of equal-length lists of
+plain values, one list per column. Every check runs before ``_emit`` opens
+the data file; ``_emit`` streams the slices into the open file, so its memory
+does not grow with the file, and removes a partly written regular file if
+anything raises.
 
 Data files are deterministic for a fixed configuration: stable row order,
 17-significant-digit decimals, no timestamps. A CSV file opens with
@@ -28,6 +29,11 @@ infinity); in JSON ``None`` is ``null`` and ``inf`` the string ``"inf"``.
 Each data file gets a companion plot script (gnuplot for CSV, matplotlib for
 JSON) so the curves can be rendered without adding any plotting dependency
 to the library.
+
+``main`` runs a command in the calling process as it stands. The command line
+(``python -m lossyphase`` and the ``lossyphase`` script) enters through
+``lossyphase.__main__.main``, which picks one BLAS thread before this module,
+and numpy with it, is imported.
 """
 
 from __future__ import annotations
@@ -61,8 +67,11 @@ CURVE_COLUMNS = ("n", "delta_phi", "shot_noise", "heisenberg")
 NOPT_COLUMNS = ("loss", "n_opt")
 DIST_COLUMNS = ("phi", "p")
 
-# rows taken from arrays reach the writer this many at a time
-ROW_SLICE = 4096
+# rows taken from arrays reach the writer this many at a time; a JSON slice
+# is encoded through a few strings per cell, so 4096 rows raised a 4096-point
+# curve's tracemalloc peak to 2.6 MB, where 512 keep it at 0.56 MB for the
+# same speed
+ROW_SLICE = 512
 
 
 def _fmt(value) -> str:
@@ -75,6 +84,11 @@ def _fmt(value) -> str:
 
 def _json_cell(value):
     return "inf" if value == math.inf else value
+
+
+def _json_cells(column: list) -> list:
+    """Each cell of a column as ``json.dumps`` of ``_json_cell`` writes it, from one call."""
+    return ['"inf"' if cell == "Infinity" else cell for cell in json.dumps(column)[1:-1].split(", ")]
 
 
 def parse_n_range(text: str) -> tuple:
@@ -172,34 +186,42 @@ def _open_or_remove(path: str):
         raise
 
 
-def _csv_text(config: dict, extra: dict, columns: tuple, rows):
-    """A CSV data file in pieces: the header and column line, then one piece per row."""
+def _csv_text(config: dict, extra: dict, columns: tuple, slices):
+    """A CSV data file in pieces: the header and column line, then one piece per row slice."""
     header = [f"# {k} = {str(v).lower() if isinstance(v, bool) else v}" for k, v in config.items()]
     header += [f"# {k} = {_fmt(v)}" for k, v in extra.items()]
     yield "\n".join(header + [",".join(columns)]) + "\n"
     cells = ",".join(["%.17g"] * len(columns)) + "\n"  # _fmt of every cell of a row with no None
-    for row in rows:
-        yield cells % row if None not in row else ",".join(map(_fmt, row)) + "\n"
+    for block in slices:
+        yield "".join(cells % row if None not in row else ",".join(map(_fmt, row)) + "\n"
+                      for row in zip(*block))
 
 
-def _json_text(config: dict, extra: dict, columns: tuple, rows):
-    """A JSON data file in pieces: the header keys on one line, then one row object per line."""
+def _json_text(config: dict, extra: dict, columns: tuple, slices):
+    """A JSON data file in pieces: the header keys on one line, then one row object per line.
+
+    Each row line is the text ``json.dumps`` gives the row's dict, with
+    ``_json_cell`` applied to its values; the cells of a slice are encoded one
+    column at a time.
+    """
     head = {"config": config, **{k: _json_cell(v) for k, v in extra.items()}}
     yield json.dumps(head)[:-1] + ', "rows": ['
+    row = "{" + ", ".join(json.dumps(column) + ": %s" for column in columns) + "}"
     separator = "\n"
-    for row in rows:
-        yield separator + json.dumps(dict(zip(columns, map(_json_cell, row))))
+    for block in slices:
+        yield separator + ",\n".join(row % cells for cells in zip(*map(_json_cells, block)))
         separator = ",\n"
     yield "\n]}\n"
 
 
-def _emit(args, config: dict, columns: tuple, rows, logscale: bool, ylabel: str,
+def _emit(args, config: dict, columns: tuple, slices, logscale: bool, ylabel: str,
           extra: dict | None = None) -> int:
     """Write one command's data file and its plot script; the only writer of either.
 
-    ``rows`` is an iterable of tuples of ints, floats or None, read once and
-    streamed into the open file. ``config`` holds the command's own header
-    keys, after ``command`` and ``format``. ``extra`` holds header values
+    ``slices`` is an iterable of row slices, each a tuple of one nonempty list
+    per column, all of one length, holding ints, floats or None; it is read
+    once and streamed into the open file. ``config`` holds the command's own
+    header keys, after ``command`` and ``format``. ``extra`` holds header values
     computed with the rows: CSV comments after the config, JSON keys before
     ``rows``. If anything raises while the files are written, neither is
     left behind.
@@ -208,10 +230,10 @@ def _emit(args, config: dict, columns: tuple, rows, logscale: bool, ylabel: str,
     config = {"command": args.command, "format": args.format, **config}
     extra = extra or {}
     if args.format == "csv":
-        text = _csv_text(config, extra, columns, rows)
+        text = _csv_text(config, extra, columns, slices)
         script, script_text = out + ".gp", _gnuplot_script(out, columns, logscale, ylabel)
     else:
-        text = _json_text(config, extra, columns, rows)
+        text = _json_text(config, extra, columns, slices)
         script, script_text = out + "_plot.py", _matplotlib_script(out, columns, logscale, ylabel)
     with _open_or_remove(out) as data:
         data.writelines(text)
@@ -222,21 +244,21 @@ def _emit(args, config: dict, columns: tuple, rows, logscale: bool, ylabel: str,
 
 
 def _array_rows(*columns):
-    """Rows of equal-length arrays as tuples of Python numbers, one slice at a time.
+    """Row slices of equal-length arrays: ``ROW_SLICE`` rows of each column as a list.
 
     No Python list of a whole column is built.
     """
     for start in range(0, len(columns[0]), ROW_SLICE):
-        yield from zip(*(column[start : start + ROW_SLICE].tolist() for column in columns))
+        yield tuple(column[start : start + ROW_SLICE].tolist() for column in columns)
 
 
 def run_curve(args) -> int:
     loss = loss_mod.channel_from_loss(args.loss).loss
     n_min, n_max = parse_n_range(args.n_range)
     result = sweep.curve(loss, n_min, n_max, normalized=args.normalized)
-    rows = ((p.n, p.delta_phi, p.shot_noise, p.heisenberg) for p in result.points)
+    slices = _array_rows(result.n, result.delta_phi, result.shot_noise, result.heisenberg)
     config = {"normalized": args.normalized, "loss": loss, "n_range": f"{n_min}:{n_max}"}
-    return _emit(args, config, CURVE_COLUMNS, rows, logscale=True, ylabel="delta_phi")
+    return _emit(args, config, CURVE_COLUMNS, slices, logscale=True, ylabel="delta_phi")
 
 
 def run_nopt(args) -> int:
@@ -245,9 +267,9 @@ def run_nopt(args) -> int:
         raise ValueError(f"n-max must be >= 1, got {args.n_max}")
     # the scan engine, not nopt_vs_loss: a parsed grid may repeat a value
     landmarks = sweep._landmarks(grid, args.n_max, args.normalized)
-    rows = [(loss, n_opt) for loss, (n_opt, _) in zip(grid, landmarks)]
+    slices = [(grid, [n_opt for n_opt, _ in landmarks])]
     config = {"normalized": args.normalized, "loss_grid": args.loss_grid, "n_max": args.n_max}
-    return _emit(args, config, NOPT_COLUMNS, rows, logscale=True, ylabel="n_opt")
+    return _emit(args, config, NOPT_COLUMNS, slices, logscale=True, ylabel="n_opt")
 
 
 def run_dist(args) -> int:
@@ -261,9 +283,9 @@ def run_dist(args) -> int:
         )
     dist = povm.distribution(optimal_amplitudes(n), channel)
     phi, p = dist.evaluate(args.phi_samples)
-    rows = _array_rows(phi, p)
+    slices = _array_rows(phi, p)
     config = {"loss": channel.loss, "n": n, "phi_samples": args.phi_samples}
-    return _emit(args, config, DIST_COLUMNS, rows, logscale=False, ylabel="P(phi)",
+    return _emit(args, config, DIST_COLUMNS, slices, logscale=False, ylabel="P(phi)",
                  extra={"integral_p": dist.total_mass()})
 
 

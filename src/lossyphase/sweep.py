@@ -7,6 +7,9 @@ loss whatever the length of a loss grid. ``_scan`` yields delta-phi =
 sqrt((1-S)(1+S))/S one loss at a time and serves ``curve``, the landmark
 finders and ``nopt_vs_loss``. ``povm._sharpness_kernel`` sums the same S for
 any amplitudes and stays the reference the tests hold this form to.
+``curve`` returns its scan column by column, one array each for N, delta-phi
+and the two reference lines (``SweepResult``), so no object is built per
+point.
 
 With m = N + 2, a = pi/m and q = 1 - L, the sine state has
 g_t = sqrt(2/m) sin((t+1)a) q^(t/2). Since sin((t+1)a) vanishes at t = -1 and
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,19 +58,34 @@ class CurvePoint:
     heisenberg: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """A scanned curve plus the located optimum and sub-shot-noise edge.
+    """A scanned curve, column by column, plus the located optimum and sub-shot-noise edge.
 
-    ``n_opt`` and ``n_subshot_max`` are None when the feature is not pinned
-    down inside the scanned range (minimum still falling at the top of the
-    scan, or no sub-shot-noise point at all).
+    ``n`` (ints), ``delta_phi``, ``shot_noise`` and ``heisenberg`` are
+    read-only arrays with one entry per scanned photon number, in ascending
+    order. ``n_opt`` and ``n_subshot_max`` are None when the feature is not
+    pinned down inside the scanned range (minimum still falling at the top of
+    the scan, or no sub-shot-noise point at all).
     """
 
     loss: float
-    points: tuple
+    n: np.ndarray
+    delta_phi: np.ndarray
+    shot_noise: np.ndarray
+    heisenberg: np.ndarray
     n_opt: int | None
     n_subshot_max: int | None
+
+    @cached_property
+    def points(self) -> tuple:
+        """The columns as one ``CurvePoint`` per photon number, built on first read.
+
+        Nothing in the package reads it; the benchmark's traced run counts a
+        curve's points through it.
+        """
+        columns = (self.n, self.delta_phi, self.shot_noise, self.heisenberg)
+        return tuple(map(CurvePoint, *(column.tolist() for column in columns)))
 
 
 def _phi_over_square(u: np.ndarray) -> np.ndarray:
@@ -148,17 +167,23 @@ def curve(
     """Scan delta-phi over every integer photon number in [n_min, n_max].
 
     Divergent points are carried through as explicit infinities; no photon
-    number is ever dropped from the scan.
+    number is ever dropped from the scan. The result holds one array per
+    column; ``heisenberg`` is ``math.tan(pi/(N+2))`` of each N.
     """
     delta_phi = next(_scan([loss], n_min, n_max, normalized))
+    n = np.arange(n_min, n_max + 1)
     shot_noise = _shot_noise(n_min, n_max)
-    points = tuple(
-        CurvePoint(n=n, delta_phi=d, shot_noise=s, heisenberg=math.tan(math.pi / (n + 2)))
-        for n, d, s in zip(range(n_min, n_max + 1), delta_phi.tolist(), shot_noise.tolist())
-    )
+    # math.tan, not np.tan: the two differ in the last bit at some N, and the
+    # data files keep math.tan's values
+    heisenberg = np.fromiter(map(math.tan, (math.pi / (n + 2.0)).tolist()), float, n.size)
+    for column in (n, delta_phi, shot_noise, heisenberg):
+        column.flags.writeable = False
     return SweepResult(
         loss=float(loss),
-        points=points,
+        n=n,
+        delta_phi=delta_phi,
+        shot_noise=shot_noise,
+        heisenberg=heisenberg,
         n_opt=_locate_n_opt(delta_phi, n_min),
         n_subshot_max=_locate_subshot_max(delta_phi, shot_noise, n_min),
     )

@@ -14,7 +14,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from lossyphase import channel_from_loss, cli, optimal_amplitudes, reduced_density
+from lossyphase import channel_from_loss, cli, curve, optimal_amplitudes, reduced_density
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -39,6 +39,14 @@ def test_block_counter_reads_reduced_density(bench_module):
     traced._count_blocks(tracer, reduced_density(optimal_amplitudes(6), channel_from_loss(0.25)))
     assert tracer.counts["loss.blocks_kept"] == 7
     assert tracer.counts["loss.block_bytes"] == 8 * sum(k * k for k in range(1, 8))
+
+
+def test_curve_counter_reads_sweep_result(bench_module):
+    traced = bench_module("traced")
+    tracer = traced.Tracer()
+    traced._count_curve(tracer, curve(0.01, 1, 4096))
+    assert tracer.counts["sweep.curve.points"] == 4096
+    assert len(tracer.points) == 4096
 
 
 def test_density_script_runs(bench_module, tmp_path):

@@ -450,9 +450,9 @@ GOLDEN_CASES = {
 }
 
 # rows with an inf and a none cell, written by _emit itself (no command yields
-# them from this configuration); the CSV bytes are those of the same call
-# before streaming
-EDGE_ROWS = [(1, 0.1), (2, math.inf), (3, None)]
+# them from this configuration) as one row slice; the CSV bytes are those of
+# the same rows before streaming
+EDGE_SLICE = ([1, 2, 3], [0.1, math.inf, None])
 EDGE_CSV = (
     "# command = curve\n# format = csv\n# loss = 0.5\n# integral_p = inf\n"
     "n,delta_phi\n1,0.10000000000000001\n2,inf\n3,none\n"
@@ -469,7 +469,7 @@ EDGE_JSON = (
 def _emit_edge_rows(directory, fmt):
     out = directory / f"edge.{fmt}"
     args = argparse.Namespace(command="curve", format=fmt, out=str(out))
-    assert cli._emit(args, {"loss": 0.5}, ("n", "delta_phi"), iter(EDGE_ROWS),
+    assert cli._emit(args, {"loss": 0.5}, ("n", "delta_phi"), iter([EDGE_SLICE]),
                      logscale=True, ylabel="delta_phi", extra={"integral_p": math.inf}) == 0
     return out.read_text(encoding="utf-8")
 
@@ -529,6 +529,18 @@ class TestStreamedFiles:
         }
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_curve_streams_the_columns(self, tmp_path, monkeypatch, fmt):
+        # run_curve reads the result's arrays, never its per-point view
+        def no_points(_):
+            raise AssertionError("curve emission read SweepResult.points")
+
+        monkeypatch.setattr(sweep.SweepResult, "points", property(no_points))
+        monkeypatch.chdir(tmp_path)
+        assert main(["curve"] + GOLDEN_CASES["curve"] + ["--format", fmt]) == 0
+        written, golden = (tmp_path / f"curve.{fmt}").read_bytes(), (GOLDEN / f"curve.{fmt}").read_bytes()
+        assert written == golden if fmt == "csv" else json.loads(written) == json.loads(golden)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_dist_memory_does_not_grow_with_the_file(self, tmp_path, fmt):
         # 65536 rows, a 2.6 MB CSV file: measured 2.1 MB of tracemalloc peak
         # (the FFT arrays), where holding the rows and text took 14 and 53 MB
@@ -559,21 +571,21 @@ class TestStreamedFiles:
         assert (tmp_path / f"{command}.csv").read_text(encoding="utf-8") == "earlier\n"
 
     @staticmethod
-    def _fail_after_one_row(monkeypatch):
+    def _fail_after_one_slice(monkeypatch):
         emit = cli._emit
 
-        def emit_failing_after_one_row(args, config, columns, rows, *rest, **kwargs):
-            def failing_rows():
-                yield next(iter(rows))
+        def emit_failing_after_one_slice(args, config, columns, slices, *rest, **kwargs):
+            def failing_slices():
+                yield next(iter(slices))
                 raise OSError("device full")
-            return emit(args, config, columns, failing_rows(), *rest, **kwargs)
+            return emit(args, config, columns, failing_slices(), *rest, **kwargs)
 
-        monkeypatch.setattr(cli, "_emit", emit_failing_after_one_row)
+        monkeypatch.setattr(cli, "_emit", emit_failing_after_one_slice)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command", sorted(GOLDEN_CASES))
     def test_failure_while_streaming_leaves_no_file(self, tmp_path, monkeypatch, capsys, command, fmt):
-        self._fail_after_one_row(monkeypatch)
+        self._fail_after_one_slice(monkeypatch)
         monkeypatch.chdir(tmp_path)
         assert main([command] + GOLDEN_CASES[command] + ["--format", fmt]) == 2
         assert capsys.readouterr().err == "error: cannot write output: device full\n"
@@ -588,7 +600,7 @@ class TestStreamedFiles:
         received = []
         reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
         reader.start()
-        self._fail_after_one_row(monkeypatch)
+        self._fail_after_one_slice(monkeypatch)
         try:
             assert main(["curve"] + GOLDEN_CASES["curve"] + ["--out", str(fifo)]) == 2
         finally:

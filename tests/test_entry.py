@@ -1,0 +1,89 @@
+"""The package imports lazily, and the command-line entry runs with one BLAS thread.
+
+The checks that depend on process start run in fresh interpreters: the test
+process imported numpy long ago.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import lossyphase
+from lossyphase.__main__ import BLAS_THREAD_VARIABLES
+
+# the public names each submodule gave the package when it imported them eagerly
+SUBMODULE_NAMES = {
+    "loss": ("DENSITY_MATRIX_MAX_PHOTONS", "LossChannel", "PureLossyState", "ReducedDensity",
+             "channel_from_loss", "pure_lossy_state", "reduced_density"),
+    "povm": ("PhaseDistribution", "PhaseEstimate", "distribution", "distribution_from_density",
+             "holevo", "lossless_reference", "phase_estimate", "sharpness_closed"),
+    "states": ("MAX_PHOTON_NUMBER", "AmplitudeVector", "optimal_amplitudes"),
+    "sweep": ("DEFAULT_MAX_PHOTONS", "CurvePoint", "SweepResult", "curve", "find_n_opt",
+              "find_subshot_bound", "nopt_vs_loss"),
+}
+
+# runs the entry on a small curve, then reports what the process looks like
+AFTER_ENTRY = (
+    "import json, os, sys\n"
+    "from lossyphase.__main__ import main\n"
+    "assert main(['curve', '--loss', '0.1', '--n-range', '1:3', '--out', 'c.csv']) == 0\n"
+    "tasks = len(os.listdir('/proc/self/task')) if sys.platform.startswith('linux') else None\n"
+    "print(json.dumps([{k: os.environ.get(k) for k in %r}, tasks]))\n" % (BLAS_THREAD_VARIABLES,)
+)
+
+
+def run_python(code, cwd, **env_vars):
+    """Last stdout line of ``python -c code`` (as JSON), with only ``env_vars`` of the BLAS variables set."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    package_root = str(Path(lossyphase.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join([package_root] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    env.update(env_vars)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd,
+                         env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+class TestLazyPackage:
+    def test_import_loads_no_numpy(self, tmp_path):
+        code = "import json, sys, lossyphase; print(json.dumps('numpy' in sys.modules))"
+        assert run_python(code, tmp_path) is False
+
+    def test_every_public_name_is_its_submodules(self):
+        assert sorted(lossyphase.__all__) == sorted(n for names in SUBMODULE_NAMES.values() for n in names)
+        for module, names in SUBMODULE_NAMES.items():
+            submodule = importlib.import_module(f"lossyphase.{module}")
+            for name in names:
+                assert getattr(lossyphase, name) is getattr(submodule, name), name
+
+    def test_dir_lists_public_names(self):
+        assert set(lossyphase.__all__) <= set(dir(lossyphase))
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            lossyphase.no_such_name  # noqa: B018
+
+
+class TestEntryDefault:
+    def test_one_blas_thread(self, tmp_path):
+        variables, tasks = run_python(AFTER_ENTRY, tmp_path)
+        assert variables == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None,
+                             "OMP_NUM_THREADS": None}
+        if not sys.platform.startswith("linux"):
+            pytest.skip("thread count read from /proc/self/task")
+        assert tasks == 1
+
+    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_caller_count_wins(self, tmp_path, name):
+        variables, _ = run_python(AFTER_ENTRY, tmp_path, **{name: "2"})
+        assert variables == {k: "2" if k == name else None for k in BLAS_THREAD_VARIABLES}
+
+    def test_library_import_leaves_environment(self, tmp_path):
+        code = ("import json, os; before = dict(os.environ); import lossyphase.cli; "
+                "print(json.dumps(dict(os.environ) == before))")
+        assert run_python(code, tmp_path) is True

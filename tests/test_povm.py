@@ -263,7 +263,7 @@ class TestSharpness:
     def test_curve_delta_phi_matches_50_digit_reference(self, n, loss, normalized):
         # promises 14.7 digits, also near the Heisenberg line, where S is
         # within 5e-6 of 1 and sqrt(1/S^2 - 1) kept only 9 to 10
-        value = curve(loss, n, n, normalized=normalized).points[0].delta_phi
+        value = curve(loss, n, n, normalized=normalized).delta_phi[0]
         reference = mp_delta_phi(n, loss, normalized)
         assert abs(value - reference) / reference <= 2e-15
 
@@ -363,7 +363,7 @@ class TestPhaseEstimate:
         # the kernel and the curve's closed form are two algorithms: both hold
         # 14.7 digits, and they stay within the 8-ulp gap of tests/test_sweep.py
         est = phase_estimate(optimal_amplitudes(500), channel_from_loss(1e-3))
-        point = curve(1e-3, 500, 500).points[0].delta_phi
+        point = curve(1e-3, 500, 500).delta_phi[0]
         reference = mp_delta_phi(500, 1e-3, normalized=False)
         assert abs(est.min_detectable_phase - reference) / reference <= 2e-15
         assert abs(point - reference) / reference <= 2e-15

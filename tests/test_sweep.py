@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from lossyphase import (
+    CurvePoint,
     curve,
     find_n_opt,
     find_subshot_bound,
@@ -21,6 +22,7 @@ from lossyphase import (
 from lossyphase.povm import _holevo_spread, _loss_factors, _sharpness_kernel
 from lossyphase.sweep import _landmarks, _locate_n_opt, _locate_subshot_max, _scan, _sine_sharpness
 
+CURVE_COLUMNS = ("n", "delta_phi", "shot_noise", "heisenberg")
 ENGINE_N_MAX = 512
 # from the Heisenberg line to near-total loss
 ENGINE_LOSSES = [0.0] + [float(x) for x in np.logspace(-7, math.log10(0.9), 64)] + [0.999999]
@@ -90,37 +92,56 @@ def engine_peak_bytes(count):
 class TestCurve:
     def test_lossless_monotone_and_analytic(self):
         result = curve(0.0, 1, 100)
-        deltas = [p.delta_phi for p in result.points]
-        assert all(a > b for a, b in zip(deltas, deltas[1:]))
+        assert np.all(np.diff(result.delta_phi) < 0)
         assert result.n_opt is None
-        for p in result.points:
-            assert p.delta_phi == pytest.approx(math.sqrt(lossless_reference(p.n)), rel=1e-9)
+        for n, delta_phi in zip(result.n.tolist(), result.delta_phi.tolist()):
+            assert delta_phi == pytest.approx(math.sqrt(lossless_reference(n)), rel=1e-9)
 
     def test_reference_columns(self):
-        result = curve(0.2, 3, 7)
-        for p in result.points:
-            assert p.shot_noise == 1 / math.sqrt(p.n)
-            assert p.heisenberg == math.tan(math.pi / (p.n + 2))
+        # heisenberg is math.tan per N; np.tan differs from it in the last bit at some N
+        result = curve(0.2, 1, 4096)
+        ns = result.n.tolist()
+        assert result.shot_noise.tolist() == [1 / math.sqrt(n) for n in ns]
+        assert result.heisenberg.tolist() == [math.tan(math.pi / (n + 2)) for n in ns]
 
     def test_one_point_per_n(self):
         result = curve(0.1, 5, 50)
-        assert [p.n for p in result.points] == list(range(5, 51))
+        assert result.n.tolist() == list(range(5, 51))
+        assert all(getattr(result, c).shape == (46,) for c in CURVE_COLUMNS)
 
     def test_interior_minimum_then_divergence_at_high_loss(self):
         result = curve(0.3, 1, 200)
-        deltas = [p.delta_phi for p in result.points]
+        deltas = result.delta_phi
         best = int(np.argmin(deltas))
         assert 0 < best < len(deltas) - 1
-        assert all(a < b for a, b in zip(deltas[best:], deltas[best + 1 :]))
-        assert result.n_opt == result.points[best].n
+        assert np.all(np.diff(deltas[best:]) > 0)
+        assert result.n_opt == result.n[best]
 
     def test_never_beats_lossless_bound(self):
         for loss in (0.0, 1e-3, 0.1, 0.5):
-            for p in curve(loss, 1, 120).points:
-                assert p.delta_phi >= p.heisenberg - 1e-9
+            result = curve(loss, 1, 120)
+            assert np.all(result.delta_phi >= result.heisenberg - 1e-9)
 
     def test_deterministic(self):
-        assert curve(0.17, 1, 60) == curve(0.17, 1, 60)
+        first, second = curve(0.17, 1, 60), curve(0.17, 1, 60)
+        for column in CURVE_COLUMNS:
+            assert np.array_equal(getattr(first, column), getattr(second, column))
+        assert (first.loss, first.n_opt, first.n_subshot_max) == (
+            second.loss, second.n_opt, second.n_subshot_max)
+
+    def test_points_are_the_columns(self):
+        # bench/traced.py counts a curve's points through this view
+        result = curve(2e-3, 3, 500)
+        assert result.points == tuple(
+            CurvePoint(*row) for row in zip(*(getattr(result, c).tolist() for c in CURVE_COLUMNS))
+        )
+        assert all(type(p.n) is int and type(p.delta_phi) is float for p in result.points)
+
+    def test_columns_are_read_only(self):
+        result = curve(0.1, 1, 10)
+        for column in CURVE_COLUMNS:
+            with pytest.raises(ValueError):
+                getattr(result, column)[0] = 0
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
@@ -179,7 +200,7 @@ class TestFindSubshotBound:
         # sub-shot noise from N = 7 on (tan(pi/(N+2)) exceeds 1/sqrt(N) below
         # that), and the region never closes, so no crossing is in range
         result = curve(0.0, 1, 100)
-        sub = [p.n for p in result.points if p.delta_phi < p.shot_noise]
+        sub = result.n[result.delta_phi < result.shot_noise].tolist()
         assert sub == list(range(7, 101))
         assert result.n_subshot_max is None
 
@@ -196,7 +217,7 @@ class TestFindSubshotBound:
 
     def test_none_when_nothing_subshot(self):
         result = curve(0.3, 1, 500)
-        assert all(p.delta_phi >= p.shot_noise for p in result.points)
+        assert np.all(result.delta_phi >= result.shot_noise)
         assert result.n_subshot_max is None
 
 
