@@ -1,0 +1,86 @@
+"""The cross-check table behind ``validate`` and the tests, one row per check.
+
+Each row is (name, tolerance, defect(n, loss), photon numbers, losses): the
+library's production numbers against the brute-force oracles, the density
+path and the lossless analytic anchor. ``worst_defect`` runs one row over its
+grid. The table lives beside the oracles rather than in ``oracle`` itself,
+whose public functions are each a reference implementation, and out of
+``cli``, which loads it (and numpy) only when ``validate`` runs.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from . import loss as loss_mod
+from . import oracle, povm
+from .core import MAX_PHOTON_NUMBER
+from .states import AmplitudeVector, optimal_amplitudes
+
+
+def _lossy_ket_defect(t: int, loss: float) -> float:
+    """Splitter branches of |t photons in the lossy arm> against e^{i theta Jx}, signed."""
+    # cos^2(theta/2) = 1 - L, taken by atan2 so theta keeps its digits at small L
+    theta = 2.0 * math.atan2(math.sqrt(loss), math.sqrt(1.0 - loss))
+    expected = np.conj(oracle.bs_unitary(t, theta)[:, t])
+    state = AmplitudeVector(np.eye(t + 1)[t])
+    branch = loss_mod.pure_lossy_state(state, loss_mod.channel_from_loss(loss)).coeffs[t]
+    return float(np.max(np.abs(branch - expected)))
+
+
+def _partial_trace_defect(n: int, loss: float) -> float:
+    """Largest entry of rho's blocks minus the explicit trace's, absent blocks as zeros."""
+    state, channel = optimal_amplitudes(n), loss_mod.channel_from_loss(loss)
+    rho = loss_mod.reduced_density(state, channel)
+    explicit = oracle.trace_out_explicit(loss_mod.pure_lossy_state(state, channel))
+    return max(float(np.max(np.abs(rho.block(ell) - explicit.get(ell, 0.0))))
+               for ell in set(rho.factors) | set(explicit))
+
+
+def _dual_path_defect(n: int, loss: float) -> float:
+    state, channel = optimal_amplitudes(n), loss_mod.channel_from_loss(loss)
+    rho = loss_mod.reduced_density(state, channel)
+    return abs(povm.sharpness_closed(state, channel)
+               - povm.distribution_from_density(rho).fourier_sharpness())
+
+
+def _quadrature_defect(n: int, loss: float) -> float:
+    state, channel = optimal_amplitudes(n), loss_mod.channel_from_loss(loss)
+    quad = oracle.quadrature_sharpness(povm.distribution(state, channel), 4096)
+    return abs(quad - povm.sharpness_closed(state, channel))
+
+
+def _lossless_anchor_defect(n: int, loss: float) -> float:
+    channel = loss_mod.channel_from_loss(loss)
+    variance = povm.phase_estimate(optimal_amplitudes(n), channel).holevo_variance
+    reference = povm.lossless_reference(n)
+    return abs(variance - reference) / reference
+
+
+# one row per cross-check: (name, tolerance, defect(n, loss), photon numbers,
+# losses); photon numbers None means t = 0..--max-2j from the command line
+CHECKS = (
+    ("lossy ket vs matrix exponential, signed", 1e-14, _lossy_ket_defect,
+     None, (0.0, 1e-8, 0.1, 0.3, 0.5, 0.9)),
+    ("partial trace, blocks vs explicit", 1e-15, _partial_trace_defect,
+     range(1, 9), (0.1, 0.3, 0.5)),
+    ("sharpness, closed vs density path", 1e-15, _dual_path_defect,
+     range(1, 13), (0.0, 0.1, 0.3, 0.5)),
+    ("sharpness, closed vs quadrature", 1e-14, _quadrature_defect,
+     range(1, 13), (0.0, 0.1, 0.3, 0.5)),
+    ("lossless variance anchor (relative)", 5e-15, _lossless_anchor_defect,
+     (*range(1, 101), MAX_PHOTON_NUMBER), (0.0,)),
+)
+
+
+def worst_defect(check, max_twice_j: int) -> tuple:
+    """Largest defect of one ``CHECKS`` row, and the first ``N=… L=…`` that reached it.
+
+    A NaN defect ranks above every number, so a broken check cannot pass.
+    """
+    _, _, defect, photon_numbers, losses = check
+    grid = range(max_twice_j + 1) if photon_numbers is None else photon_numbers
+    cases = ((defect(n, loss), f"N={n} L={loss:g}") for n in grid for loss in losses)
+    return max(cases, key=lambda case: math.inf if math.isnan(case[0]) else case[0])

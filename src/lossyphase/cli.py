@@ -30,10 +30,15 @@ Each data file gets a companion plot script (gnuplot for CSV, matplotlib for
 JSON) so the curves can be rendered without adding any plotting dependency
 to the library.
 
+At import this module loads only the standard library, ``sweep`` and
+``core``, so ``curve`` and ``nopt`` run without numpy. ``run_dist`` imports
+the numpy layers (``states``, ``povm``) when it runs, and ``run_validate``
+the check table in ``checks``.
+
 ``main`` runs a command in the calling process as it stands. The command line
 (``python -m lossyphase`` and the ``lossyphase`` script) enters through
-``lossyphase.__main__.main``, which picks one BLAS thread before this module,
-and numpy with it, is imported.
+``lossyphase.__main__.main``, which picks one BLAS thread before numpy can be
+imported.
 """
 
 from __future__ import annotations
@@ -47,11 +52,8 @@ import re
 import stat
 import sys
 
-import numpy as np
-
-from . import loss as loss_mod
-from . import oracle, povm, sweep
-from .states import MAX_PHOTON_NUMBER, AmplitudeVector, _check_cap, optimal_amplitudes
+from . import sweep
+from .core import ORACLE_MAX_TWICE_SPIN, _check_cap, channel_from_loss
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -123,10 +125,26 @@ def parse_loss_grid(text: str) -> list:
     if len(parts) == 4:
         if lo <= 0.0:
             raise ValueError("log-spaced loss-grid needs lo > 0")
-        values = np.logspace(math.log10(lo), math.log10(hi), count)
+        return [10.0 ** x for x in _linear_grid(math.log10(lo), math.log10(hi), count)]
+    return _linear_grid(lo, hi, count)
+
+
+def _linear_grid(lo: float, hi: float, count: int) -> list:
+    """``count`` >= 2 evenly spaced values from lo to hi, both included.
+
+    Value i is i * step + lo with step = (hi - lo)/(count - 1), and the last is
+    hi itself, so the grid is bit for bit the one ``numpy.linspace`` gives;
+    like it, a step that underflows to zero is replaced by (i/(count - 1)) *
+    (hi - lo).
+    """
+    div = count - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0.0:
+        values = [i / div * delta + lo for i in range(div)]
     else:
-        values = np.linspace(lo, hi, count)
-    return [float(v) for v in values]
+        values = [i * step + lo for i in range(div)]
+    return values + [hi]
 
 
 def _gnuplot_script(data_path: str, columns, logscale: bool, ylabel: str) -> str:
@@ -253,10 +271,12 @@ def _array_rows(*columns):
 
 
 def run_curve(args) -> int:
-    loss = loss_mod.channel_from_loss(args.loss).loss
+    loss = channel_from_loss(args.loss).loss
     n_min, n_max = parse_n_range(args.n_range)
     result = sweep.curve(loss, n_min, n_max, normalized=args.normalized)
-    slices = _array_rows(result.n, result.delta_phi, result.shot_noise, result.heisenberg)
+    columns = (result.n, result.delta_phi, result.shot_noise, result.heisenberg)
+    slices = (tuple(column[start : start + ROW_SLICE] for column in columns)
+              for start in range(0, len(result.n), ROW_SLICE))
     config = {"normalized": args.normalized, "loss": loss, "n_range": f"{n_min}:{n_max}"}
     return _emit(args, config, CURVE_COLUMNS, slices, logscale=True, ylabel="delta_phi")
 
@@ -273,7 +293,10 @@ def run_nopt(args) -> int:
 
 
 def run_dist(args) -> int:
-    channel, n = loss_mod.channel_from_loss(args.loss), args.n
+    from .povm import distribution
+    from .states import optimal_amplitudes
+
+    channel, n = channel_from_loss(args.loss), args.n
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_cap(n)
@@ -281,7 +304,7 @@ def run_dist(args) -> int:
         raise ValueError(
             f"phi-samples must be in {MIN_PHI_SAMPLES}..{MAX_PHI_SAMPLES}, got {args.phi_samples}"
         )
-    dist = povm.distribution(optimal_amplitudes(n), channel)
+    dist = distribution(optimal_amplitudes(n), channel)
     phi, p = dist.evaluate(args.phi_samples)
     slices = _array_rows(phi, p)
     config = {"loss": channel.loss, "n": n, "phi_samples": args.phi_samples}
@@ -290,84 +313,21 @@ def run_dist(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# validation suite: one table, run by `validate` and by the tests row by row
+# validation: the check table of ``checks``, row by row
 # ---------------------------------------------------------------------------
 
 
-def _lossy_ket_defect(t: int, loss: float) -> float:
-    """Splitter branches of |t photons in the lossy arm> against e^{i theta Jx}, signed."""
-    # cos^2(theta/2) = 1 - L, taken by atan2 so theta keeps its digits at small L
-    theta = 2.0 * math.atan2(math.sqrt(loss), math.sqrt(1.0 - loss))
-    expected = np.conj(oracle.bs_unitary(t, theta)[:, t])
-    state = AmplitudeVector(np.eye(t + 1)[t])
-    branch = loss_mod.pure_lossy_state(state, loss_mod.channel_from_loss(loss)).coeffs[t]
-    return float(np.max(np.abs(branch - expected)))
-
-
-def _partial_trace_defect(n: int, loss: float) -> float:
-    """Largest entry of rho's blocks minus the explicit trace's, absent blocks as zeros."""
-    state, channel = optimal_amplitudes(n), loss_mod.channel_from_loss(loss)
-    rho = loss_mod.reduced_density(state, channel)
-    explicit = oracle.trace_out_explicit(loss_mod.pure_lossy_state(state, channel))
-    return max(float(np.max(np.abs(rho.block(ell) - explicit.get(ell, 0.0))))
-               for ell in set(rho.factors) | set(explicit))
-
-
-def _dual_path_defect(n: int, loss: float) -> float:
-    state, channel = optimal_amplitudes(n), loss_mod.channel_from_loss(loss)
-    rho = loss_mod.reduced_density(state, channel)
-    return abs(povm.sharpness_closed(state, channel)
-               - povm.distribution_from_density(rho).fourier_sharpness())
-
-
-def _quadrature_defect(n: int, loss: float) -> float:
-    state, channel = optimal_amplitudes(n), loss_mod.channel_from_loss(loss)
-    quad = oracle.quadrature_sharpness(povm.distribution(state, channel), 4096)
-    return abs(quad - povm.sharpness_closed(state, channel))
-
-
-def _lossless_anchor_defect(n: int, loss: float) -> float:
-    channel = loss_mod.channel_from_loss(loss)
-    variance = povm.phase_estimate(optimal_amplitudes(n), channel).holevo_variance
-    reference = povm.lossless_reference(n)
-    return abs(variance - reference) / reference
-
-
-# one row per cross-check: (name, tolerance, defect(n, loss), photon numbers,
-# losses); photon numbers None means t = 0..--max-2j from the command line
-CHECKS = (
-    ("lossy ket vs matrix exponential, signed", 1e-14, _lossy_ket_defect,
-     None, (0.0, 1e-8, 0.1, 0.3, 0.5, 0.9)),
-    ("partial trace, blocks vs explicit", 1e-15, _partial_trace_defect,
-     range(1, 9), (0.1, 0.3, 0.5)),
-    ("sharpness, closed vs density path", 1e-15, _dual_path_defect,
-     range(1, 13), (0.0, 0.1, 0.3, 0.5)),
-    ("sharpness, closed vs quadrature", 1e-14, _quadrature_defect,
-     range(1, 13), (0.0, 0.1, 0.3, 0.5)),
-    ("lossless variance anchor (relative)", 5e-15, _lossless_anchor_defect,
-     (*range(1, 101), MAX_PHOTON_NUMBER), (0.0,)),
-)
-
-
-def worst_defect(check, max_twice_j: int) -> tuple:
-    """Largest defect of one ``CHECKS`` row, and the first ``N=… L=…`` that reached it.
-
-    A NaN defect ranks above every number, so a broken check cannot pass.
-    """
-    _, _, defect, photon_numbers, losses = check
-    grid = range(max_twice_j + 1) if photon_numbers is None else photon_numbers
-    cases = ((defect(n, loss), f"N={n} L={loss:g}") for n in grid for loss in losses)
-    return max(cases, key=lambda case: math.inf if math.isnan(case[0]) else case[0])
-
-
 def run_validate(max_twice_j: int = 12) -> int:
-    if not 0 <= max_twice_j <= oracle.ORACLE_MAX_TWICE_SPIN:
-        raise ValueError(f"max-2j must be in 0..{oracle.ORACLE_MAX_TWICE_SPIN}, got {max_twice_j}")
+    """Print the ``checks.CHECKS`` table, one row per check; exit 3 if a row fails."""
+    if not 0 <= max_twice_j <= ORACLE_MAX_TWICE_SPIN:
+        raise ValueError(f"max-2j must be in 0..{ORACLE_MAX_TWICE_SPIN}, got {max_twice_j}")
+    from . import checks
+
     failure = None
     print(f"{'check':<40} {'max defect':>12} {'tolerance':>12} result")
-    for check in CHECKS:
+    for check in checks.CHECKS:
         name, tol = check[:2]
-        defect, witness = worst_defect(check, max_twice_j)
+        defect, witness = checks.worst_defect(check, max_twice_j)
         ok = defect <= tol
         if not ok and failure is None:
             failure = f"{name} defect {defect:.3e} exceeds {tol:.3e} at {witness}"
@@ -409,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     val_p.add_argument(
         "--max-2j", type=int, default=12, metavar="T",
         help="largest photon number t of the lossy-ket row, "
-        f"0..{oracle.ORACLE_MAX_TWICE_SPIN} (default 12)",
+        f"0..{ORACLE_MAX_TWICE_SPIN} (default 12)",
     )
 
     for p in (curve_p, nopt_p, dist_p):

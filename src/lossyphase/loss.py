@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import LossChannel, channel_from_loss  # noqa: F401  (re-exported)
 from .states import AmplitudeVector
 
 # The density path builds the (N+1)^2 loss column and is refused above this
@@ -24,27 +25,6 @@ DENSITY_MATRIX_MAX_PHOTONS = 256
 
 # i^n for the kept-photon phase e^{i (pi/2)(m-k)}; exact complex units.
 _QUARTER_TURNS = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
-
-
-@dataclass(frozen=True)
-class LossChannel:
-    """Fraction L of the phase-arm photons that the splitter scatters."""
-
-    loss: float
-
-
-def channel_from_loss(loss: float) -> LossChannel:
-    """Build the channel for a loss fraction in [0, 1).
-
-    Total loss is excluded: with every photon scattered there is no fringe
-    left and every sharpness term vanishes identically.
-    """
-    loss = float(loss)
-    if not math.isfinite(loss) or loss < 0.0:
-        raise ValueError(f"loss must be >= 0, got {loss}")
-    if loss >= 1.0:
-        raise ValueError(f"loss must be < 1, got {loss}")
-    return LossChannel(loss=loss)
 
 
 def _loss_column(n: int, loss: float) -> np.ndarray:

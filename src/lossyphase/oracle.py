@@ -14,10 +14,10 @@ import math
 
 import numpy as np
 
+from .core import ORACLE_MAX_TWICE_SPIN
 from .loss import PureLossyState
 from .povm import TWO_PI, PhaseDistribution
 
-ORACLE_MAX_TWICE_SPIN = 24
 EXPLICIT_TRACE_MAX_PHOTONS = 12
 
 _EXP_SERIES_TERMS = 18

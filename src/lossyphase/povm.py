@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _holevo_spread
 from .loss import LossChannel, ReducedDensity
 from .states import AmplitudeVector
 
@@ -139,22 +140,6 @@ def _sharpness_kernel(
         mass = total(g * g)
         return sharp / mass, spread / mass
     return sharp, total(psi * psi * lost) + spread
-
-
-def _holevo_spread(sharp, defect) -> tuple:
-    """Holevo variance (1-S)(1+S)/S^2 and its root delta-phi, from S and 1 - S.
-
-    Elementwise over arrays. Taking 1 - S as the kernel or the sweep's closed
-    form gives it, rather than forming 1/S^2 - 1, keeps the digits near the
-    Heisenberg line where S is within 1e-7 of 1. Where S <= 0 both are inf,
-    and nothing is divided.
-    """
-    sharp = np.asarray(sharp, dtype=float)
-    spread = defect * (1.0 + sharp)
-    live = sharp > 0.0
-    variance = np.divide(spread, sharp * sharp, out=np.full(sharp.shape, math.inf), where=live)
-    delta_phi = np.divide(np.sqrt(spread), sharp, out=np.full(sharp.shape, math.inf), where=live)
-    return variance, delta_phi
 
 
 def sharpness_closed(

@@ -7,20 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Hard cap on the photon number accepted anywhere in the library. Beyond this
-# the dense numerics dominate cost long before the indexing does.
-MAX_PHOTON_NUMBER = 4096
+from .core import MAX_PHOTON_NUMBER, _check_cap  # noqa: F401  (re-exported)
 
 # An amplitude vector whose squared norm strays further than this from 1 is
 # rejected outright; silently renormalizing would hide caller bugs.
 NORMALIZATION_TOLERANCE = 1e-12
-
-
-def _check_cap(n_photons: int) -> None:
-    if n_photons > MAX_PHOTON_NUMBER:
-        raise ValueError(
-            f"photon number {n_photons} exceeds the supported maximum {MAX_PHOTON_NUMBER}"
-        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,15 +1,19 @@
 """Minimum-detectable-phase curves over photon number and their landmarks.
 
 Every curve point is the sharpness S and its defect 1 - S of the sine state
-in closed form, a few dozen numpy operations over the whole vector of photon
-numbers at one loss: no per-N loop, no amplitudes, and memory O(n_max) per
-loss whatever the length of a loss grid. ``_scan`` yields delta-phi =
+in closed form, a few dozen floating-point operations with ``math`` over
+Python floats: no amplitudes, no sum over the photon split, and memory
+O(n_max) per loss whatever the length of a loss grid. The terms that do not
+depend on the loss (m, sin^2 a, sin(a/2), cos a) are computed once per scan
+and serve every loss of it. ``_scan`` yields delta-phi =
 sqrt((1-S)(1+S))/S one loss at a time and serves ``curve``, the landmark
 finders and ``nopt_vs_loss``. ``povm._sharpness_kernel`` sums the same S for
 any amplitudes and stays the reference the tests hold this form to.
-``curve`` returns its scan column by column, one array each for N, delta-phi
+``curve`` returns its scan column by column, one tuple each for N, delta-phi
 and the two reference lines (``SweepResult``), so no object is built per
-point.
+point. The module imports no numpy: ``curve`` and ``nopt`` run on the
+standard library alone, and their values do not depend on the CPU features
+numpy's SIMD kernels would pick.
 
 With m = N + 2, a = pi/m and q = 1 - L, the sine state has
 g_t = sqrt(2/m) sin((t+1)a) q^(t/2). Since sin((t+1)a) vanishes at t = -1 and
@@ -35,11 +39,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
-from .loss import channel_from_loss
-from .povm import _holevo_spread
-from .states import _check_cap
+from .core import _check_cap, _holevo_spread, channel_from_loss
 
 DEFAULT_MAX_PHOTONS = 1000
 
@@ -63,17 +63,18 @@ class SweepResult:
     """A scanned curve, column by column, plus the located optimum and sub-shot-noise edge.
 
     ``n`` (ints), ``delta_phi``, ``shot_noise`` and ``heisenberg`` are
-    read-only arrays with one entry per scanned photon number, in ascending
-    order. ``n_opt`` and ``n_subshot_max`` are None when the feature is not
-    pinned down inside the scanned range (minimum still falling at the top of
-    the scan, or no sub-shot-noise point at all).
+    tuples with one entry per scanned photon number, in ascending order;
+    ``np.asarray`` turns any of them into an array. ``n_opt`` and
+    ``n_subshot_max`` are None when the feature is not pinned down inside the
+    scanned range (minimum still falling at the top of the scan, or no
+    sub-shot-noise point at all).
     """
 
     loss: float
-    n: np.ndarray
-    delta_phi: np.ndarray
-    shot_noise: np.ndarray
-    heisenberg: np.ndarray
+    n: tuple
+    delta_phi: tuple
+    shot_noise: tuple
+    heisenberg: tuple
     n_opt: int | None
     n_subshot_max: int | None
 
@@ -84,63 +85,99 @@ class SweepResult:
         Nothing in the package reads it; the benchmark's traced run counts a
         curve's points through it.
         """
-        columns = (self.n, self.delta_phi, self.shot_noise, self.heisenberg)
-        return tuple(map(CurvePoint, *(column.tolist() for column in columns)))
+        return tuple(map(CurvePoint, self.n, self.delta_phi, self.shot_noise, self.heisenberg))
 
 
-def _phi_over_square(u: np.ndarray) -> np.ndarray:
-    """(e^{-u} - 1 + u)/u^2 for u >= 0: its series below u = 1, no cancellation above."""
-    out = np.empty_like(u)
-    small = u < 1.0
-    x = u[small]
-    acc = np.full_like(x, _PHI_SERIES[-1])
-    for c in _PHI_SERIES[-2::-1]:
-        acc *= -x
-        acc += c
-    out[small] = acc
-    x = u[~small]
-    out[~small] = (np.expm1(-x) + x) / (x * x)
-    return out
+def _phi_over_square(x: float, lost: float) -> float:
+    """(e^{-u} - 1 + u)/u^2 at u = -x >= 0, given lost = expm1(x).
+
+    Its series below u = 1, where e^{-u} - 1 + u would cancel, by Horner's
+    rule written out (a loop over the coefficients takes twice as long); above,
+    the closed form loses nothing.
+    """
+    if x <= -1.0:
+        return (lost - x) / (x * x)
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15, c16 = _PHI_SERIES
+    acc = ((((c16 * x + c15) * x + c14) * x + c13) * x + c12) * x + c11
+    acc = ((((acc * x + c10) * x + c9) * x + c8) * x + c7) * x + c6
+    acc = ((((acc * x + c5) * x + c4) * x + c3) * x + c2) * x + c1
+    return acc * x + c0
 
 
-def _sine_sharpness(loss: float, n: np.ndarray, normalized: bool) -> tuple:
-    """S and 1 - S of the sine state at one loss, for every photon number in ``n``.
+def _sine_terms(ns) -> list:
+    """The loss-independent terms of each photon number in ``ns``, one tuple per N.
 
-    The closed form of the module docstring, in lambda = -log1p(-L) so that
-    1 - q^m = -expm1(-m lambda) and 1 - sqrt(q) = -expm1(-lambda/2) keep their
-    digits at small L. Where M >= 2/3 the difference 1 - M would cancel, so it
-    is formed as [L^2 + sin^2(a) lambda B] / D with phi(u) = e^{-u} - 1 + u and
+    (m, 2/m, (2/m) sin^2 a, sin^2 a, sin(a/2), cos a) with m = N + 2 and
+    a = pi/m. Each square is a product: ``x ** 2`` calls pow, which differs
+    from ``x * x`` in the last bit at some N.
+    """
+    terms = []
+    for n in ns:
+        m = n + 2.0
+        a = math.pi / m
+        sin = math.sin(a)
+        sin2 = sin * sin
+        two_m = 2.0 / m
+        terms.append((m, two_m, two_m * sin2, sin2, math.sin(0.5 * a), math.cos(a)))
+    return terms
+
+
+def _sine_sharpness(loss: float, terms: list, normalized: bool) -> list:
+    """(S, 1 - S) of the sine state at one loss, for each photon number of ``terms``.
+
+    ``terms`` comes from ``_sine_terms``. The closed form of the module
+    docstring, in lambda = -log1p(-L) so that 1 - q^m = -expm1(-m lambda) and
+    1 - sqrt(q) = -expm1(-lambda/2) keep their digits at small L. Where
+    M >= 2/3 the difference 1 - M would cancel, so it is formed as
+    [L^2 + sin^2(a) lambda B] / D with phi(u) = e^{-u} - 1 + u and
 
         lambda B = (4/m)(phi(m lambda) - m phi(lambda))/L - 4L + (2/m)(1 - q^m),
 
     where phi(u) = u^2 (phi(u)/u^2) lets lambda factor out of B, so nothing
     underflows down to L = 5e-324 and 1 - M stays nonnegative. Below 2/3 the
     subtraction 1 - M at most doubles M's rounding and is used as it is.
+    Every product and sum is taken in the order the formulas are written; a
+    negation moved onto a factor (x = m * -lambda for -(m lambda)) is exact.
     """
-    m = n + 2.0
-    a = np.pi / m
     rate = -math.log1p(-loss)
     root_q = math.sqrt(1.0 - loss)
-    half = np.sin(0.5 * a)
-    near = math.expm1(-0.5 * rate) ** 2 + 4.0 * root_q * half * half
+    near_0 = math.expm1(-0.5 * rate) ** 2
+    near_1 = 4.0 * root_q
+    cos_scale = 2.0 * root_q
+    mass_scale = 2.0 - loss
     if normalized:
-        return 2.0 * root_q * np.cos(a) / (2.0 - loss), near / (2.0 - loss)
+        return [(cos_scale * cos / mass_scale, (near_0 + near_1 * half * half) / mass_scale)
+                for *_, half, cos in terms]
     # R = kept * ratio with kept = (1 - q^m)/lambda and ratio = lambda/L, whose
     # limits at L = 0 are m and 1
-    kept, ratio = (m, 1.0) if loss == 0.0 else (-np.expm1(-m * rate) / rate, rate / loss)
-    sin2 = np.sin(a) ** 2
-    denom = loss * loss + 4.0 * (1.0 - loss) * sin2
-    base = (2.0 / m) * sin2 * (kept * ratio) / denom
-    mass = (2.0 - loss) * base
-    phis = _phi_over_square(np.append(rate, m * rate))
-    bracket = 4.0 * ratio * (m * phis[1:] - phis[0]) - 4.0 / ratio + (2.0 / m) * kept
-    unkept = (loss * loss + sin2 * (rate * bracket)) / denom
-    unkept = np.where(mass < 2.0 / 3.0, 1.0 - mass, unkept)
-    return 2.0 * root_q * np.cos(a) * base, unkept + near * base
+    lossless = loss == 0.0
+    ratio = 1.0 if lossless else rate / loss
+    square = loss * loss
+    sin2_scale = 4.0 * (1.0 - loss)
+    phi_rate = _phi_over_square(-rate, math.expm1(-rate))
+    bracket_1 = 4.0 * ratio
+    bracket_2 = 4.0 / ratio
+    pairs = []
+    # locals for what the per-point loop looks up
+    append, expm1, phi_over_square, neg_rate = pairs.append, math.expm1, _phi_over_square, -rate
+    for m, two_m, two_m_sin2, sin2, half, cos in terms:
+        x = m * neg_rate
+        lost = expm1(x)
+        kept = m if lossless else lost / neg_rate
+        denom = square + sin2_scale * sin2
+        base = two_m_sin2 * (kept * ratio) / denom
+        mass = mass_scale * base
+        if mass < 2.0 / 3.0:
+            unkept = 1.0 - mass
+        else:
+            bracket = bracket_1 * (m * phi_over_square(x, lost) - phi_rate) - bracket_2 + two_m * kept
+            unkept = (square + sin2 * (rate * bracket)) / denom
+        append((cos_scale * cos * base, unkept + (near_0 + near_1 * half * half) * base))
+    return pairs
 
 
 def _scan(losses, n_min: int, n_max: int, normalized: bool):
-    """Delta-phi over N = n_min..n_max at each loss, one row per loss in the order given.
+    """Delta-phi over N = n_min..n_max at each loss, one tuple per loss in the order given.
 
     Divergent points are explicit infinities. The range, the photon-number
     cap and every loss are checked before any point.
@@ -149,13 +186,14 @@ def _scan(losses, n_min: int, n_max: int, normalized: bool):
         raise ValueError(f"need 1 <= n_min <= n_max, got {n_min}:{n_max}")
     _check_cap(n_max)
     losses = [channel_from_loss(x).loss for x in losses]
-    n = np.arange(n_min, n_max + 1, dtype=float)
+    terms = _sine_terms(range(n_min, n_max + 1))
     for loss in losses:
-        yield _holevo_spread(*_sine_sharpness(loss, n, normalized))[1]
+        yield tuple([_holevo_spread(sharp, defect)[1]
+                     for sharp, defect in _sine_sharpness(loss, terms, normalized)])
 
 
-def _shot_noise(n_min: int, n_max: int) -> np.ndarray:
-    return 1.0 / np.sqrt(np.arange(n_min, n_max + 1, dtype=float))
+def _shot_noise(n_min: int, n_max: int) -> tuple:
+    return tuple([1.0 / math.sqrt(n) for n in range(n_min, n_max + 1)])
 
 
 def curve(
@@ -167,45 +205,42 @@ def curve(
     """Scan delta-phi over every integer photon number in [n_min, n_max].
 
     Divergent points are carried through as explicit infinities; no photon
-    number is ever dropped from the scan. The result holds one array per
+    number is ever dropped from the scan. The result holds one tuple per
     column; ``heisenberg`` is ``math.tan(pi/(N+2))`` of each N.
     """
     delta_phi = next(_scan([loss], n_min, n_max, normalized))
-    n = np.arange(n_min, n_max + 1)
+    n = tuple(range(n_min, n_max + 1))
     shot_noise = _shot_noise(n_min, n_max)
-    # math.tan, not np.tan: the two differ in the last bit at some N, and the
-    # data files keep math.tan's values
-    heisenberg = np.fromiter(map(math.tan, (math.pi / (n + 2.0)).tolist()), float, n.size)
-    for column in (n, delta_phi, shot_noise, heisenberg):
-        column.flags.writeable = False
     return SweepResult(
         loss=float(loss),
         n=n,
         delta_phi=delta_phi,
         shot_noise=shot_noise,
-        heisenberg=heisenberg,
+        heisenberg=tuple([math.tan(math.pi / (k + 2.0)) for k in n]),
         n_opt=_locate_n_opt(delta_phi, n_min),
         n_subshot_max=_locate_subshot_max(delta_phi, shot_noise, n_min),
     )
 
 
-def _locate_n_opt(delta_phi: np.ndarray, n_min: int) -> int | None:
+def _locate_n_opt(delta_phi, n_min: int) -> int | None:
     # A minimum sitting at the top of the scan means the curve is still
     # falling there; report that as not-in-range rather than as an optimum.
-    # argmin keeps the first of equal minima, so ties go to the smaller N.
-    best = int(np.argmin(delta_phi))
-    return None if best == delta_phi.size - 1 else n_min + best
+    # index() finds the first of equal minima, so ties go to the smaller N.
+    best = delta_phi.index(min(delta_phi))
+    return None if best == len(delta_phi) - 1 else n_min + best
 
 
-def _locate_subshot_max(delta_phi: np.ndarray, shot_noise: np.ndarray, n_min: int) -> int | None:
+def _locate_subshot_max(delta_phi, shot_noise, n_min: int) -> int | None:
     # The stretch runs right from the lowest sub-shot-noise point, which is
     # the curve's minimum whenever that minimum beats shot noise.
-    below = delta_phi < shot_noise
-    if not below.any():
+    below = [i for i, (d, s) in enumerate(zip(delta_phi, shot_noise)) if d < s]
+    if not below:
         return None
-    start = int(np.argmin(np.where(below, delta_phi, math.inf)))
-    above = np.flatnonzero(~below[start:])
-    return None if above.size == 0 else n_min + start + int(above[0]) - 1
+    start = min(below, key=delta_phi.__getitem__)
+    for i in range(start + 1, len(delta_phi)):
+        if not delta_phi[i] < shot_noise[i]:
+            return n_min + i - 1
+    return None
 
 
 def _landmarks(losses, n_max: int, normalized: bool) -> list:

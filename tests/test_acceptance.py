@@ -133,13 +133,17 @@ def test_criterion_5_subnormalization_identity():
 def test_criterion_6_curve_shape_properties():
     with criterion(6, "interior minimum at L=0.3; sub-shot-noise window at L=1e-3", budget=10.0):
         high = curve(0.3, 1, 500)
-        deltas = high.delta_phi
+        deltas = np.asarray(high.delta_phi)
         best = int(np.argmin(deltas))
         assert 0 < best < len(deltas) - 1
         assert np.all(np.diff(deltas[best:]) > 0)
 
+        def subshot(result):
+            n, delta_phi, shot_noise = map(np.asarray, (result.n, result.delta_phi, result.shot_noise))
+            return n[delta_phi < shot_noise].tolist()
+
         low = curve(1e-3, 1, 500)
-        sub = low.n[low.delta_phi < low.shot_noise].tolist()
+        sub = subshot(low)
         assert sub
         assert sub == list(range(sub[0], sub[-1] + 1))  # contiguous
         assert low.n_subshot_max is not None
@@ -147,7 +151,7 @@ def test_criterion_6_curve_shape_properties():
         # the sub-shot-noise bound shrinks with loss; at L=0.3 the curve
         # never dips below 1/sqrt(N) at all, which is strictly smaller
         # capability than the finite bound at L=1e-3
-        high_sub = high.n[high.delta_phi < high.shot_noise].tolist()
+        high_sub = subshot(high)
         if high.n_subshot_max is None:
             assert not high_sub
         else:

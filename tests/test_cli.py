@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import json
 import math
 import os
@@ -10,11 +11,21 @@ import threading
 import tracemalloc
 from pathlib import Path
 
+import mpmath
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lossyphase import cli, sweep
+from lossyphase import checks, cli, sweep
 from lossyphase.cli import _fmt, main, parse_loss_grid, parse_n_range
 from lossyphase.oracle import ORACLE_MAX_TWICE_SPIN
+
+
+# a fixed example sequence keeps Tier-1 reproducible and its cost bounded
+GRID_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+GRID_LOSSES = st.floats(0.0, 1.0, exclude_max=True)
+GRID_COUNTS = st.integers(1, cli.MAX_LOSS_GRID_POINTS)
 
 
 def read_rows(path):
@@ -49,6 +60,33 @@ class TestParsers:
         assert grid[0] == pytest.approx(1e-4)
         assert grid[-1] == pytest.approx(0.5)
         assert all(a < b for a, b in zip(grid, grid[1:]))
+
+    @GRID_PROPERTY
+    @given(GRID_LOSSES, GRID_LOSSES, GRID_COUNTS)
+    @example(0.0, 1.5e-323, 8)  # a step that underflows to zero, and i * step with it
+    def test_linear_grid_is_linspace_bit_for_bit(self, a, b, count):
+        lo, hi = sorted((a, b))
+        assert parse_loss_grid(f"{lo!r}:{hi!r}:{count}") == np.linspace(lo, hi, count).tolist()
+
+    @GRID_PROPERTY
+    @given(GRID_LOSSES.filter(lambda x: x > 0.0), GRID_LOSSES.filter(lambda x: x > 0.0), GRID_COUNTS)
+    def test_log_grid_within_one_ulp_of_its_exponents(self, a, b, count):
+        # each value is 10**x_i for the float exponent x_i of the linear grid
+        # from log10(lo) to log10(hi), to 1 ulp of the 50-digit power
+        lo, hi = sorted((a, b))
+        grid = parse_loss_grid(f"{lo!r}:{hi!r}:{count}:log")
+        exponents = np.linspace(math.log10(lo), math.log10(hi), count).tolist()
+        assert len(grid) == count
+        with mpmath.workdps(50):
+            for value, x in zip(grid, exponents):
+                assert abs(mpmath.mpf(value) - mpmath.power(10, x)) <= math.ulp(value), (value, x)
+        if count > 1:
+            assert (grid[0], grid[-1]) == (10.0 ** math.log10(lo), 10.0 ** math.log10(hi))
+
+    def test_log_grid_endpoints_exact(self):
+        # integer exponents give the nearest doubles to the powers of ten
+        assert parse_loss_grid("1e-4:0.1:4:log") == [1e-4, 1e-3, 1e-2, 0.1]
+        assert parse_loss_grid("1e-300:1e-300:3:log") == [1e-300] * 3
 
     @pytest.mark.parametrize("bad", ["0.1:0.9", "0.5:0.1:5", "0:0.5:0", "0:1.0:5", "0:0.5:5:lin"])
     def test_loss_grid_rejects(self, bad):
@@ -276,29 +314,29 @@ class TestValidateCommand:
         assert "PASS" in out
         assert "FAIL" not in out
 
-    @pytest.mark.parametrize("check", cli.CHECKS, ids=[check[0] for check in cli.CHECKS])
+    @pytest.mark.parametrize("check", checks.CHECKS, ids=[check[0] for check in checks.CHECKS])
     def test_row_within_tolerance(self, check):
         # the rows validate prints, each on its own, the ket row up to the oracle's cap
         name, tol = check[:2]
-        defect, witness = cli.worst_defect(check, ORACLE_MAX_TWICE_SPIN)
+        defect, witness = checks.worst_defect(check, ORACLE_MAX_TWICE_SPIN)
         assert defect <= tol, f"{name}: defect {defect:.3e} above {tol:.0e} at {witness}"
 
     @pytest.mark.parametrize("bad", [1e-3, math.nan])
     def test_failing_row_is_reported_once(self, monkeypatch, capsys, bad):
         # a middle row fails at one grid point; every row still prints and
         # stderr names the failure in one line
-        checks = list(cli.CHECKS)
-        name, _, _, photon_numbers, losses = checks[2]
+        rows_in = list(checks.CHECKS)
+        name, _, _, photon_numbers, losses = rows_in[2]
 
         def failing(n, loss):
             return bad if (n, loss) == (5, 0.3) else 0.0
 
-        checks[2] = (name, 0.0, failing, photon_numbers, losses)
-        monkeypatch.setattr(cli, "CHECKS", tuple(checks))
+        rows_in[2] = (name, 0.0, failing, photon_numbers, losses)
+        monkeypatch.setattr(checks, "CHECKS", tuple(rows_in))
         assert main(["validate", "--max-2j", "2"]) == 3
         captured = capsys.readouterr()
         rows = captured.out.splitlines()[1:]
-        assert [row[:40].rstrip() for row in rows] == [check[0] for check in checks]
+        assert [row[:40].rstrip() for row in rows] == [check[0] for check in rows_in]
         assert rows[2].endswith(" FAIL at N=5 L=0.3")
         assert all(row.endswith(" PASS") for i, row in enumerate(rows) if i != 2)
         assert captured.err == (
@@ -441,7 +479,9 @@ class TestFileFormats:
 
 # tests/golden holds the files these command lines wrote before rows were
 # streamed into the open file: CSV must still match byte for byte, and JSON,
-# whose layout changed to one row per line, must parse to the same payload
+# whose layout changed to one row per line, must parse to the same payload.
+# The curve files' N = 3 delta-phi is the C library's; it was written on a
+# host where numpy's AVX-512 expm1 put it 2 ulp higher
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CASES = {
     "curve": ["--loss", "0.25", "--n-range", "1:3"],
@@ -465,6 +505,16 @@ EDGE_JSON = (
     "]}\n"
 )
 
+# sha256 of 4096-point curve files as the C library's expm1, sin, cos, tan and
+# pow give them, the same on every CPU; numpy's AVX-512 kernels rounded 301
+# rows of the 7e-4 file differently, and x ** 2 in place of x * x changes a
+# row of each raw file
+CURVE_DIGESTS = {
+    "7e-4": "7d6984505e48f868fba086f95244917c09bfb5264cc2ce68e6946397fbaa4308",
+    "0.0123": "9c7c261ed39f997bbb830752423aef43f590c078d403a5fb6311b24177a051a5",
+    "1.3e-5 normalized": "d32e56045db8d16298e90408f74783c408eb76a8e7bf200cf603392d849c846c",
+}
+
 
 def _emit_edge_rows(directory, fmt):
     out = directory / f"edge.{fmt}"
@@ -480,6 +530,14 @@ class TestStreamedFiles:
         monkeypatch.chdir(tmp_path)
         assert main([command] + GOLDEN_CASES[command]) == 0
         assert (tmp_path / f"{command}.csv").read_bytes() == (GOLDEN / f"{command}.csv").read_bytes()
+
+    @pytest.mark.parametrize("case", CURVE_DIGESTS)
+    def test_curve_bytes_pinned(self, tmp_path, case):
+        loss, *flags = case.split()
+        out = tmp_path / "curve.csv"
+        argv = ["curve", "--loss", loss, "--n-range", "1:4096", "--out", str(out)]
+        assert main(argv + [f"--{flag}" for flag in flags]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == CURVE_DIGESTS[case]
 
     def test_csv_bytes_of_inf_and_none_cells(self, tmp_path):
         assert _emit_edge_rows(tmp_path, "csv") == EDGE_CSV
@@ -503,7 +561,7 @@ class TestStreamedFiles:
          '{"n": 1, "delta_phi": 2.081665999466132, "shot_noise": 1.0, "heisenberg": 1.7320508075688767},\n'
          '{"n": 2, "delta_phi": 1.5757516293118374, "shot_noise": 0.7071067811865475, '
          '"heisenberg": 0.9999999999999999},\n'
-         '{"n": 3, "delta_phi": 1.568554869338804, "shot_noise": 0.5773502691896258, '
+         '{"n": 3, "delta_phi": 1.5685548693388036, "shot_noise": 0.5773502691896258, '
          '"heisenberg": 0.7265425280053609}\n'
          "]}\n"),
         ("nopt",

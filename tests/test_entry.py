@@ -1,4 +1,5 @@
-"""The package imports lazily, and the command-line entry runs with one BLAS thread.
+"""The package imports lazily, the command-line entry runs with one BLAS thread,
+and ``curve`` and ``nopt`` run without numpy.
 
 The checks that depend on process start run in fresh interpreters: the test
 process imported numpy long ago.
@@ -35,6 +36,31 @@ AFTER_ENTRY = (
     "tasks = len(os.listdir('/proc/self/task')) if sys.platform.startswith('linux') else None\n"
     "print(json.dumps([{k: os.environ.get(k) for k in %r}, tasks]))\n" % (BLAS_THREAD_VARIABLES,)
 )
+
+
+# runs the entry on argv %r, then reports whether numpy was ever imported
+ENTRY_THEN_NUMPY = (
+    "import json, sys\n"
+    "from lossyphase.__main__ import main\n"
+    "assert main(%r) == 0\n"
+    "print(json.dumps('numpy' in sys.modules))\n"
+)
+
+# every job that must run on the standard library alone
+STDLIB_JOBS = {
+    "curve-csv": ["curve", "--loss", "7e-4", "--n-range", "1:64"],
+    "curve-json": ["curve", "--loss", "7e-4", "--n-range", "1:64", "--format", "json"],
+    "curve-normalized-csv": ["curve", "--loss", "7e-4", "--n-range", "1:64", "--normalized"],
+    "curve-normalized-json": ["curve", "--loss", "7e-4", "--n-range", "1:64", "--normalized",
+                              "--format", "json"],
+    "nopt": ["nopt", "--loss-grid", "1e-4:0.5:8:log", "--n-max", "64"],
+}
+
+# the jobs that still need the numpy layers
+NUMPY_JOBS = {
+    "dist": ["dist", "--loss", "0.01", "--n", "16", "--phi-samples", "128"],
+    "validate": ["validate", "--max-2j", "4"],
+}
 
 
 def run_python(code, cwd, **env_vars):
@@ -87,3 +113,19 @@ class TestEntryDefault:
         code = ("import json, os; before = dict(os.environ); import lossyphase.cli; "
                 "print(json.dumps(dict(os.environ) == before))")
         assert run_python(code, tmp_path) is True
+
+
+class TestStandardLibraryJobs:
+    @pytest.mark.parametrize("argv", STDLIB_JOBS.values(), ids=STDLIB_JOBS.keys())
+    def test_job_loads_no_numpy(self, tmp_path, argv):
+        assert run_python(ENTRY_THEN_NUMPY % (argv,), tmp_path) is False
+
+    @pytest.mark.parametrize("module", ["lossyphase.sweep", "lossyphase.cli"])
+    def test_import_loads_no_numpy(self, tmp_path, module):
+        code = f"import json, sys, {module}; print(json.dumps('numpy' in sys.modules))"
+        assert run_python(code, tmp_path) is False
+
+    @pytest.mark.parametrize("argv", NUMPY_JOBS.values(), ids=NUMPY_JOBS.keys())
+    def test_numpy_jobs_still_run(self, tmp_path, argv):
+        # the child asserts that main returned 0 and reports numpy as loaded
+        assert run_python(ENTRY_THEN_NUMPY % (argv,), tmp_path) is True

@@ -26,9 +26,9 @@ from lossyphase import (
     reduced_density,
     sharpness_closed,
 )
+from lossyphase.core import _holevo_spread
 from lossyphase.povm import (
     TWO_PI,
-    _holevo_spread,
     _loss_factors,
     _sharpness_kernel,
 )
@@ -387,11 +387,12 @@ class TestPhaseEstimate:
 
 class TestHolevoSpread:
     def test_nonpositive_sharpness_is_inf_without_warning(self):
-        # Tier-1 turns any RuntimeWarning into a failure
-        variance, delta_phi = _holevo_spread(np.array([0.0, -0.0, -0.5, 0.5]), np.array([1.0, 1.0, 1.5, 0.5]))
-        assert np.all(np.isinf(variance[:3])) and np.all(np.isinf(delta_phi[:3]))
-        assert variance[3] == pytest.approx(3.0, rel=1e-15)
-        assert delta_phi[3] == pytest.approx(math.sqrt(3.0), rel=1e-15)
+        # Tier-1 turns any RuntimeWarning into a failure; nothing is divided by S <= 0
+        for sharp, defect in ((0.0, 1.0), (-0.0, 1.0), (-0.5, 1.5)):
+            assert _holevo_spread(sharp, defect) == (math.inf, math.inf)
+        variance, delta_phi = _holevo_spread(0.5, 0.5)
+        assert variance == pytest.approx(3.0, rel=1e-15)
+        assert delta_phi == pytest.approx(math.sqrt(3.0), rel=1e-15)
 
 
 class TestLosslessReference:

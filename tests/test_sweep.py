@@ -19,8 +19,16 @@ from lossyphase import (
     optimal_amplitudes,
     sweep,
 )
-from lossyphase.povm import _holevo_spread, _loss_factors, _sharpness_kernel
-from lossyphase.sweep import _landmarks, _locate_n_opt, _locate_subshot_max, _scan, _sine_sharpness
+from lossyphase.core import _holevo_spread
+from lossyphase.povm import _loss_factors, _sharpness_kernel
+from lossyphase.sweep import (
+    _landmarks,
+    _locate_n_opt,
+    _locate_subshot_max,
+    _scan,
+    _sine_sharpness,
+    _sine_terms,
+)
 
 CURVE_COLUMNS = ("n", "delta_phi", "shot_noise", "heisenberg")
 ENGINE_N_MAX = 512
@@ -65,7 +73,7 @@ def engine_oracle(request):
 
 
 def engine_rows(losses, normalized):
-    return list(_scan(losses, 1, ENGINE_N_MAX, normalized))
+    return [np.asarray(row) for row in _scan(losses, 1, ENGINE_N_MAX, normalized)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -92,26 +100,25 @@ def engine_peak_bytes(count):
 class TestCurve:
     def test_lossless_monotone_and_analytic(self):
         result = curve(0.0, 1, 100)
-        assert np.all(np.diff(result.delta_phi) < 0)
+        assert np.all(np.diff(np.asarray(result.delta_phi)) < 0)
         assert result.n_opt is None
-        for n, delta_phi in zip(result.n.tolist(), result.delta_phi.tolist()):
+        for n, delta_phi in zip(result.n, result.delta_phi):
             assert delta_phi == pytest.approx(math.sqrt(lossless_reference(n)), rel=1e-9)
 
     def test_reference_columns(self):
         # heisenberg is math.tan per N; np.tan differs from it in the last bit at some N
         result = curve(0.2, 1, 4096)
-        ns = result.n.tolist()
-        assert result.shot_noise.tolist() == [1 / math.sqrt(n) for n in ns]
-        assert result.heisenberg.tolist() == [math.tan(math.pi / (n + 2)) for n in ns]
+        assert result.shot_noise == tuple(1 / math.sqrt(n) for n in result.n)
+        assert result.heisenberg == tuple(math.tan(math.pi / (n + 2)) for n in result.n)
 
     def test_one_point_per_n(self):
         result = curve(0.1, 5, 50)
-        assert result.n.tolist() == list(range(5, 51))
-        assert all(getattr(result, c).shape == (46,) for c in CURVE_COLUMNS)
+        assert result.n == tuple(range(5, 51))
+        assert all(len(getattr(result, c)) == 46 for c in CURVE_COLUMNS)
 
     def test_interior_minimum_then_divergence_at_high_loss(self):
         result = curve(0.3, 1, 200)
-        deltas = result.delta_phi
+        deltas = np.asarray(result.delta_phi)
         best = int(np.argmin(deltas))
         assert 0 < best < len(deltas) - 1
         assert np.all(np.diff(deltas[best:]) > 0)
@@ -120,12 +127,12 @@ class TestCurve:
     def test_never_beats_lossless_bound(self):
         for loss in (0.0, 1e-3, 0.1, 0.5):
             result = curve(loss, 1, 120)
-            assert np.all(result.delta_phi >= result.heisenberg - 1e-9)
+            assert np.all(np.asarray(result.delta_phi) >= np.asarray(result.heisenberg) - 1e-9)
 
     def test_deterministic(self):
         first, second = curve(0.17, 1, 60), curve(0.17, 1, 60)
         for column in CURVE_COLUMNS:
-            assert np.array_equal(getattr(first, column), getattr(second, column))
+            assert getattr(first, column) == getattr(second, column)
         assert (first.loss, first.n_opt, first.n_subshot_max) == (
             second.loss, second.n_opt, second.n_subshot_max)
 
@@ -133,14 +140,15 @@ class TestCurve:
         # bench/traced.py counts a curve's points through this view
         result = curve(2e-3, 3, 500)
         assert result.points == tuple(
-            CurvePoint(*row) for row in zip(*(getattr(result, c).tolist() for c in CURVE_COLUMNS))
+            CurvePoint(*row) for row in zip(*(getattr(result, c) for c in CURVE_COLUMNS))
         )
         assert all(type(p.n) is int and type(p.delta_phi) is float for p in result.points)
 
     def test_columns_are_read_only(self):
         result = curve(0.1, 1, 10)
         for column in CURVE_COLUMNS:
-            with pytest.raises(ValueError):
+            assert type(getattr(result, column)) is tuple
+            with pytest.raises(TypeError):
                 getattr(result, column)[0] = 0
 
     def test_rejects_bad_range(self):
@@ -200,8 +208,8 @@ class TestFindSubshotBound:
         # sub-shot noise from N = 7 on (tan(pi/(N+2)) exceeds 1/sqrt(N) below
         # that), and the region never closes, so no crossing is in range
         result = curve(0.0, 1, 100)
-        sub = result.n[result.delta_phi < result.shot_noise].tolist()
-        assert sub == list(range(7, 101))
+        n, delta_phi, shot_noise = map(np.asarray, (result.n, result.delta_phi, result.shot_noise))
+        assert n[delta_phi < shot_noise].tolist() == list(range(7, 101))
         assert result.n_subshot_max is None
 
     def test_small_loss_has_finite_bound(self):
@@ -217,24 +225,24 @@ class TestFindSubshotBound:
 
     def test_none_when_nothing_subshot(self):
         result = curve(0.3, 1, 500)
-        assert np.all(result.delta_phi >= result.shot_noise)
+        assert np.all(np.asarray(result.delta_phi) >= np.asarray(result.shot_noise))
         assert result.n_subshot_max is None
 
 
 class TestLandmarkSearch:
     def test_tie_goes_to_smaller_n(self):
-        deltas = np.array([0.9, 0.5, 0.7, 0.5, 0.8])
+        deltas = (0.9, 0.5, 0.7, 0.5, 0.8)
         assert _locate_n_opt(deltas, 1) == 2
 
     def test_subshot_stretch_starts_at_lowest_subshot_point(self):
         # the global minimum (N = 5) is above shot noise, so the stretch runs
         # right from N = 2, the lowest point below it, and ends at N = 3
-        deltas, shots = np.array([0.8, 0.4, 0.5, 0.6, 0.3]), np.array([0.9, 0.5, 0.6, 0.5, 0.2])
+        deltas, shots = (0.8, 0.4, 0.5, 0.6, 0.3), (0.9, 0.5, 0.6, 0.5, 0.2)
         assert _locate_n_opt(deltas, 1) is None
         assert _locate_subshot_max(deltas, shots, 1) == 3
 
     def test_subshot_stretch_reaching_scan_top_is_none(self):
-        deltas, shots = np.array([0.8, 0.4, 0.5]), np.array([0.9, 0.5, 0.6])
+        deltas, shots = (0.8, 0.4, 0.5), (0.9, 0.5, 0.6)
         assert _locate_subshot_max(deltas, shots, 1) is None
 
 
@@ -250,16 +258,15 @@ class TestScanEngine:
     def test_closed_form_matches_50_digit_reference(self, loss, normalized):
         # promises 14.7 digits of S, 1 - S and delta-phi; 1 - S stays
         # nonnegative down to the smallest subnormal loss
-        n = np.array(PRECISION_NS, dtype=float)
-        sharp, defect = _sine_sharpness(loss, n, normalized)
-        delta_phi = _holevo_spread(sharp, defect)[1]
-        assert np.all(defect >= 0.0)
+        pairs = _sine_sharpness(loss, _sine_terms(PRECISION_NS), normalized)
+        assert all(defect >= 0.0 for _, defect in pairs)
         with mpmath.workdps(50):
-            for i, count in enumerate(PRECISION_NS):
+            for count, (sharp, defect) in zip(PRECISION_NS, pairs):
+                delta_phi = _holevo_spread(sharp, defect)[1]
                 pair, mass = mp_sums(count, loss)
                 exact = pair / mass if normalized else pair
                 reference = (exact, 1 - exact, mpmath.sqrt((1 - exact) * (1 + exact)) / exact)
-                for value, ref in zip((sharp[i], defect[i], delta_phi[i]), reference):
+                for value, ref in zip((sharp, defect, delta_phi), reference):
                     assert abs(value - ref) / ref <= 2e-15, (count, value, ref)
 
     def test_landmarks_match_oracle(self, engine_oracle):
