@@ -1,9 +1,13 @@
 """Command-line front end: curve/nopt/dist data emission and self-validation.
 
-Each of ``run_curve``, ``run_nopt`` and ``run_dist`` checks its inputs before
-computing anything and hands its rows to ``_emit``, the one writer of every
-data file and plot script, as row slices: tuples of equal-length lists of
-plain values, one list per column. Every check runs before ``_emit`` opens
+Each of ``run_curve``, ``run_nopt`` and ``run_dist`` parses its arguments,
+calls the library, which checks every input and cap before computing
+anything, and hands the rows to ``_emit``, the one writer of every data file
+and plot script, as row slices: tuples of equal-length lists of plain values,
+one list per column. The command line checks only what the library does not
+see: the shapes of ``--n-range`` and ``--loss-grid``, the grid size, the
+``--phi-samples`` range, and ``--n-max`` (whose library message would name an
+``n_min`` that ``nopt`` never takes). Every check runs before ``_emit`` opens
 the data file; ``_emit`` streams the slices into the open file, so its memory
 does not grow with the file, and removes a partly written regular file if
 anything raises.
@@ -53,7 +57,7 @@ import stat
 import sys
 
 from . import sweep
-from .core import ORACLE_MAX_TWICE_SPIN, _check_cap, channel_from_loss
+from .core import channel_from_loss
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -98,12 +102,9 @@ def parse_n_range(text: str) -> tuple:
     if len(parts) != 2:
         raise ValueError(f"n-range must look like lo:hi, got {text!r}")
     try:
-        lo, hi = int(parts[0]), int(parts[1])
+        return int(parts[0]), int(parts[1])
     except ValueError:
         raise ValueError(f"n-range bounds must be integers, got {text!r}") from None
-    if lo < 1 or lo > hi:
-        raise ValueError(f"need 1 <= lo <= hi in n-range, got {text!r}")
-    return lo, hi
 
 
 def parse_loss_grid(text: str) -> list:
@@ -271,13 +272,12 @@ def _array_rows(*columns):
 
 
 def run_curve(args) -> int:
-    loss = channel_from_loss(args.loss).loss
     n_min, n_max = parse_n_range(args.n_range)
-    result = sweep.curve(loss, n_min, n_max, normalized=args.normalized)
+    result = sweep.curve(args.loss, n_min, n_max, normalized=args.normalized)
     columns = (result.n, result.delta_phi, result.shot_noise, result.heisenberg)
     slices = (tuple(column[start : start + ROW_SLICE] for column in columns)
               for start in range(0, len(result.n), ROW_SLICE))
-    config = {"normalized": args.normalized, "loss": loss, "n_range": f"{n_min}:{n_max}"}
+    config = {"normalized": args.normalized, "loss": result.loss, "n_range": f"{n_min}:{n_max}"}
     return _emit(args, config, CURVE_COLUMNS, slices, logscale=True, ylabel="delta_phi")
 
 
@@ -296,18 +296,15 @@ def run_dist(args) -> int:
     from .povm import distribution
     from .states import optimal_amplitudes
 
-    channel, n = channel_from_loss(args.loss), args.n
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    _check_cap(n)
+    channel = channel_from_loss(args.loss)
     if not MIN_PHI_SAMPLES <= args.phi_samples <= MAX_PHI_SAMPLES:
         raise ValueError(
             f"phi-samples must be in {MIN_PHI_SAMPLES}..{MAX_PHI_SAMPLES}, got {args.phi_samples}"
         )
-    dist = distribution(optimal_amplitudes(n), channel)
+    dist = distribution(optimal_amplitudes(args.n), channel)
     phi, p = dist.evaluate(args.phi_samples)
     slices = _array_rows(phi, p)
-    config = {"loss": channel.loss, "n": n, "phi_samples": args.phi_samples}
+    config = {"loss": channel.loss, "n": args.n, "phi_samples": args.phi_samples}
     return _emit(args, config, DIST_COLUMNS, slices, logscale=False, ylabel="P(phi)",
                  extra={"integral_p": dist.total_mass()})
 
@@ -317,17 +314,15 @@ def run_dist(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def run_validate(max_twice_j: int = 12) -> int:
+def run_validate() -> int:
     """Print the ``checks.CHECKS`` table, one row per check; exit 3 if a row fails."""
-    if not 0 <= max_twice_j <= ORACLE_MAX_TWICE_SPIN:
-        raise ValueError(f"max-2j must be in 0..{ORACLE_MAX_TWICE_SPIN}, got {max_twice_j}")
     from . import checks
 
     failure = None
     print(f"{'check':<40} {'max defect':>12} {'tolerance':>12} result")
     for check in checks.CHECKS:
         name, tol = check[:2]
-        defect, witness = checks.worst_defect(check, max_twice_j)
+        defect, witness = checks.worst_defect(check)
         ok = defect <= tol
         if not ok and failure is None:
             failure = f"{name} defect {defect:.3e} exceeds {tol:.3e} at {witness}"
@@ -353,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     curve_p = sub.add_parser("curve", help="delta-phi versus photon number at fixed loss")
     curve_p.add_argument("--loss", type=float, required=True)
-    curve_p.add_argument("--n-range", default="1:1000", metavar="LO:HI")
+    curve_p.add_argument("--n-range", default=f"1:{sweep.DEFAULT_MAX_PHOTONS}", metavar="LO:HI")
 
     nopt_p = sub.add_parser("nopt", help="optimal photon number over a loss grid")
     nopt_p.add_argument("--loss-grid", required=True, metavar="LO:HI:COUNT[:log]")
@@ -365,12 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     dist_p.add_argument("--n", type=int, required=True)
     dist_p.add_argument("--phi-samples", type=int, default=1024)
 
-    val_p = sub.add_parser("validate", help="run the oracle cross-check table")
-    val_p.add_argument(
-        "--max-2j", type=int, default=12, metavar="T",
-        help="largest photon number t of the lossy-ket row, "
-        f"0..{ORACLE_MAX_TWICE_SPIN} (default 12)",
-    )
+    sub.add_parser("validate", help="run the oracle cross-check table")
 
     for p in (curve_p, nopt_p, dist_p):
         p.add_argument("--out", default=None)
@@ -399,7 +389,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_loss_value(argv))
     try:
         if args.command == "validate":
-            return run_validate(max_twice_j=args.max_2j)
+            return run_validate()
         return {"curve": run_curve, "nopt": run_nopt, "dist": run_dist}[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -407,7 +397,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

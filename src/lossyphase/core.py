@@ -3,8 +3,8 @@
 These are the pieces the sine-state scan shares with the numpy layers. Since
 nothing here imports numpy, ``sweep`` and ``cli`` import only this module and
 the standard library, and a ``curve`` or ``nopt`` process never loads numpy.
-``states``, ``loss``, ``povm`` and ``oracle`` re-export what they used to
-define, so every name resolves to the same object from either place.
+``states`` and ``loss`` re-export the cap and the channel, so each name is the
+same object from either module.
 """
 
 from __future__ import annotations
@@ -15,10 +15,6 @@ from dataclasses import dataclass
 # Hard cap on the photon number accepted anywhere in the library. Beyond this
 # the dense numerics dominate cost long before the indexing does.
 MAX_PHOTON_NUMBER = 4096
-
-# Largest doubled spin 2j the matrix-exponential oracle takes, and with it
-# the largest photon number of `validate`'s lossy-ket row.
-ORACLE_MAX_TWICE_SPIN = 24
 
 
 def _check_cap(n_photons: int) -> None:

@@ -14,11 +14,13 @@ import math
 
 import numpy as np
 
-from .core import ORACLE_MAX_TWICE_SPIN
 from .loss import PureLossyState
 from .povm import TWO_PI, PhaseDistribution
 
 EXPLICIT_TRACE_MAX_PHOTONS = 12
+
+# largest doubled spin 2j the matrix-exponential oracle takes
+ORACLE_MAX_TWICE_SPIN = 24
 
 _EXP_SERIES_TERMS = 18
 _EXP_SCALE_LIMIT = 0.5

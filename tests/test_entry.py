@@ -59,7 +59,7 @@ STDLIB_JOBS = {
 # the jobs that still need the numpy layers
 NUMPY_JOBS = {
     "dist": ["dist", "--loss", "0.01", "--n", "16", "--phi-samples", "128"],
-    "validate": ["validate", "--max-2j", "4"],
+    "validate": ["validate"],
 }
 
 
