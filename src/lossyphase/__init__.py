@@ -17,13 +17,13 @@ __version__ = "0.1.0"
 
 # the public names of each submodule
 _SUBMODULE_NAMES = {
-    "loss": ("DENSITY_MATRIX_MAX_PHOTONS", "LossChannel", "PureLossyState", "ReducedDensity",
-             "channel_from_loss", "pure_lossy_state", "reduced_density"),
+    "core": ("MAX_PHOTON_NUMBER", "LossChannel", "channel_from_loss"),
+    "loss": ("DENSITY_MATRIX_MAX_PHOTONS", "PureLossyState", "ReducedDensity",
+             "pure_lossy_state", "reduced_density"),
     "povm": ("PhaseDistribution", "PhaseEstimate", "distribution", "distribution_from_density",
              "holevo", "lossless_reference", "phase_estimate", "sharpness_closed"),
-    "states": ("MAX_PHOTON_NUMBER", "AmplitudeVector", "optimal_amplitudes"),
-    "sweep": ("DEFAULT_MAX_PHOTONS", "CurvePoint", "SweepResult", "curve", "find_n_opt",
-              "find_subshot_bound", "nopt_vs_loss"),
+    "states": ("AmplitudeVector", "optimal_amplitudes"),
+    "sweep": ("DEFAULT_MAX_PHOTONS", "CurvePoint", "SweepResult", "curve", "nopt_vs_loss"),
 }
 _EXPORTS = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
 

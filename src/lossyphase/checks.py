@@ -16,7 +16,7 @@ import numpy as np
 
 from . import loss as loss_mod
 from . import oracle, povm
-from .core import MAX_PHOTON_NUMBER
+from .core import MAX_PHOTON_NUMBER, channel_from_loss
 from .states import AmplitudeVector, optimal_amplitudes
 
 
@@ -26,13 +26,13 @@ def _lossy_ket_defect(t: int, loss: float) -> float:
     theta = 2.0 * math.atan2(math.sqrt(loss), math.sqrt(1.0 - loss))
     expected = np.conj(oracle.bs_unitary(t, theta)[:, t])
     state = AmplitudeVector(np.eye(t + 1)[t])
-    branch = loss_mod.pure_lossy_state(state, loss_mod.channel_from_loss(loss)).coeffs[t]
+    branch = loss_mod.pure_lossy_state(state, channel_from_loss(loss)).coeffs[t]
     return float(np.max(np.abs(branch - expected)))
 
 
 def _partial_trace_defect(n: int, loss: float) -> float:
     """Largest entry of rho's blocks minus the explicit trace's, absent blocks as zeros."""
-    state, channel = optimal_amplitudes(n), loss_mod.channel_from_loss(loss)
+    state, channel = optimal_amplitudes(n), channel_from_loss(loss)
     rho = loss_mod.reduced_density(state, channel)
     explicit = oracle.trace_out_explicit(loss_mod.pure_lossy_state(state, channel))
     return max(float(np.max(np.abs(rho.block(ell) - explicit.get(ell, 0.0))))
@@ -40,20 +40,20 @@ def _partial_trace_defect(n: int, loss: float) -> float:
 
 
 def _dual_path_defect(n: int, loss: float) -> float:
-    state, channel = optimal_amplitudes(n), loss_mod.channel_from_loss(loss)
+    state, channel = optimal_amplitudes(n), channel_from_loss(loss)
     rho = loss_mod.reduced_density(state, channel)
     return abs(povm.phase_estimate(state, channel).sharpness
                - povm.distribution_from_density(rho).fourier_sharpness())
 
 
 def _quadrature_defect(n: int, loss: float) -> float:
-    state, channel = optimal_amplitudes(n), loss_mod.channel_from_loss(loss)
+    state, channel = optimal_amplitudes(n), channel_from_loss(loss)
     quad = oracle.quadrature_sharpness(povm.distribution(state, channel), 4096)
     return abs(quad - povm.phase_estimate(state, channel).sharpness)
 
 
 def _lossless_anchor_defect(n: int, loss: float) -> float:
-    channel = loss_mod.channel_from_loss(loss)
+    channel = channel_from_loss(loss)
     variance = povm.phase_estimate(optimal_amplitudes(n), channel).holevo_variance
     reference = povm.lossless_reference(n)
     return abs(variance - reference) / reference

@@ -5,12 +5,11 @@ calls the library, which checks every input and cap before computing
 anything, and hands the rows to ``_emit``, the one writer of every data file
 and plot script, as row slices: tuples of equal-length lists of plain values,
 one list per column. The command line checks only what the library does not
-see: the shapes of ``--n-range`` and ``--loss-grid``, the grid size, the
-``--phi-samples`` range, and ``--n-max`` (whose library message would name an
-``n_min`` that ``nopt`` never takes). Every check runs before ``_emit`` opens
-the data file; ``_emit`` streams the slices into the open file, so its memory
-does not grow with the file, and removes a partly written regular file if
-anything raises.
+see: the shapes of ``--n-range`` and ``--loss-grid``, the grid size and the
+``--phi-samples`` range. Every check runs before ``_emit`` opens the data
+file; ``_emit`` streams the slices into the open file, so its memory does not
+grow with the file, and removes a partly written regular file if anything
+raises.
 
 Data files are deterministic for a fixed configuration: stable row order,
 17-significant-digit decimals, no timestamps. A CSV file opens with
@@ -282,12 +281,8 @@ def run_curve(args) -> int:
 
 
 def run_nopt(args) -> int:
-    grid = parse_loss_grid(args.loss_grid)
-    if args.n_max < 1:
-        raise ValueError(f"n-max must be >= 1, got {args.n_max}")
-    # the scan engine, not nopt_vs_loss: a parsed grid may repeat a value
-    landmarks = sweep._landmarks(grid, args.n_max, args.normalized)
-    slices = [(grid, [n_opt for n_opt, _ in landmarks])]
+    pairs = sweep.nopt_vs_loss(parse_loss_grid(args.loss_grid), args.n_max, args.normalized)
+    slices = [tuple(map(list, zip(*pairs)))]
     config = {"normalized": args.normalized, "loss_grid": args.loss_grid, "n_max": args.n_max}
     return _emit(args, config, NOPT_COLUMNS, slices, logscale=True, ylabel="n_opt")
 

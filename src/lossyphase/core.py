@@ -3,8 +3,8 @@
 These are the pieces the sine-state scan shares with the numpy layers. Since
 nothing here imports numpy, ``sweep`` and ``cli`` import only this module and
 the standard library, and a ``curve`` or ``nopt`` process never loads numpy.
-``states`` and ``loss`` re-export the cap and the channel, so each name is the
-same object from either module.
+This is the one home of the cap and the channel: the package exports them from
+here, and the numpy layers import them from here.
 """
 
 from __future__ import annotations

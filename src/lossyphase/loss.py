@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LossChannel, channel_from_loss  # noqa: F401  (re-exported)
+from .core import LossChannel
 from .states import AmplitudeVector
 
 # The density path builds the (N+1)^2 loss column and is refused above this
@@ -129,9 +129,6 @@ class ReducedDensity:
     def blocks(self) -> Mapping:
         """Read-only map from each kept ell to its dense block, built only when read."""
         return _BlockView(self)
-
-    def lost_photon_counts(self) -> tuple:
-        return tuple(self.factors)
 
     def block(self, ell: int) -> np.ndarray:
         """Dense block for ell lost photons; zeros if that sector is absent."""

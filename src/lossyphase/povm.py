@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _holevo_spread
-from .loss import LossChannel, ReducedDensity
+from .core import LossChannel, _holevo_spread
+from .loss import ReducedDensity
 from .states import AmplitudeVector
 
 TWO_PI = 2.0 * math.pi

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_PHOTON_NUMBER, _check_cap  # noqa: F401  (re-exported)
+from .core import _check_cap
 
 # An amplitude vector whose squared norm strays further than this from 1 is
 # rejected outright; silently renormalizing would hide caller bugs.

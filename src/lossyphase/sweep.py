@@ -6,9 +6,9 @@ Python floats: no amplitudes, no sum over the photon split, and memory
 O(n_max) per loss whatever the length of a loss grid. The terms that do not
 depend on the loss (m, sin^2 a, sin(a/2), cos a) are computed once per scan
 and serve every loss of it. ``_scan`` yields delta-phi =
-sqrt((1-S)(1+S))/S one loss at a time and serves ``curve``, the landmark
-finders and ``nopt_vs_loss``. ``povm._sharpness_kernel`` sums the same S for
-any amplitudes and stays the reference the tests hold this form to.
+sqrt((1-S)(1+S))/S one loss at a time and serves the module's two entries,
+``curve`` and ``nopt_vs_loss``. ``povm._sharpness_kernel`` sums the same S
+for any amplitudes and stays the reference the tests hold this form to.
 ``curve`` returns its scan column by column, one tuple each for N, delta-phi
 and the two reference lines (``SweepResult``), so no object is built per
 point. The module imports no numpy: ``curve`` and ``nopt`` run on the
@@ -192,10 +192,6 @@ def _scan(losses, n_min: int, n_max: int, normalized: bool):
                      for sharp, defect in _sine_sharpness(loss, terms, normalized)])
 
 
-def _shot_noise(n_min: int, n_max: int) -> tuple:
-    return tuple([1.0 / math.sqrt(n) for n in range(n_min, n_max + 1)])
-
-
 def curve(
     loss: float,
     n_min: int = 1,
@@ -210,7 +206,7 @@ def curve(
     """
     delta_phi = next(_scan([loss], n_min, n_max, normalized))
     n = tuple(range(n_min, n_max + 1))
-    shot_noise = _shot_noise(n_min, n_max)
+    shot_noise = tuple([1.0 / math.sqrt(k) for k in n])
     return SweepResult(
         loss=float(loss),
         n=n,
@@ -243,33 +239,17 @@ def _locate_subshot_max(delta_phi, shot_noise, n_min: int) -> int | None:
     return None
 
 
-def _landmarks(losses, n_max: int, normalized: bool) -> list:
-    """(n_opt, n_subshot_max) of the scan N = 1..n_max at each loss, in the order given."""
-    shot_noise = _shot_noise(1, n_max)
-    return [
-        (_locate_n_opt(row, 1), _locate_subshot_max(row, shot_noise, 1))
-        for row in _scan(losses, 1, n_max, normalized)
-    ]
+def nopt_vs_loss(loss_grid, n_max: int = DEFAULT_MAX_PHOTONS, normalized: bool = False) -> list:
+    """(loss, n_opt) pairs over a non-descending grid of loss values, one per grid value.
 
-
-def find_n_opt(loss: float, n_max: int = DEFAULT_MAX_PHOTONS, normalized: bool = False) -> int | None:
-    """Photon number minimizing delta-phi, ties broken toward smaller N."""
-    return _landmarks([loss], n_max, normalized)[0][0]
-
-
-def find_subshot_bound(
-    loss: float,
-    n_max: int = DEFAULT_MAX_PHOTONS,
-    normalized: bool = False,
-) -> int | None:
-    """Largest N of the sub-shot-noise stretch around the curve's minimum."""
-    return _landmarks([loss], n_max, normalized)[0][1]
-
-
-def nopt_vs_loss(loss_grid, n_max: int = DEFAULT_MAX_PHOTONS, normalized: bool = False):
-    """(loss, n_opt) pairs over an ascending grid of loss values."""
+    A repeated value gets its row each time. ``n_opt`` is ``curve(loss, 1,
+    n_max, normalized).n_opt``; the sub-shot-noise edge is not located.
+    """
+    if n_max < 1:
+        raise ValueError(f"n-max must be >= 1, got {n_max}")
     grid = [float(x) for x in loss_grid]
     for a, b in zip(grid, grid[1:]):
-        if b <= a:
-            raise ValueError("loss grid must be strictly ascending")
-    return [(loss, n_opt) for loss, (n_opt, _) in zip(grid, _landmarks(grid, n_max, normalized))]
+        if b < a:
+            raise ValueError(f"loss grid must not descend, got {a!r} then {b!r}")
+    n_opts = [_locate_n_opt(row, 1) for row in _scan(grid, 1, n_max, normalized)]
+    return list(zip(grid, n_opts))

@@ -110,8 +110,8 @@ def test_criterion_4_density_matrix_physicality():
                 rho = reduced_density(state, ch)
                 assert abs(rho.trace() - 1.0) <= 1e-10
                 explicit = trace_out_explicit(pure_lossy_state(state, ch))
-                assert tuple(sorted(explicit)) == rho.lost_photon_counts()
-                for ell in rho.lost_photon_counts():
+                assert tuple(sorted(explicit)) == tuple(rho.factors)
+                for ell in rho.factors:
                     block = rho.block(ell)
                     assert np.max(np.abs(block - block.T)) <= 1e-12
                     assert np.linalg.eigvalsh(block)[0] >= -1e-10

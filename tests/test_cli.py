@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -28,6 +29,15 @@ GRID_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, data
 GRID_LOSSES = st.floats(0.0, 1.0, exclude_max=True)
 GRID_COUNTS = st.integers(1, cli.MAX_LOSS_GRID_POINTS)
 
+# each bad --n-range and the message that refuses it
+N_RANGE_ERRORS = {
+    "5": "n-range must look like lo:hi, got '5'",
+    "0:10": "need 1 <= n_min <= n_max, got 0:10",
+    "9:3": "need 1 <= n_min <= n_max, got 9:3",
+    "a:b": "n-range bounds must be integers, got 'a:b'",
+    "1:2:3": "n-range must look like lo:hi, got '1:2:3'",
+}
+
 
 def read_rows(path):
     comments, header, rows = [], None, []
@@ -46,10 +56,10 @@ class TestParsers:
         assert parse_n_range("1:500") == (1, 500)
         assert parse_n_range("7:7") == (7, 7)
 
-    @pytest.mark.parametrize("bad", ["5", "0:10", "9:3", "a:b", "1:2:3"])
+    @pytest.mark.parametrize("bad", N_RANGE_ERRORS)
     def test_n_range_rejects(self, bad):
         # the parser refuses the shape and the integers, the scan the range
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(N_RANGE_ERRORS[bad])):
             sweep.curve(0.1, *parse_n_range(bad))
 
     def test_loss_grid_linear(self):
@@ -200,14 +210,21 @@ class TestNOptCommand:
         out = tmp_path / "nopt.csv"
         assert main(["nopt", "--loss-grid", grid, "--n-max", "80", "--out", str(out)]) == 0
         _, _, rows = read_rows(out)
-        n_opt = sweep.find_n_opt(loss, 80)
+        n_opt = sweep.curve(loss, 1, 80).n_opt
         expected = [_fmt(loss), "none" if n_opt is None else str(n_opt)]
         assert rows == [expected] * len(parse_loss_grid(grid))
 
     @pytest.mark.parametrize("grid", ["0.1:0.1:3", "0:0:2"])
-    def test_library_grid_stays_strictly_ascending(self, grid):
-        with pytest.raises(ValueError, match="strictly ascending"):
-            sweep.nopt_vs_loss(parse_loss_grid(grid), 80)
+    def test_library_repeats_rows_of_repeated_values(self, grid):
+        pairs = sweep.nopt_vs_loss(parse_loss_grid(grid), 80)
+        assert len(pairs) == int(grid.split(":")[2])
+        assert len(set(pairs)) == 1
+
+    def test_rejects_n_max_below_one(self, tmp_path, capsys):
+        out = tmp_path / "nopt.csv"
+        assert main(["nopt", "--loss-grid", "0.1:0.2:3", "--n-max", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: n-max must be >= 1, got 0\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_header_records_n_max(self, tmp_path, fmt):

@@ -19,13 +19,13 @@ from lossyphase.__main__ import BLAS_THREAD_VARIABLES
 
 # the public names each submodule gave the package when it imported them eagerly
 SUBMODULE_NAMES = {
-    "loss": ("DENSITY_MATRIX_MAX_PHOTONS", "LossChannel", "PureLossyState", "ReducedDensity",
-             "channel_from_loss", "pure_lossy_state", "reduced_density"),
+    "core": ("MAX_PHOTON_NUMBER", "LossChannel", "channel_from_loss"),
+    "loss": ("DENSITY_MATRIX_MAX_PHOTONS", "PureLossyState", "ReducedDensity",
+             "pure_lossy_state", "reduced_density"),
     "povm": ("PhaseDistribution", "PhaseEstimate", "distribution", "distribution_from_density",
              "holevo", "lossless_reference", "phase_estimate", "sharpness_closed"),
-    "states": ("MAX_PHOTON_NUMBER", "AmplitudeVector", "optimal_amplitudes"),
-    "sweep": ("DEFAULT_MAX_PHOTONS", "CurvePoint", "SweepResult", "curve", "find_n_opt",
-              "find_subshot_bound", "nopt_vs_loss"),
+    "states": ("AmplitudeVector", "optimal_amplitudes"),
+    "sweep": ("DEFAULT_MAX_PHOTONS", "CurvePoint", "SweepResult", "curve", "nopt_vs_loss"),
 }
 
 # runs the entry on a small curve, then reports what the process looks like
@@ -77,7 +77,11 @@ def run_python(code, cwd, **env_vars):
 
 class TestLazyPackage:
     def test_import_loads_no_numpy(self, tmp_path):
-        code = "import json, sys, lossyphase; print(json.dumps('numpy' in sys.modules))"
+        # the cap and the channel live in core, so reading them loads no numpy either
+        code = ("import json, sys, lossyphase as lp\n"
+                "assert lp.channel_from_loss(0.1) == lp.LossChannel(0.1)\n"
+                "assert lp.MAX_PHOTON_NUMBER == 4096\n"
+                "print(json.dumps('numpy' in sys.modules))")
         assert run_python(code, tmp_path) is False
 
     def test_every_public_name_is_its_submodules(self):

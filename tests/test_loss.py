@@ -163,7 +163,7 @@ class TestReducedDensity:
     def test_lossless_is_rank_one_projector(self):
         state = optimal_amplitudes(4)
         rho = reduced_density(state, channel_from_loss(0.0))
-        assert rho.lost_photon_counts() == (0,)
+        assert tuple(rho.factors) == (0,)
         np.testing.assert_allclose(rho.block(0), np.outer(state.psi, state.psi), atol=1e-15)
         assert rho.purity() == pytest.approx(1.0, abs=1e-12)
 
@@ -181,7 +181,7 @@ class TestReducedDensity:
     @pytest.mark.parametrize("loss", LOSSES)
     def test_physicality(self, n, loss):
         rho = reduced_density(optimal_amplitudes(n), channel_from_loss(loss))
-        for ell in rho.lost_photon_counts():
+        for ell in rho.factors:
             block = rho.block(ell)
             assert np.max(np.abs(block - block.T)) <= 1e-12
             assert np.linalg.eigvalsh(block)[0] >= -1e-10
@@ -196,8 +196,8 @@ class TestReducedDensity:
     def test_block_shapes_follow_lost_count(self):
         n = 6
         rho = reduced_density(optimal_amplitudes(n), channel_from_loss(0.25))
-        assert rho.lost_photon_counts() == tuple(range(n + 1))
-        for ell in rho.lost_photon_counts():
+        assert tuple(rho.factors) == tuple(range(n + 1))
+        for ell in rho.factors:
             assert rho.factors[ell].shape == (n + 1 - ell,)
             assert rho.block(ell).shape == (n + 1 - ell, n + 1 - ell)
 
@@ -209,14 +209,14 @@ class TestReducedDensity:
         column = _loss_column(n, loss)
         for ell in range(n + 1):
             w = state.psi[ell:] * column[ell:, ell]
-            if ell in rho.lost_photon_counts():
+            if ell in rho.factors:
                 np.testing.assert_array_equal(rho.factors[ell], w)
                 np.testing.assert_array_equal(rho.block(ell), np.outer(w, w))
                 np.testing.assert_array_equal(rho.blocks[ell], np.outer(w, w))
             else:
                 assert not np.any(w)
                 np.testing.assert_array_equal(rho.block(ell), np.zeros((n + 1 - ell,) * 2))
-        assert set(rho.blocks) == set(rho.lost_photon_counts())
+        assert set(rho.blocks) == set(rho.factors)
         with pytest.raises(ValueError, match="outside"):
             rho.block(n + 1)
 

@@ -1,9 +1,8 @@
-"""Unit tests for the photon-number sweep and its landmark finders."""
+"""Unit tests for the photon-number sweep and its landmarks."""
 
 import functools
 import math
 import random
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -12,8 +11,6 @@ import pytest
 from lossyphase import (
     CurvePoint,
     curve,
-    find_n_opt,
-    find_subshot_bound,
     lossless_reference,
     nopt_vs_loss,
     optimal_amplitudes,
@@ -22,7 +19,6 @@ from lossyphase import (
 from lossyphase.core import _holevo_spread
 from lossyphase.povm import _loss_factors, _sharpness_kernel
 from lossyphase.sweep import (
-    _landmarks,
     _locate_n_opt,
     _locate_subshot_max,
     _scan,
@@ -87,14 +83,15 @@ def mp_sums(n, loss):
                 scale * mpmath.fsum(x * x for x in g))
 
 
-def engine_peak_bytes(count):
-    grid = [float(x) for x in np.logspace(-6, -0.1, count)]
-    tracemalloc.start()
-    try:
-        _landmarks(grid, 256, False)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def n_opt_at(loss, n_max):
+    """``n_opt`` of one loss through the grid entry."""
+    [(_, n_opt)] = nopt_vs_loss([loss], n_max)
+    return n_opt
+
+
+def curve_landmarks(losses, normalized):
+    """(n_opt, n_subshot_max) of ``curve`` at each loss, N = 1..ENGINE_N_MAX."""
+    return [(r.n_opt, r.n_subshot_max) for r in (curve(x, 1, ENGINE_N_MAX, normalized) for x in losses)]
 
 
 class TestCurve:
@@ -164,19 +161,19 @@ class TestCurve:
 
 class TestFindNOpt:
     def test_lossless_has_no_interior_optimum(self):
-        assert find_n_opt(0.0, 200) is None
+        assert n_opt_at(0.0, 200) is None
 
     def test_moderate_loss(self):
-        n_opt = find_n_opt(0.3, 200)
+        n_opt = n_opt_at(0.3, 200)
         assert n_opt is not None
-        assert find_n_opt(0.3, 200) == n_opt  # deterministic
+        assert n_opt_at(0.3, 200) == n_opt  # deterministic
 
     def test_ordering_between_small_and_moderate_loss(self):
-        assert find_n_opt(0.3, 500) < find_n_opt(1e-3, 500)
+        assert n_opt_at(0.3, 500) < n_opt_at(1e-3, 500)
 
     def test_boundary_reported_as_none(self):
         # at tiny loss the optimum sits beyond a short scan
-        assert find_n_opt(1e-4, 10) is None
+        assert n_opt_at(1e-4, 10) is None
 
 
 class TestNOptVsLoss:
@@ -199,8 +196,13 @@ class TestNOptVsLoss:
         assert all(a >= b for a, b in zip(opts, opts[1:]))
 
     def test_rejects_unsorted_grid(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="loss grid must not descend, got 0.3 then 0.1"):
             nopt_vs_loss([0.3, 0.1], 100)
+
+    @pytest.mark.parametrize("n_max", [0, -5])
+    def test_rejects_n_max_below_one(self, n_max):
+        with pytest.raises(ValueError, match=f"^n-max must be >= 1, got {n_max}$"):
+            nopt_vs_loss([0.1], n_max)
 
 
 class TestFindSubshotBound:
@@ -213,13 +215,13 @@ class TestFindSubshotBound:
         assert result.n_subshot_max is None
 
     def test_small_loss_has_finite_bound(self):
-        bound = find_subshot_bound(1e-3, 500)
+        bound = curve(1e-3, 1, 500).n_subshot_max
         assert bound is not None
         assert 1 < bound < 500
 
     def test_bound_grows_as_loss_shrinks(self):
-        low = find_subshot_bound(5e-4, 500)
-        high = find_subshot_bound(2e-3, 500)
+        low = curve(5e-4, 1, 500).n_subshot_max
+        high = curve(2e-3, 1, 500).n_subshot_max
         assert low is not None and high is not None
         assert low >= high
 
@@ -272,7 +274,10 @@ class TestScanEngine:
     def test_landmarks_match_oracle(self, engine_oracle):
         normalized, oracle = engine_oracle
         expected = [oracle_landmarks(oracle[loss]) for loss in ENGINE_LOSSES]
-        assert _landmarks(ENGINE_LOSSES, ENGINE_N_MAX, normalized) == expected
+        assert nopt_vs_loss(ENGINE_LOSSES, ENGINE_N_MAX, normalized) == [
+            (loss, n_opt) for loss, (n_opt, _) in zip(ENGINE_LOSSES, expected)
+        ]
+        assert curve_landmarks(ENGINE_LOSSES, normalized) == expected
 
     def test_shuffled_grid_rows_match_single_loss(self, engine_oracle):
         # a loss gets bitwise the row it gets on its own, wherever it sits in a grid
@@ -281,26 +286,22 @@ class TestScanEngine:
         random.Random(5).shuffle(grid)
         for loss, row in zip(grid, engine_rows(grid, normalized)):
             assert np.array_equal(row, engine_rows([loss], normalized)[0]), loss
-        expected = [oracle_landmarks(oracle[loss]) for loss in grid]
-        assert _landmarks(grid, ENGINE_N_MAX, normalized) == expected
+        # a grid that repeats values, as a parsed grid may, gets the oracle's
+        # n_opt on every row
+        repeated = sorted(grid + grid[:20])
+        assert nopt_vs_loss(repeated, ENGINE_N_MAX, normalized) == [
+            (loss, oracle_landmarks(oracle[loss])[0]) for loss in repeated
+        ]
 
     def test_public_finders_match_oracle(self, engine_oracle):
         normalized, oracle = engine_oracle
         for loss in (1e-5, 2e-3, 0.3):
             n_opt, n_subshot_max = oracle_landmarks(oracle_curve(loss, ENGINE_N_MAX, normalized))
-            assert find_n_opt(loss, ENGINE_N_MAX, normalized) == n_opt
-            assert find_subshot_bound(loss, ENGINE_N_MAX, normalized) == n_subshot_max
             result = curve(loss, 1, ENGINE_N_MAX, normalized)
             assert (result.n_opt, result.n_subshot_max) == (n_opt, n_subshot_max)
         assert nopt_vs_loss(ENGINE_LOSSES, ENGINE_N_MAX, normalized) == [
             (loss, oracle_landmarks(oracle[loss])[0]) for loss in ENGINE_LOSSES
         ]
-
-    def test_memory_does_not_grow_with_grid_count(self):
-        # 50 times the losses: a whole-grid array would need about 50 times the
-        # memory, one loss at a time it stays at one row's share
-        few, many = engine_peak_bytes(8), engine_peak_bytes(400)
-        assert many < 12 * few
 
     @pytest.mark.parametrize("normalized,n_opt", [(False, 1), (True, None)])
     def test_losses_near_one_without_warning(self, normalized, n_opt):
@@ -311,7 +312,8 @@ class TestScanEngine:
         grid = [0.999999, 1 - 2.0**-53]
         rows = engine_rows(grid, normalized)
         assert all(np.all(np.isfinite(row)) and row.min() > 100.0 for row in rows)
-        assert _landmarks(grid, ENGINE_N_MAX, normalized) == [(n_opt, None)] * 2
+        assert nopt_vs_loss(grid, ENGINE_N_MAX, normalized) == [(loss, n_opt) for loss in grid]
+        assert curve_landmarks(grid, normalized) == [(n_opt, None)] * 2
 
     def test_checks_every_loss_before_any_point(self, monkeypatch):
         def no_point(*_):
@@ -319,4 +321,4 @@ class TestScanEngine:
 
         monkeypatch.setattr(sweep, "_sine_sharpness", no_point)
         with pytest.raises(ValueError, match="loss must be < 1"):
-            _landmarks([0.1] * 100 + [1.0], 10, False)
+            nopt_vs_loss([0.1] * 100 + [1.0], 10)
