@@ -10,7 +10,7 @@ here, and the numpy layers import them from here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Hard cap on the photon number accepted anywhere in the library. Beyond this
 # the dense numerics dominate cost long before the indexing does.
@@ -24,11 +24,15 @@ def _check_cap(n_photons: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class LossChannel:
-    """Fraction L of the phase-arm photons that the splitter scatters."""
+class LossChannel(namedtuple("LossChannel", "loss")):
+    """Fraction L (a float) of the phase-arm photons that the splitter scatters.
 
-    loss: float
+    A named tuple, not a dataclass: ``collections`` is loaded with ``re``
+    anyway, while ``dataclasses`` would load ``inspect``, ``ast`` and ``dis``
+    into every ``curve`` and ``nopt`` process.
+    """
+
+    __slots__ = ()
 
 
 def channel_from_loss(loss: float) -> LossChannel:

@@ -2,12 +2,13 @@
 
 Every curve point is the sharpness S and its defect 1 - S of the sine state
 in closed form, a few dozen floating-point operations with ``math`` over
-Python floats: no amplitudes, no sum over the photon split, and memory
-O(n_max) per loss whatever the length of a loss grid. The terms that do not
-depend on the loss (m, sin^2 a, sin(a/2), cos a) are computed once per scan
-and serve every loss of it. ``_scan`` yields delta-phi =
-sqrt((1-S)(1+S))/S one loss at a time and serves the module's two entries,
-``curve`` and ``nopt_vs_loss``. ``povm._sharpness_kernel`` sums the same S
+Python floats: no amplitudes, no sum over the photon split. ``curve``
+evaluates delta-phi = sqrt((1-S)(1+S))/S at every N of its range, in memory
+O(n_max); ``nopt_vs_loss`` reads only the about 2 log2(n_max) points per
+loss that its bisection for ``n_opt`` needs (below), and computes the terms
+that do not depend on the loss (m, sin^2 a, sin(a/2), cos a) once per N for
+its whole grid. ``_sine_sharpness`` treats every point on its own, so a
+point has the same bits either way. ``povm._sharpness_kernel`` sums the same S
 for any amplitudes and stays the reference the tests hold this form to.
 ``curve`` returns its scan column by column, one tuple each for N, delta-phi
 and the two reference lines (``SweepResult``), so no object is built per
@@ -30,14 +31,24 @@ Raw, 1 - S = (1 - M) + (M - S), a sum of nonnegative parts. Normalized, R/D
 cancels: S/M = 2 sqrt(q) cos(a) / (1 + q) and 1 - S/M = (M - S)/M. Every
 quantity keeps about 15 digits (within 2e-15 of 50-digit mpmath); see
 ``_sine_sharpness`` for 1 - M. The results are deterministic for identical
-inputs, and a loss gets the same row on its own as in any grid.
+inputs.
+
+The bisection returns the first N with delta-phi(N) <= delta-phi(N + 1),
+which is the scan's first minimum (None at n_max) whenever the row falls
+strictly and then never falls again. Normalized, S/M = 2 sqrt(q) cos(pi/m) /
+(2 - L) rises strictly with m, so delta-phi = sqrt(1 - (S/M)^2)/(S/M) falls
+strictly and ``n_opt`` is None at every loss, short of ties between
+neighbouring floats. Raw, delta-phi^2 ~ pi^2/m^2 + L N to first order in L,
+which has a single minimum, but that the closed form turns exactly once is
+not derived: it rests on the tests that hold the bisection to the full scan
+over hypothesis-drawn losses in [0, 1), n_max up to 4096 and both variants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+import operator
+from collections import namedtuple
 
 from .core import _check_cap, _holevo_spread, channel_from_loss
 
@@ -48,17 +59,12 @@ DEFAULT_MAX_PHOTONS = 1000
 _PHI_SERIES = tuple(1.0 / math.factorial(k + 2) for k in range(17))
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """One photon number with its phase uncertainty and the two reference lines."""
+class CurvePoint(namedtuple("CurvePoint", "n delta_phi shot_noise heisenberg")):
+    """One photon number (an int) with its phase uncertainty and the two reference lines."""
 
-    n: int
-    delta_phi: float
-    shot_noise: float
-    heisenberg: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class SweepResult:
     """A scanned curve, column by column, plus the located optimum and sub-shot-noise edge.
 
@@ -67,25 +73,36 @@ class SweepResult:
     ``np.asarray`` turns any of them into an array. ``n_opt`` and
     ``n_subshot_max`` are None when the feature is not pinned down inside the
     scanned range (minimum still falling at the top of the scan, or no
-    sub-shot-noise point at all).
+    sub-shot-noise point at all). The attributes are read-only.
     """
 
-    loss: float
-    n: tuple
-    delta_phi: tuple
-    shot_noise: tuple
-    heisenberg: tuple
-    n_opt: int | None
-    n_subshot_max: int | None
+    __slots__ = ("loss", "n", "delta_phi", "shot_noise", "heisenberg", "n_opt", "n_subshot_max",
+                 "_points")
 
-    @cached_property
+    def __init__(self, loss, n, delta_phi, shot_noise, heisenberg, n_opt, n_subshot_max):
+        values = (loss, n, delta_phi, shot_noise, heisenberg, n_opt, n_subshot_max, None)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to {name!r}: a SweepResult is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return SweepResult, tuple(getattr(self, name) for name in self.__slots__[:-1])
+
+    @property
     def points(self) -> tuple:
         """The columns as one ``CurvePoint`` per photon number, built on first read.
 
         Nothing in the package reads it; the benchmark's traced run counts a
         curve's points through it.
         """
-        return tuple(map(CurvePoint, self.n, self.delta_phi, self.shot_noise, self.heisenberg))
+        if self._points is None:
+            object.__setattr__(self, "_points", tuple(
+                map(CurvePoint, self.n, self.delta_phi, self.shot_noise, self.heisenberg)))
+        return self._points
 
 
 def _phi_over_square(x: float, lost: float) -> float:
@@ -176,22 +193,6 @@ def _sine_sharpness(loss: float, terms: list, normalized: bool) -> list:
     return pairs
 
 
-def _scan(losses, n_min: int, n_max: int, normalized: bool):
-    """Delta-phi over N = n_min..n_max at each loss, one tuple per loss in the order given.
-
-    Divergent points are explicit infinities. The range, the photon-number
-    cap and every loss are checked before any point.
-    """
-    if n_min < 1 or n_min > n_max:
-        raise ValueError(f"need 1 <= n_min <= n_max, got {n_min}:{n_max}")
-    _check_cap(n_max)
-    losses = [channel_from_loss(x).loss for x in losses]
-    terms = _sine_terms(range(n_min, n_max + 1))
-    for loss in losses:
-        yield tuple([_holevo_spread(sharp, defect)[1]
-                     for sharp, defect in _sine_sharpness(loss, terms, normalized)])
-
-
 def curve(
     loss: float,
     n_min: int = 1,
@@ -201,14 +202,20 @@ def curve(
     """Scan delta-phi over every integer photon number in [n_min, n_max].
 
     Divergent points are carried through as explicit infinities; no photon
-    number is ever dropped from the scan. The result holds one tuple per
-    column; ``heisenberg`` is ``math.tan(pi/(N+2))`` of each N.
+    number is ever dropped from the scan. The range, the photon-number cap
+    and the loss are checked before any point. The result holds one tuple
+    per column; ``heisenberg`` is ``math.tan(pi/(N+2))`` of each N.
     """
-    delta_phi = next(_scan([loss], n_min, n_max, normalized))
+    if n_min < 1 or n_min > n_max:
+        raise ValueError(f"need 1 <= n_min <= n_max, got {n_min}:{n_max}")
+    _check_cap(n_max)
+    loss = channel_from_loss(loss).loss
     n = tuple(range(n_min, n_max + 1))
+    delta_phi = tuple([_holevo_spread(sharp, defect)[1]
+                       for sharp, defect in _sine_sharpness(loss, _sine_terms(n), normalized)])
     shot_noise = tuple([1.0 / math.sqrt(k) for k in n])
     return SweepResult(
-        loss=float(loss),
+        loss=loss,
         n=n,
         delta_phi=delta_phi,
         shot_noise=shot_noise,
@@ -239,17 +246,62 @@ def _locate_subshot_max(delta_phi, shot_noise, n_min: int) -> int | None:
     return None
 
 
+def _bisect_n_opt(delta_phi, n_max: int) -> int | None:
+    """The first k in 1..n_max-1 with delta_phi(k) <= delta_phi(k+1), found by bisection; else None.
+
+    ``delta_phi`` maps N to the curve's delta-phi and is read at about
+    2 log2(n_max) photon numbers. On a row that falls strictly and then never
+    falls again the test is false below the first of the equal minima and true
+    from it on, so this is ``_locate_n_opt`` of the full row from N = 1: ties
+    go to the smaller N, and a minimum at n_max gives None.
+    """
+    lo, hi = 1, n_max
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if delta_phi(mid) <= delta_phi(mid + 1):
+            hi = mid
+        else:
+            lo = mid + 1
+    return None if lo == n_max else lo
+
+
+def _n_opt(loss: float, n_max: int, normalized: bool, terms: dict) -> int | None:
+    """``n_opt`` of one loss by ``_bisect_n_opt``, each point it reads computed once.
+
+    ``terms`` holds the ``_sine_terms`` of each N read so far and serves every
+    loss. ``_sine_sharpness`` treats each point on its own, so a point is
+    bitwise the one the full scan gives.
+    """
+    row = {}
+
+    def delta_phi(n: int) -> float:
+        if n not in row:
+            if n not in terms:
+                terms[n] = _sine_terms([n])
+            [(sharp, defect)] = _sine_sharpness(loss, terms[n], normalized)
+            row[n] = _holevo_spread(sharp, defect)[1]
+        return row[n]
+
+    return _bisect_n_opt(delta_phi, n_max)
+
+
 def nopt_vs_loss(loss_grid, n_max: int = DEFAULT_MAX_PHOTONS, normalized: bool = False) -> list:
     """(loss, n_opt) pairs over a non-descending grid of loss values, one per grid value.
 
     A repeated value gets its row each time. ``n_opt`` is ``curve(loss, 1,
-    n_max, normalized).n_opt``; the sub-shot-noise edge is not located.
+    n_max, normalized).n_opt``, located by bisection (the module docstring
+    says when the two agree); the sub-shot-noise edge is not located.
+    ``n_max`` must be an integer; the photon-number cap and every loss are
+    checked before any point.
     """
+    n_max = operator.index(n_max)
     if n_max < 1:
         raise ValueError(f"n-max must be >= 1, got {n_max}")
     grid = [float(x) for x in loss_grid]
     for a, b in zip(grid, grid[1:]):
         if b < a:
             raise ValueError(f"loss grid must not descend, got {a!r} then {b!r}")
-    n_opts = [_locate_n_opt(row, 1) for row in _scan(grid, 1, n_max, normalized)]
-    return list(zip(grid, n_opts))
+    _check_cap(n_max)
+    losses = [channel_from_loss(x).loss for x in grid]
+    terms = {}
+    return [(loss, _n_opt(loss, n_max, normalized, terms)) for loss in losses]

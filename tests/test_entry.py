@@ -1,13 +1,15 @@
 """The package imports lazily, the command-line entry runs with one BLAS thread,
-and ``curve`` and ``nopt`` run without numpy.
+and ``curve`` and ``nopt`` run without numpy or ``dataclasses``.
 
 The checks that depend on process start run in fresh interpreters: the test
 process imported numpy long ago.
 """
 
+import copy
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -38,12 +40,16 @@ AFTER_ENTRY = (
 )
 
 
-# runs the entry on argv %r, then reports whether numpy was ever imported
-ENTRY_THEN_NUMPY = (
+# the modules a standard-library job never loads: numpy, and dataclasses with
+# the inspect module it pulls in
+HEAVY_MODULES = ("numpy", "dataclasses", "inspect")
+
+# runs the entry on argv %r, then reports which of HEAVY_MODULES were ever imported
+ENTRY_THEN_MODULES = (
     "import json, sys\n"
     "from lossyphase.__main__ import main\n"
     "assert main(%r) == 0\n"
-    "print(json.dumps('numpy' in sys.modules))\n"
+    "print(json.dumps([m for m in %r if m in sys.modules]))\n"
 )
 
 # every job that must run on the standard library alone
@@ -81,8 +87,8 @@ class TestLazyPackage:
         code = ("import json, sys, lossyphase as lp\n"
                 "assert lp.channel_from_loss(0.1) == lp.LossChannel(0.1)\n"
                 "assert lp.MAX_PHOTON_NUMBER == 4096\n"
-                "print(json.dumps('numpy' in sys.modules))")
-        assert run_python(code, tmp_path) is False
+                f"print(json.dumps([m for m in {HEAVY_MODULES!r} if m in sys.modules]))")
+        assert run_python(code, tmp_path) == []
 
     def test_every_public_name_is_its_submodules(self):
         assert sorted(lossyphase.__all__) == sorted(n for names in SUBMODULE_NAMES.values() for n in names)
@@ -122,14 +128,54 @@ class TestEntryDefault:
 class TestStandardLibraryJobs:
     @pytest.mark.parametrize("argv", STDLIB_JOBS.values(), ids=STDLIB_JOBS.keys())
     def test_job_loads_no_numpy(self, tmp_path, argv):
-        assert run_python(ENTRY_THEN_NUMPY % (argv,), tmp_path) is False
+        assert run_python(ENTRY_THEN_MODULES % (argv, HEAVY_MODULES), tmp_path) == []
 
     @pytest.mark.parametrize("module", ["lossyphase.sweep", "lossyphase.cli"])
     def test_import_loads_no_numpy(self, tmp_path, module):
-        code = f"import json, sys, {module}; print(json.dumps('numpy' in sys.modules))"
-        assert run_python(code, tmp_path) is False
+        code = f"import json, sys, {module}; print(json.dumps([m for m in {HEAVY_MODULES!r} if m in sys.modules]))"
+        assert run_python(code, tmp_path) == []
 
     @pytest.mark.parametrize("argv", NUMPY_JOBS.values(), ids=NUMPY_JOBS.keys())
     def test_numpy_jobs_still_run(self, tmp_path, argv):
         # the child asserts that main returned 0 and reports numpy as loaded
-        assert run_python(ENTRY_THEN_NUMPY % (argv,), tmp_path) is True
+        assert "numpy" in run_python(ENTRY_THEN_MODULES % (argv, HEAVY_MODULES), tmp_path)
+
+
+class TestValueTypes:
+    """The standard-library value types keep what their dataclasses gave."""
+
+    def test_loss_channel_is_a_value(self):
+        channel = lossyphase.channel_from_loss(0.1)
+        assert channel == lossyphase.LossChannel(0.1) == lossyphase.LossChannel(loss=0.1)
+        assert channel != lossyphase.LossChannel(0.2)
+        assert hash(channel) == hash(lossyphase.LossChannel(0.1))
+        assert len({channel, lossyphase.LossChannel(0.1)}) == 1
+        duplicate = copy.copy(channel)
+        assert duplicate == channel and type(duplicate) is lossyphase.LossChannel
+        assert repr(channel) == "LossChannel(loss=0.1)"
+
+    def test_loss_channel_is_read_only(self):
+        channel = lossyphase.LossChannel(0.1)
+        with pytest.raises(AttributeError):
+            channel.loss = 0.2
+        with pytest.raises(AttributeError):
+            channel.other = 0.2
+        assert channel.loss == 0.1
+
+    def test_sweep_result_is_read_only_and_keeps_its_points(self):
+        result = lossyphase.curve(0.1, 1, 10)
+        for name in ("loss", "n", "delta_phi", "n_opt", "points"):
+            with pytest.raises(AttributeError):
+                setattr(result, name, None)
+            with pytest.raises(AttributeError):
+                delattr(result, name)
+        assert result.points is result.points
+        assert result.loss == 0.1 and result.n == tuple(range(1, 11))
+
+    def test_sweep_result_copies(self):
+        result = lossyphase.curve(0.1, 1, 10)
+        for duplicate in (copy.copy(result), pickle.loads(pickle.dumps(result))):
+            assert type(duplicate) is lossyphase.SweepResult
+            assert duplicate.points == result.points
+            assert (duplicate.loss, duplicate.n_opt, duplicate.n_subshot_max) == (
+                result.loss, result.n_opt, result.n_subshot_max)

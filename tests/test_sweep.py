@@ -3,10 +3,13 @@
 import functools
 import math
 import random
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lossyphase import (
     CurvePoint,
@@ -19,9 +22,9 @@ from lossyphase import (
 from lossyphase.core import _holevo_spread
 from lossyphase.povm import _loss_factors, _sharpness_kernel
 from lossyphase.sweep import (
+    _bisect_n_opt,
     _locate_n_opt,
     _locate_subshot_max,
-    _scan,
     _sine_sharpness,
     _sine_terms,
 )
@@ -36,6 +39,14 @@ ENGINE_LOSSES = [0.0] + [float(x) for x in np.logspace(-7, math.log10(0.9), 64)]
 ORACLE_ULPS = 8
 PRECISION_NS = (1, 2, 3, 10, 100, 1000, 2000, 4096)
 PRECISION_LOSSES = (0.0, 5e-324, 1e-300, 1e-12, 1e-8, 1e-5, 1e-3, 0.168, 0.5, 0.999, 0.999999)
+BISECTION_N_MAX = (1, 2, 3, 17, 64, 300, 1000, 4096)
+BISECTION_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# uniform over [0, 1) and log-uniform over [1e-12, 1), so that small losses,
+# where n_opt moves fastest, are drawn as often as large ones
+UNIT_LOSSES = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(-12.0, 0.0).map(lambda e: 10.0**e).filter(lambda x: x < 1.0),
+)
 
 
 def oracle_curve(loss, n_max, normalized):
@@ -69,7 +80,7 @@ def engine_oracle(request):
 
 
 def engine_rows(losses, normalized):
-    return [np.asarray(row) for row in _scan(losses, 1, ENGINE_N_MAX, normalized)]
+    return [np.asarray(curve(loss, 1, ENGINE_N_MAX, normalized).delta_phi) for loss in losses]
 
 
 @functools.lru_cache(maxsize=None)
@@ -204,6 +215,63 @@ class TestNOptVsLoss:
         with pytest.raises(ValueError, match=f"^n-max must be >= 1, got {n_max}$"):
             nopt_vs_loss([0.1], n_max)
 
+    @pytest.mark.parametrize("n_max", [10.5, 10.0])
+    def test_rejects_non_integer_n_max(self, n_max):
+        # a float photon number never reaches the bisection, whose midpoints
+        # would then be floats too
+        with pytest.raises(TypeError):
+            nopt_vs_loss([0.3], n_max)
+
+    def test_accepts_integer_types(self):
+        assert nopt_vs_loss([0.3], np.int64(10)) == nopt_vs_loss([0.3], 10) == [(0.3, 2)]
+
+
+class TestBisection:
+    @BISECTION_PROPERTY
+    @given(losses=st.lists(UNIT_LOSSES, min_size=1, max_size=6),
+           n_max=st.sampled_from(BISECTION_N_MAX), normalized=st.booleans())
+    @example(losses=[0.0, 5e-324, 1 - 2.0**-53], n_max=4096, normalized=False)
+    @example(losses=[0.0, 5e-324, 1 - 2.0**-53], n_max=4096, normalized=True)
+    def test_matches_full_scan(self, losses, n_max, normalized):
+        # every point the bisection reads is bitwise the full scan's at that N,
+        # and it lands on the scan's n_opt
+        losses.sort()
+        reads = []
+
+        def recording(delta_phi, top):
+            seen = {}
+            reads.append(seen)
+
+            def read(n):
+                seen[n] = delta_phi(n)
+                return seen[n]
+
+            return _bisect_n_opt(read, top)
+
+        with mock.patch.object(sweep, "_bisect_n_opt", recording):
+            pairs = nopt_vs_loss(losses, n_max, normalized)
+        assert [loss for loss, _ in pairs] == losses
+        for (loss, n_opt), seen in zip(pairs, reads):
+            row = curve(loss, 1, n_max, normalized).delta_phi
+            assert n_opt == _locate_n_opt(row, 1), loss
+            assert {n: value.hex() for n, value in seen.items()} == {n: row[n - 1].hex() for n in seen}
+
+    @pytest.mark.parametrize("row,n_opt", [
+        ((0.9, 0.5, 0.5, 0.7), 2),  # a tie at the minimum goes to the smaller N
+        ((0.9, 0.6, 0.4, 0.4, 0.4, 0.8), 3),
+        ((0.9, 0.8, 0.7, 0.75), 3),  # the minimum at n_max - 1
+        ((0.9, 0.8, 0.7), None),  # still falling at n_max
+        ((0.9, 0.8, 0.7, 0.7), 3),  # a tie at n_max is a minimum below it
+        ((0.5,), None),
+        ((0.5, 0.4), None),
+        ((0.4, 0.5), 1),
+        ((0.5, 0.5), 1),
+        ((0.5, math.inf, math.inf), 1),
+    ])
+    def test_hand_built_rows(self, row, n_opt):
+        assert _locate_n_opt(row, 1) == n_opt
+        assert _bisect_n_opt(lambda n: row[n - 1], len(row)) == n_opt
+
 
 class TestFindSubshotBound:
     def test_lossless_region_reaches_scan_top(self):
@@ -280,18 +348,16 @@ class TestScanEngine:
         assert curve_landmarks(ENGINE_LOSSES, normalized) == expected
 
     def test_shuffled_grid_rows_match_single_loss(self, engine_oracle):
-        # a loss gets bitwise the row it gets on its own, wherever it sits in a grid
+        # nopt_vs_loss shares the loss-independent terms across its grid, yet a
+        # loss gets the n_opt it gets on its own; a grid that repeats values,
+        # as a parsed grid may, gets the oracle's n_opt on every row
         normalized, oracle = engine_oracle
         grid = list(ENGINE_LOSSES)
         random.Random(5).shuffle(grid)
-        for loss, row in zip(grid, engine_rows(grid, normalized)):
-            assert np.array_equal(row, engine_rows([loss], normalized)[0]), loss
-        # a grid that repeats values, as a parsed grid may, gets the oracle's
-        # n_opt on every row
         repeated = sorted(grid + grid[:20])
-        assert nopt_vs_loss(repeated, ENGINE_N_MAX, normalized) == [
-            (loss, oracle_landmarks(oracle[loss])[0]) for loss in repeated
-        ]
+        expected = [(loss, oracle_landmarks(oracle[loss])[0]) for loss in repeated]
+        assert nopt_vs_loss(repeated, ENGINE_N_MAX, normalized) == expected
+        assert [pair for loss in repeated for pair in nopt_vs_loss([loss], ENGINE_N_MAX, normalized)] == expected
 
     def test_public_finders_match_oracle(self, engine_oracle):
         normalized, oracle = engine_oracle
