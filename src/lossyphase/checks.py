@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import loss as loss_mod
-from . import oracle, povm
+from . import oracle, povm, sweep
 from .core import MAX_PHOTON_NUMBER, channel_from_loss
 from .states import AmplitudeVector, optimal_amplitudes
 
@@ -52,6 +52,14 @@ def _quadrature_defect(n: int, loss: float) -> float:
     return abs(quad - povm.phase_estimate(state, channel).sharpness)
 
 
+def _phase_density_defect(n: int, loss: float) -> float:
+    """Largest gap of ``dist``'s closed-form P to the FFT on the grid S = 4(N+1), over the peak."""
+    samples = 4 * (n + 1)
+    closed = np.frombuffer(sweep.sine_density(loss, n, samples, samples))
+    fft = povm.distribution(optimal_amplitudes(n), channel_from_loss(loss)).evaluate(samples)[1]
+    return float(np.abs(closed - fft).max() / fft.max())
+
+
 def _lossless_anchor_defect(n: int, loss: float) -> float:
     channel = channel_from_loss(loss)
     variance = povm.phase_estimate(optimal_amplitudes(n), channel).holevo_variance
@@ -61,16 +69,19 @@ def _lossless_anchor_defect(n: int, loss: float) -> float:
 
 # one row per cross-check: (name, tolerance, defect(n, loss), photon numbers,
 # losses); every grid is fixed, so validate and the tests run the same cases.
-# "closed" in a name is the production sharpness, ``povm.phase_estimate``'s.
+# "kernel" in a name is ``povm.phase_estimate``'s sharpness; "closed form" is
+# the P(phi) that ``dist`` writes, ``sweep.sine_density``'s.
 CHECKS = (
     ("lossy ket vs matrix exponential, signed", 1e-14, _lossy_ket_defect,
      range(13), (0.0, 1e-8, 0.1, 0.3, 0.5, 0.9)),
     ("partial trace, blocks vs explicit", 1e-15, _partial_trace_defect,
      range(1, 9), (0.1, 0.3, 0.5)),
-    ("sharpness, closed vs density path", 1e-15, _dual_path_defect,
+    ("sharpness, kernel vs density path", 1e-15, _dual_path_defect,
      range(1, 13), (0.0, 0.1, 0.3, 0.5)),
-    ("sharpness, closed vs quadrature", 1e-14, _quadrature_defect,
+    ("sharpness, kernel vs quadrature", 1e-14, _quadrature_defect,
      range(1, 13), (0.0, 0.1, 0.3, 0.5)),
+    ("P(phi), closed form vs FFT (of peak)", 2e-15, _phase_density_defect,
+     range(1, 13), (0.0, 1e-8, 0.3)),
     ("lossless variance anchor (relative)", 5e-15, _lossless_anchor_defect,
      (*range(1, 101), MAX_PHOTON_NUMBER), (0.0,)),
 )

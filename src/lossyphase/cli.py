@@ -34,9 +34,12 @@ JSON) so the curves can be rendered without adding any plotting dependency
 to the library.
 
 At import this module loads only the standard library, ``sweep`` and
-``core``, so ``curve`` and ``nopt`` run without numpy. ``run_dist`` imports
-the numpy layers (``states``, ``povm``) when it runs, and ``run_validate``
-the check table in ``checks``.
+``core``, so ``curve``, ``nopt`` and ``dist`` run without numpy. ``run_dist``
+writes the closed form of ``sweep.sine_density``, computed for the half turn
+and mirrored row by row, and imports none of the numpy layers (``states``,
+``povm``); their FFT, ``PhaseDistribution.evaluate``, is its oracle in the
+tests and in ``validate``. Only ``run_validate`` loads numpy, with the check
+table in ``checks``.
 
 ``main`` runs a command in the calling process as it stands. The command line
 (``python -m lossyphase`` and the ``lossyphase`` script) enters through
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -72,7 +76,7 @@ CURVE_COLUMNS = ("n", "delta_phi", "shot_noise", "heisenberg")
 NOPT_COLUMNS = ("loss", "n_opt")
 DIST_COLUMNS = ("phi", "p")
 
-# rows taken from arrays reach the writer this many at a time; a JSON slice
+# rows of a long column reach the writer this many at a time; a JSON slice
 # is encoded through a few strings per cell, so 4096 rows raised a 4096-point
 # curve's tracemalloc peak to 2.6 MB, where 512 keep it at 0.56 MB for the
 # same speed
@@ -211,8 +215,12 @@ def _csv_text(config: dict, extra: dict, columns: tuple, slices):
     yield "\n".join(header + [",".join(columns)]) + "\n"
     cells = ",".join(["%.17g"] * len(columns)) + "\n"  # _fmt of every cell of a row with no None
     for block in slices:
-        yield "".join(cells % row if None not in row else ",".join(map(_fmt, row)) + "\n"
-                      for row in zip(*block))
+        flat = tuple(itertools.chain.from_iterable(zip(*block)))  # the cells, row by row
+        if None in flat:
+            yield "".join(cells % row if None not in row else ",".join(map(_fmt, row)) + "\n"
+                          for row in zip(*block))
+        else:  # the whole slice in one % operation
+            yield (cells * len(block[0])) % flat
 
 
 def _json_text(config: dict, extra: dict, columns: tuple, slices):
@@ -261,13 +269,18 @@ def _emit(args, config: dict, columns: tuple, slices, logscale: bool, ylabel: st
     return EXIT_OK
 
 
-def _array_rows(*columns):
-    """Row slices of equal-length arrays: ``ROW_SLICE`` rows of each column as a list.
+def _mirrored_rows(half, samples: int):
+    """Row slices of the ``dist`` file from P on the half turn k = 0..samples // 2.
 
-    No Python list of a whole column is built.
+    phi_k = k * (2 pi / samples), and P at k > samples / 2 is the stored
+    P(phi_{samples - k}), its bitwise equal; ``ROW_SLICE`` rows at a time, so
+    no Python list of a whole column is built.
     """
-    for start in range(0, len(columns[0]), ROW_SLICE):
-        yield tuple(column[start : start + ROW_SLICE].tolist() for column in columns)
+    step = 2.0 * math.pi / samples
+    p = itertools.chain(half, (half[k] for k in range((samples - 1) // 2, 0, -1)))
+    for start in range(0, samples, ROW_SLICE):
+        stop = min(start + ROW_SLICE, samples)
+        yield [k * step for k in range(start, stop)], list(itertools.islice(p, stop - start))
 
 
 def run_curve(args) -> int:
@@ -288,20 +301,14 @@ def run_nopt(args) -> int:
 
 
 def run_dist(args) -> int:
-    from .povm import distribution
-    from .states import optimal_amplitudes
-
-    channel = channel_from_loss(args.loss)
-    if not MIN_PHI_SAMPLES <= args.phi_samples <= MAX_PHI_SAMPLES:
-        raise ValueError(
-            f"phi-samples must be in {MIN_PHI_SAMPLES}..{MAX_PHI_SAMPLES}, got {args.phi_samples}"
-        )
-    dist = distribution(optimal_amplitudes(args.n), channel)
-    phi, p = dist.evaluate(args.phi_samples)
-    slices = _array_rows(phi, p)
-    config = {"loss": channel.loss, "n": args.n, "phi_samples": args.phi_samples}
-    return _emit(args, config, DIST_COLUMNS, slices, logscale=False, ylabel="P(phi)",
-                 extra={"integral_p": dist.total_mass()})
+    loss = channel_from_loss(args.loss).loss
+    samples = args.phi_samples
+    if not MIN_PHI_SAMPLES <= samples <= MAX_PHI_SAMPLES:
+        raise ValueError(f"phi-samples must be in {MIN_PHI_SAMPLES}..{MAX_PHI_SAMPLES}, got {samples}")
+    half = sweep.sine_density(loss, args.n, samples)
+    config = {"loss": loss, "n": args.n, "phi_samples": samples}
+    return _emit(args, config, DIST_COLUMNS, _mirrored_rows(half, samples), logscale=False,
+                 ylabel="P(phi)", extra={"integral_p": sweep.sine_mass(loss, args.n)})
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,11 @@ cross-check.
 
 P is a trigonometric polynomial in the N + 1 harmonics of g, so its values on
 the uniform grid phi_k = 2pi k / S are one zero-padded DFT of g, and
-``PhaseDistribution.evaluate`` samples it there and nowhere else. That method
-also holds the one Nyquist guard of the package, S >= 4(N+1).
+``PhaseDistribution.evaluate`` samples it there and nowhere else, for any
+factor. It holds the Nyquist guard S >= 4(N+1). The ``dist`` command does not
+use it: it writes the sine state's P in closed form (``sweep.sine_density``,
+standard library only), which keeps the same guard, and ``evaluate`` is the
+oracle that the tests and ``validate`` hold that form to.
 
 With loss the distribution integrates to less than one (the measured sector
 is reached with probability sum_t psi_t^2 (1-L)^t). That raw quantity

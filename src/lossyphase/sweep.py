@@ -12,9 +12,11 @@ point has the same bits either way. ``povm._sharpness_kernel`` sums the same S
 for any amplitudes and stays the reference the tests hold this form to.
 ``curve`` returns its scan column by column, one tuple each for N, delta-phi
 and the two reference lines (``SweepResult``), so no object is built per
-point. The module imports no numpy: ``curve`` and ``nopt`` run on the
-standard library alone, and their values do not depend on the CPU features
-numpy's SIMD kernels would pick.
+point. ``sine_density`` and ``sine_mass`` give the ``dist`` command the
+phase distribution P(phi) of one sine state and its integral M in closed
+form too. The module imports no numpy: ``curve``, ``nopt`` and ``dist`` run
+on the standard library alone, and their values do not depend on the CPU
+features numpy's SIMD kernels would pick.
 
 With m = N + 2, a = pi/m and q = 1 - L, the sine state has
 g_t = sqrt(2/m) sin((t+1)a) q^(t/2). Since sin((t+1)a) vanishes at t = -1 and
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from collections import namedtuple
 
 from .core import _check_cap, _holevo_spread, channel_from_loss
@@ -140,7 +143,9 @@ def _sine_terms(ns) -> list:
 
 
 def _sine_sharpness(loss: float, terms: list, normalized: bool) -> list:
-    """(S, 1 - S) of the sine state at one loss, for each photon number of ``terms``.
+    """(S, 1 - S, M) of the sine state at one loss, for each photon number of ``terms``.
+
+    M = sum g^2 is the integral of P(phi); normalized, S is S/M and M is 1.
 
     ``terms`` comes from ``_sine_terms``. The closed form of the module
     docstring, in lambda = -log1p(-L) so that 1 - q^m = -expm1(-m lambda) and
@@ -163,7 +168,7 @@ def _sine_sharpness(loss: float, terms: list, normalized: bool) -> list:
     cos_scale = 2.0 * root_q
     mass_scale = 2.0 - loss
     if normalized:
-        return [(cos_scale * cos / mass_scale, (near_0 + near_1 * half * half) / mass_scale)
+        return [(cos_scale * cos / mass_scale, (near_0 + near_1 * half * half) / mass_scale, 1.0)
                 for *_, half, cos in terms]
     # R = kept * ratio with kept = (1 - q^m)/lambda and ratio = lambda/L, whose
     # limits at L = 0 are m and 1
@@ -174,9 +179,9 @@ def _sine_sharpness(loss: float, terms: list, normalized: bool) -> list:
     phi_rate = _phi_over_square(-rate, math.expm1(-rate))
     bracket_1 = 4.0 * ratio
     bracket_2 = 4.0 / ratio
-    pairs = []
+    triples = []
     # locals for what the per-point loop looks up
-    append, expm1, phi_over_square, neg_rate = pairs.append, math.expm1, _phi_over_square, -rate
+    append, expm1, phi_over_square, neg_rate = triples.append, math.expm1, _phi_over_square, -rate
     for m, two_m, two_m_sin2, sin2, half, cos in terms:
         x = m * neg_rate
         lost = expm1(x)
@@ -189,8 +194,102 @@ def _sine_sharpness(loss: float, terms: list, normalized: bool) -> list:
         else:
             bracket = bracket_1 * (m * phi_over_square(x, lost) - phi_rate) - bracket_2 + two_m * kept
             unkept = (square + sin2 * (rate * bracket)) / denom
-        append((cos_scale * cos * base, unkept + (near_0 + near_1 * half * half) * base))
-    return pairs
+        append((cos_scale * cos * base, unkept + (near_0 + near_1 * half * half) * base, mass))
+    return triples
+
+
+def _check_photon_number(n) -> int:
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError(f"photon number must be >= 1, got {n}")
+    _check_cap(n)
+    return n
+
+
+def sine_mass(loss: float, n: int) -> float:
+    """M = sum g^2 of the N-photon sine state, the integral of its P(phi) over a turn.
+
+    The closed form of the module docstring, as ``_sine_sharpness`` forms it.
+    """
+    n = _check_photon_number(n)
+    [(_, _, mass)] = _sine_sharpness(channel_from_loss(loss).loss, _sine_terms([n]), False)
+    return mass
+
+
+def sine_density(loss: float, n: int, samples: int, count: int | None = None) -> array:
+    """P(phi_k) of the N-photon sine state at phi_k = 2 pi k / samples, k = 0..count - 1.
+
+    ``count`` defaults to samples // 2 + 1, the half turn: the rest is its
+    mirror image, since P(phi_{samples - k}) == P(phi_k) bit for bit. With
+    r = sqrt(q) the two geometric sums of the amplitude give
+
+        P = sin^2(a) [(1 - r^m)^2 + 4 r^m cos^2(m phi/2)] / (pi m D+ D-),
+        D+- = (1 - r)^2 + 4r sin^2((phi +- a)/2),
+
+    every part a sum of nonnegative terms, with r, 1 - r, r^m and 1 - r^m from
+    exp and expm1 of log r = log1p(-L)/2. Each angle is reduced over the
+    integers before ``math.sin`` sees it: (phi_k +- a)/2 = pi u/(2 S m) with
+    u = 2km +- S taken mod 2Sm and folded into [0, pi/2], and cos^2(m phi_k/2)
+    = sin^2(pi |S - 2j|/(2S)) with j = km mod S. So every value keeps about
+    15 digits (within 2e-15 relative of 40-digit mpmath), tails included, and
+    phi_k and phi_{S-k} meet the same arguments. At phi = +-a, cos(m phi/2)
+    is 0 and D- (or D+) is (1 - r)^2 alone, so P holds (1 - r^m)^2/(1 - r)^2:
+    0/0 at L = 0, and both squares underflow below about L = 1e-161. There P
+    is taken as sin^2(a) R^2 / (pi m D) with R = (1 - r^m)/(1 - r) (m where
+    1 - r is 0) and D the other factor, m/(4 pi) at L = 0.
+
+    The photon number is checked as ``optimal_amplitudes`` checks it, and
+    ``samples`` against the Nyquist guard 4(N+1) that
+    ``PhaseDistribution.evaluate`` holds, so ``dist`` refuses what the FFT
+    refuses; the closed form itself needs no guard.
+    """
+    n = _check_photon_number(n)
+    guard = 4 * (n + 1)
+    if samples < guard:
+        raise ValueError(f"{samples} phase samples are below the Nyquist guard {guard} for N = {n}")
+    loss = channel_from_loss(loss).loss
+    m = n + 2
+    log_r = 0.5 * math.log1p(-loss)
+    one_minus_r = -math.expm1(log_r)
+    one_minus_rm = -math.expm1(m * log_r)
+    near = one_minus_r * one_minus_r
+    four_r = 4.0 * math.exp(log_r)
+    top = one_minus_rm * one_minus_rm
+    four_rm = 4.0 * math.exp(m * log_r)
+    sin_a = math.sin(math.pi / m)
+    scale = sin_a * sin_a / (math.pi * m)
+    ratio = m if one_minus_r == 0.0 else one_minus_rm / one_minus_r
+    pole = scale * (ratio * ratio)
+    # the integers 2km +- S, km mod S and their folds are held as floats, which
+    # is exact below 2**53 (here below 2**34); float arithmetic allocates no
+    # Python ints, a third of the loop's time
+    size = float(samples)
+    turn = 2.0 * size * m
+    half_turn = size * m
+    side_step = math.pi / turn
+    node_step = math.pi / (2.0 * size)
+    sin = math.sin
+    values = array("d")
+    append = values.append
+    km = 0.0
+    for _ in range(samples // 2 + 1 if count is None else count):
+        plus = (2.0 * km + size) % turn
+        minus = (2.0 * km - size) % turn
+        if plus > half_turn:
+            plus = turn - plus
+        if minus > half_turn:
+            minus = turn - minus
+        s_plus = sin(plus * side_step)
+        s_minus = sin(minus * side_step)
+        d_plus = near + four_r * (s_plus * s_plus)
+        d_minus = near + four_r * (s_minus * s_minus)
+        if plus == 0.0 or minus == 0.0:
+            append(pole / (d_minus if plus == 0.0 else d_plus))
+        else:
+            c = sin(abs(size - 2.0 * (km % size)) * node_step)
+            append(scale * (top + four_rm * (c * c)) / (d_plus * d_minus))
+        km += m
+    return values
 
 
 def curve(
@@ -212,7 +311,7 @@ def curve(
     loss = channel_from_loss(loss).loss
     n = tuple(range(n_min, n_max + 1))
     delta_phi = tuple([_holevo_spread(sharp, defect)[1]
-                       for sharp, defect in _sine_sharpness(loss, _sine_terms(n), normalized)])
+                       for sharp, defect, _ in _sine_sharpness(loss, _sine_terms(n), normalized)])
     shot_noise = tuple([1.0 / math.sqrt(k) for k in n])
     return SweepResult(
         loss=loss,
@@ -278,7 +377,7 @@ def _n_opt(loss: float, n_max: int, normalized: bool, terms: dict) -> int | None
         if n not in row:
             if n not in terms:
                 terms[n] = _sine_terms([n])
-            [(sharp, defect)] = _sine_sharpness(loss, terms[n], normalized)
+            [(sharp, defect, _)] = _sine_sharpness(loss, terms[n], normalized)
             row[n] = _holevo_spread(sharp, defect)[1]
         return row[n]
 

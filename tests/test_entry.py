@@ -1,5 +1,5 @@
 """The package imports lazily, the command-line entry runs with one BLAS thread,
-and ``curve`` and ``nopt`` run without numpy or ``dataclasses``.
+and ``curve``, ``nopt`` and ``dist`` run without numpy or ``dataclasses``.
 
 The checks that depend on process start run in fresh interpreters: the test
 process imported numpy long ago.
@@ -60,11 +60,11 @@ STDLIB_JOBS = {
     "curve-normalized-json": ["curve", "--loss", "7e-4", "--n-range", "1:64", "--normalized",
                               "--format", "json"],
     "nopt": ["nopt", "--loss-grid", "1e-4:0.5:8:log", "--n-max", "64"],
+    "dist": ["dist", "--loss", "0.01", "--n", "16", "--phi-samples", "128"],
 }
 
 # the jobs that still need the numpy layers
 NUMPY_JOBS = {
-    "dist": ["dist", "--loss", "0.01", "--n", "16", "--phi-samples", "128"],
     "validate": ["validate"],
 }
 

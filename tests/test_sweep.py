@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from lossyphase import (
     CurvePoint,
+    channel_from_loss,
     curve,
+    distribution,
     lossless_reference,
     nopt_vs_loss,
     optimal_amplitudes,
@@ -27,6 +29,8 @@ from lossyphase.sweep import (
     _locate_subshot_max,
     _sine_sharpness,
     _sine_terms,
+    sine_density,
+    sine_mass,
 )
 
 CURVE_COLUMNS = ("n", "delta_phi", "shot_noise", "heisenberg")
@@ -39,6 +43,14 @@ ENGINE_LOSSES = [0.0] + [float(x) for x in np.logspace(-7, math.log10(0.9), 64)]
 ORACLE_ULPS = 8
 PRECISION_NS = (1, 2, 3, 10, 100, 1000, 2000, 4096)
 PRECISION_LOSSES = (0.0, 5e-324, 1e-300, 1e-12, 1e-8, 1e-5, 1e-3, 0.168, 0.5, 0.999, 0.999999)
+DENSITY_NS = (1, 20, 256, 4096)
+DENSITY_LOSSES = (0.0, 1e-8, 0.01, 0.3, 0.999999)
+# 2**16 phase samples, the benchmark's dist grid; no N + 2 of DENSITY_NS
+# divides it, so no sampled angle is +-a itself, where the reference divides by 0
+DENSITY_SAMPLES = 2**16
+# the FFT strays up to 4.0e-15 of the peak from 40-digit mpmath (N = 4096,
+# L = 0.999999, 16388 samples), where the closed form stays within 3.1e-16
+FFT_PEAK_TOLERANCE = 5e-15
 BISECTION_N_MAX = (1, 2, 3, 17, 64, 300, 1000, 4096)
 BISECTION_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 # uniform over [0, 1) and log-uniform over [1e-12, 1), so that small losses,
@@ -92,6 +104,35 @@ def mp_sums(n, loss):
         g = [mpmath.sin((t + 1) * a) * root**t for t in range(n + 1)]
         return (scale * mpmath.fsum(g[t] * g[t - 1] for t in range(1, n + 1)),
                 scale * mpmath.fsum(x * x for x in g))
+
+
+def mp_density(n, loss, k, samples):
+    """P(2 pi k / samples) of the N-photon sine state at 40 digits, from the complex geometric sums.
+
+    sin((t+1)a) = (e^{i(t+1)a} - e^{-i(t+1)a})/2i turns the amplitude
+    sum_t g_t z^t, z = r e^{i phi}, into two finite geometric series; none of
+    the real closed form's algebra or angle reduction is used.
+    """
+    with mpmath.workdps(40):
+        m = n + 2
+        z = mpmath.sqrt(1 - mpmath.mpf(loss)) * mpmath.expjpi(mpmath.mpf(2 * k) / samples)
+        total = mpmath.mpc(0)
+        for sign in (1, -1):
+            e = mpmath.expjpi(mpmath.mpf(sign) / m)
+            u = z * e
+            total += sign * e * (1 - u ** (n + 1)) / (1 - u)
+        return abs(total / 2) ** 2 / (m * mpmath.pi)
+
+
+def density_angles(n, samples):
+    """About 23 grid indices: both ends, the points either side of +-a and of pi, and 8 drawn ones."""
+    below_a = samples // (2 * (n + 2))
+    near_a = [below_a - 1, below_a, below_a + 1, below_a + 2]
+    ks = {0, 1, 2, samples // 4, samples // 2 - 1, samples // 2, samples // 2 + 1}
+    ks.update(near_a + [samples - k for k in near_a])
+    rng = random.Random(n)
+    ks.update(rng.randrange(samples) for _ in range(8))
+    return sorted(k for k in ks if 0 <= k < samples)
 
 
 def n_opt_at(loss, n_max):
@@ -328,10 +369,10 @@ class TestScanEngine:
     def test_closed_form_matches_50_digit_reference(self, loss, normalized):
         # promises 14.7 digits of S, 1 - S and delta-phi; 1 - S stays
         # nonnegative down to the smallest subnormal loss
-        pairs = _sine_sharpness(loss, _sine_terms(PRECISION_NS), normalized)
-        assert all(defect >= 0.0 for _, defect in pairs)
+        triples = _sine_sharpness(loss, _sine_terms(PRECISION_NS), normalized)
+        assert all(defect >= 0.0 for _, defect, _ in triples)
         with mpmath.workdps(50):
-            for count, (sharp, defect) in zip(PRECISION_NS, pairs):
+            for count, (sharp, defect, _) in zip(PRECISION_NS, triples):
                 delta_phi = _holevo_spread(sharp, defect)[1]
                 pair, mass = mp_sums(count, loss)
                 exact = pair / mass if normalized else pair
@@ -388,3 +429,85 @@ class TestScanEngine:
         monkeypatch.setattr(sweep, "_sine_sharpness", no_point)
         with pytest.raises(ValueError, match="loss must be < 1"):
             nopt_vs_loss([0.1] * 100 + [1.0], 10)
+
+
+class TestSineDensity:
+    """``dist``'s P(phi) in closed form, on the half turn it stores."""
+
+    @staticmethod
+    def published(loss, n, samples):
+        # the P column dist writes: the half turn, mirrored
+        half = sine_density(loss, n, samples)
+        return [half[min(k, samples - k)] for k in range(samples)]
+
+    @pytest.mark.parametrize("loss", DENSITY_LOSSES)
+    @pytest.mark.parametrize("n", DENSITY_NS)
+    def test_matches_40_digit_reference(self, n, loss):
+        # 14.7 digits relative at every sampled angle, the tails and the points
+        # next to +-a included; the absolute floor only meets the exact zeros
+        # of P at L = 0, where the 40-digit sums leave a residue
+        half = sine_density(loss, n, DENSITY_SAMPLES)
+        peak = max(half)
+        for k in density_angles(n, DENSITY_SAMPLES):
+            value = half[min(k, DENSITY_SAMPLES - k)]
+            exact = mp_density(n, loss, k, DENSITY_SAMPLES)
+            assert abs(value - exact) <= 2e-15 * exact + 1e-30 * peak, (k, value, float(exact))
+
+    # the Nyquist grid, 2**16, and a grid with +-a at k = 8 and samples - 8
+    @pytest.mark.parametrize("samples_of", [lambda n: 4 * (n + 1), lambda n: DENSITY_SAMPLES,
+                                            lambda n: 16 * (n + 2)], ids=["nyquist", "2**16", "pole"])
+    @pytest.mark.parametrize("loss", DENSITY_LOSSES)
+    @pytest.mark.parametrize("n", DENSITY_NS)
+    def test_matches_fft(self, n, loss, samples_of):
+        samples = samples_of(n)
+        _, fft = distribution(optimal_amplitudes(n), channel_from_loss(loss)).evaluate(samples)
+        closed = np.array(self.published(loss, n, samples))
+        assert np.max(np.abs(closed - fft)) <= FFT_PEAK_TOLERANCE * np.max(fft)
+
+    @pytest.mark.parametrize("loss", [0.0, 1e-300, 1e-8, 0.3, 0.999999])
+    @pytest.mark.parametrize("n,samples", [(1, 64), (2, 64), (20, 336), (20, 1001), (256, 65536), (4096, 16388)])
+    def test_mirror_image_is_bitwise(self, n, samples, loss):
+        full = sine_density(loss, n, samples, samples)
+        assert all(full[k] == full[samples - k] for k in range(1, samples))
+        assert full[: samples // 2 + 1] == sine_density(loss, n, samples)
+        assert len(sine_density(loss, n, samples)) == samples // 2 + 1
+
+    @pytest.mark.parametrize("n,samples", [(1, 66), (2, 64), (20, 264), (4094, 16384)])
+    def test_removable_point_at_plus_minus_a(self, n, samples):
+        # samples = 2mj puts phi = +-a on the grid at k = j and samples - j;
+        # there D- (or D+) is (1 - r)^2 alone, 0 at L = 0 and underflowing at
+        # 1e-300, and the value is the limit m/(4 pi) of the lossless case
+        m = n + 2
+        k = samples // (2 * m)
+        assert 2 * k * m == samples
+        values = []
+        for loss in (0.0, 5e-324, 1e-300):
+            full = sine_density(loss, n, samples, samples)
+            assert math.isfinite(full[k]) and full[k] == full[samples - k]
+            values.append(full[k])
+        assert values[0] == pytest.approx(m / (4 * math.pi), rel=1e-15)
+        assert values[1] == values[0]
+        assert values[2] == pytest.approx(values[0], rel=1e-15)
+
+    @pytest.mark.parametrize("loss", PRECISION_LOSSES)
+    def test_mass_matches_50_digit_sum(self, loss):
+        for n in PRECISION_NS:
+            exact = mp_sums(n, loss)[1]
+            assert abs(sine_mass(loss, n) - exact) <= 2e-15 * exact, n
+
+    @pytest.mark.parametrize("n,samples,message", [
+        (0, 64, "photon number must be >= 1, got 0"),
+        (4097, 20000, "photon number 4097 exceeds the supported maximum 4096"),
+        (20, 83, "83 phase samples are below the Nyquist guard 84 for N = 20"),
+    ])
+    def test_refuses_what_dist_refuses(self, n, samples, message):
+        with pytest.raises(ValueError, match=message):
+            sine_density(0.1, n, samples)
+
+    def test_refuses_bad_loss_and_type(self):
+        with pytest.raises(ValueError, match="loss must be < 1"):
+            sine_density(1.0, 2, 64)
+        with pytest.raises(ValueError, match="loss must be < 1"):
+            sine_mass(1.0, 2)
+        with pytest.raises(TypeError):
+            sine_density(0.1, 2.0, 64)
