@@ -46,6 +46,17 @@ def _dual_path_defect(n: int, loss: float) -> float:
                - povm.distribution_from_density(rho).fourier_sharpness())
 
 
+def _curve_defect(n: int, loss: float) -> float:
+    """``curve``'s sharpness (``sweep._sine_sharpness``), raw and normalized, against rho's block 0."""
+    dist = povm.distribution_from_density(
+        loss_mod.reduced_density(optimal_amplitudes(n), channel_from_loss(loss)))
+    sharp = dist.fourier_sharpness()
+    terms = sweep._sine_terms([n])
+    [(raw, _, _)] = sweep._sine_sharpness(loss, terms, False)
+    [(normalized, _, _)] = sweep._sine_sharpness(loss, terms, True)
+    return max(abs(raw - sharp), abs(normalized - sharp / dist.total_mass()))
+
+
 def _quadrature_defect(n: int, loss: float) -> float:
     state, channel = optimal_amplitudes(n), channel_from_loss(loss)
     quad = oracle.quadrature_sharpness(povm.distribution(state, channel), 4096)
@@ -70,7 +81,8 @@ def _lossless_anchor_defect(n: int, loss: float) -> float:
 # one row per cross-check: (name, tolerance, defect(n, loss), photon numbers,
 # losses); every grid is fixed, so validate and the tests run the same cases.
 # "kernel" in a name is ``povm.phase_estimate``'s sharpness; "closed form" is
-# the P(phi) that ``dist`` writes, ``sweep.sine_density``'s.
+# ``sweep``'s: the sharpness that ``curve`` and ``nopt`` publish, and the
+# P(phi) that ``dist`` writes.
 CHECKS = (
     ("lossy ket vs matrix exponential, signed", 1e-14, _lossy_ket_defect,
      range(13), (0.0, 1e-8, 0.1, 0.3, 0.5, 0.9)),
@@ -78,6 +90,8 @@ CHECKS = (
      range(1, 9), (0.1, 0.3, 0.5)),
     ("sharpness, kernel vs density path", 1e-15, _dual_path_defect,
      range(1, 13), (0.0, 0.1, 0.3, 0.5)),
+    ("curve sharpness, closed form vs density", 1e-15, _curve_defect,
+     range(1, 13), (0.0, 1e-8, 0.1, 0.3, 0.5)),
     ("sharpness, kernel vs quadrature", 1e-14, _quadrature_defect,
      range(1, 13), (0.0, 0.1, 0.3, 0.5)),
     ("P(phi), closed form vs FFT (of peak)", 2e-15, _phase_density_defect,

@@ -4,12 +4,13 @@ Each of ``run_curve``, ``run_nopt`` and ``run_dist`` parses its arguments,
 calls the library, which checks every input and cap before computing
 anything, and hands the rows to ``_emit``, the one writer of every data file
 and plot script, as row slices: tuples of equal-length lists of plain values,
-one list per column. The command line checks only what the library does not
-see: the shapes of ``--n-range`` and ``--loss-grid``, the grid size and the
-``--phi-samples`` range. Every check runs before ``_emit`` opens the data
-file; ``_emit`` streams the slices into the open file, so its memory does not
-grow with the file, and removes a partly written regular file if anything
-raises.
+one list per column. The library's rules (loss, photon number, Nyquist guard)
+live in ``core``; the command line checks only what the library does not
+see: the shapes of ``--n-range`` and ``--loss-grid`` (not its values), the
+grid size and the ``--phi-samples`` range. Every check runs before ``_emit``
+opens the data file; ``_emit`` streams the slices into the open file, so its
+memory does not grow with the file, and removes a partly written regular file
+if anything raises.
 
 Data files are deterministic for a fixed configuration: stable row order,
 17-significant-digit decimals, no timestamps. A CSV file opens with
@@ -60,7 +61,6 @@ import stat
 import sys
 
 from . import sweep
-from .core import channel_from_loss
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -122,14 +122,14 @@ def parse_loss_grid(text: str) -> list:
         raise ValueError(f"bad loss-grid numbers in {text!r}") from None
     if not 1 <= count <= MAX_LOSS_GRID_POINTS:
         raise ValueError(f"loss-grid takes 1..{MAX_LOSS_GRID_POINTS} points, got {count}")
-    if not 0.0 <= lo <= hi < 1.0:
-        raise ValueError(f"loss-grid values must satisfy 0 <= lo <= hi < 1, got {text!r}")
     if count == 1:
         return [lo]
     if len(parts) == 4:
-        if lo <= 0.0:
-            raise ValueError("log-spaced loss-grid needs lo > 0")
-        return [10.0 ** x for x in _linear_grid(math.log10(lo), math.log10(hi), count)]
+        if lo <= 0.0 or hi <= 0.0:
+            raise ValueError("log-spaced loss-grid needs lo > 0 and hi > 0")
+        # a power of 1e308 or more is taken as inf, which the loss check refuses
+        return [10.0 ** x if x < 308.0 else math.inf
+                for x in _linear_grid(math.log10(lo), math.log10(hi), count)]
     return _linear_grid(lo, hi, count)
 
 
@@ -301,14 +301,13 @@ def run_nopt(args) -> int:
 
 
 def run_dist(args) -> int:
-    loss = channel_from_loss(args.loss).loss
     samples = args.phi_samples
     if not MIN_PHI_SAMPLES <= samples <= MAX_PHI_SAMPLES:
         raise ValueError(f"phi-samples must be in {MIN_PHI_SAMPLES}..{MAX_PHI_SAMPLES}, got {samples}")
-    half = sweep.sine_density(loss, args.n, samples)
-    config = {"loss": loss, "n": args.n, "phi_samples": samples}
+    half = sweep.sine_density(args.loss, args.n, samples)
+    config = {"loss": args.loss, "n": args.n, "phi_samples": samples}
     return _emit(args, config, DIST_COLUMNS, _mirrored_rows(half, samples), logscale=False,
-                 ylabel="P(phi)", extra={"integral_p": sweep.sine_mass(loss, args.n)})
+                 ylabel="P(phi)", extra={"integral_p": sweep.sine_mass(args.loss, args.n)})
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
-"""Input limits, the loss channel and the Holevo spread, on the standard library alone.
+"""Input rules, the loss channel and the Holevo spread, on the standard library alone.
 
 These are the pieces the sine-state scan shares with the numpy layers. Since
 nothing here imports numpy, ``sweep`` and ``cli`` import only this module and
 the standard library, and a ``curve`` or ``nopt`` process never loads numpy.
-This is the one home of the cap and the channel: the package exports them from
-here, and the numpy layers import them from here.
+This is the one home of each input rule (the photon number with its cap, the
+loss, the Nyquist guard) and of the channel: every entry calls these rules,
+and the package exports the cap and the channel from here.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 
 # Hard cap on the photon number accepted anywhere in the library. Beyond this
@@ -22,6 +24,24 @@ def _check_cap(n_photons: int) -> None:
         raise ValueError(
             f"photon number {n_photons} exceeds the supported maximum {MAX_PHOTON_NUMBER}"
         )
+
+
+def _check_photon_number(n, name: str = "photon number") -> int:
+    """``n`` as an int in 1..MAX_PHOTON_NUMBER: any integer type, no bool or float."""
+    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {type(n).__name__}")
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n}")
+    _check_cap(n)
+    return n
+
+
+def _check_phase_samples(samples: int, n_photons: int) -> None:
+    """The Nyquist guard: a grid of P(phi) holds four points per harmonic, 4(N+1) in all."""
+    if samples < 4 * (n_photons + 1):
+        raise ValueError(f"{samples} phase samples are below the Nyquist guard "
+                         f"{4 * (n_photons + 1)} for N = {n_photons}")
 
 
 class LossChannel(namedtuple("LossChannel", "loss")):

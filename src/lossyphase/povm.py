@@ -11,10 +11,11 @@ cross-check.
 P is a trigonometric polynomial in the N + 1 harmonics of g, so its values on
 the uniform grid phi_k = 2pi k / S are one zero-padded DFT of g, and
 ``PhaseDistribution.evaluate`` samples it there and nowhere else, for any
-factor. It holds the Nyquist guard S >= 4(N+1). The ``dist`` command does not
-use it: it writes the sine state's P in closed form (``sweep.sine_density``,
-standard library only), which keeps the same guard, and ``evaluate`` is the
-oracle that the tests and ``validate`` hold that form to.
+factor, on grids that pass the Nyquist guard S >= 4(N+1) of
+``core._check_phase_samples``. The ``dist`` command does not use it: it
+writes the sine state's P in closed form (``sweep.sine_density``, standard
+library only), which calls the same guard, and ``evaluate`` is the oracle
+that the tests and ``validate`` hold that form to.
 
 With loss the distribution integrates to less than one (the measured sector
 is reached with probability sum_t psi_t^2 (1-L)^t). That raw quantity
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LossChannel, _holevo_spread
+from .core import LossChannel, _check_phase_samples, _check_photon_number, _holevo_spread
 from .loss import ReducedDensity
 from .states import AmplitudeVector
 
@@ -61,14 +62,10 @@ class PhaseDistribution:
         conjugate of e^{i t phi_k}, which the modulus of a real g ignores. Costs
         O(samples log samples) whatever N. The grid must hold at least four
         points per harmonic, samples >= 4(N+1), which keeps the trapezoid sum of
-        P e^{i phi} over it exact; below that a ValueError is raised.
+        P e^{i phi} over it exact; below that ``core._check_phase_samples``, the
+        guard ``sweep.sine_density`` calls too, raises a ValueError.
         """
-        guard = 4 * self.factor.size
-        if samples < guard:
-            raise ValueError(
-                f"{samples} phase samples are below the Nyquist guard {guard} "
-                f"for N = {self.factor.size - 1}"
-            )
+        _check_phase_samples(samples, self.factor.size - 1)
         phi = np.arange(samples) * (TWO_PI / samples)
         return phi, np.abs(np.fft.fft(self.factor, samples)) ** 2 / TWO_PI
 
@@ -157,8 +154,7 @@ def sharpness_closed(
     value is divided by the distribution's integral; that variant is not the
     default quantity anywhere else in the library.
     """
-    if state.n_photons < 1:
-        raise ValueError("sharpness needs at least one photon")
+    _check_photon_number(state.n_photons)
     factors = _loss_factors(state.n_photons, channel.loss)
     return float(_sharpness_kernel(state.psi, *factors, normalized)[0])
 
@@ -200,8 +196,7 @@ def phase_estimate(
     kernel, as every curve point has it, so it keeps about 15 digits where
     ``holevo`` forms 1/S^2 - 1 from S alone and cancels them.
     """
-    if state.n_photons < 1:
-        raise ValueError("sharpness needs at least one photon")
+    _check_photon_number(state.n_photons)
     factors = _loss_factors(state.n_photons, channel.loss)
     sharp, defect = _sharpness_kernel(state.psi, *factors, normalized)
     if sharp < 0.0:
@@ -212,6 +207,4 @@ def phase_estimate(
 
 def lossless_reference(n_photons: int) -> float:
     """Analytic Holevo variance tan^2(pi/(N+2)) of the lossless optimal state."""
-    if n_photons < 1:
-        raise ValueError(f"photon number must be >= 1, got {n_photons}")
-    return math.tan(math.pi / (n_photons + 2)) ** 2
+    return math.tan(math.pi / (_check_photon_number(n_photons) + 2)) ** 2

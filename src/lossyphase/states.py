@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_cap
+from .core import _check_cap, _check_photon_number
 
 # An amplitude vector whose squared norm strays further than this from 1 is
 # rejected outright; silently renormalizing would hide caller bugs.
@@ -56,11 +56,7 @@ def optimal_amplitudes(n_photons: int) -> AmplitudeVector:
     symmetric about t = N/2, and exactly normalized. A single photon is the
     minimum: with none there is no fringe to sharpen.
     """
-    if not isinstance(n_photons, int) or isinstance(n_photons, bool):
-        raise TypeError("photon number must be an int")
-    if n_photons < 1:
-        raise ValueError(f"photon number must be >= 1, got {n_photons}")
-    _check_cap(n_photons)  # before allocating anything of that size
+    n_photons = _check_photon_number(n_photons)  # before allocating anything of that size
     return AmplitudeVector(_sine_profile(n_photons))
 
 

@@ -49,11 +49,10 @@ over hypothesis-drawn losses in [0, 1), n_max up to 4096 and both variants.
 from __future__ import annotations
 
 import math
-import operator
 from array import array
 from collections import namedtuple
 
-from .core import _check_cap, _holevo_spread, channel_from_loss
+from .core import _check_phase_samples, _check_photon_number, _holevo_spread, channel_from_loss
 
 DEFAULT_MAX_PHOTONS = 1000
 
@@ -198,14 +197,6 @@ def _sine_sharpness(loss: float, terms: list, normalized: bool) -> list:
     return triples
 
 
-def _check_photon_number(n) -> int:
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError(f"photon number must be >= 1, got {n}")
-    _check_cap(n)
-    return n
-
-
 def sine_mass(loss: float, n: int) -> float:
     """M = sum g^2 of the N-photon sine state, the integral of its P(phi) over a turn.
 
@@ -238,15 +229,13 @@ def sine_density(loss: float, n: int, samples: int, count: int | None = None) ->
     is taken as sin^2(a) R^2 / (pi m D) with R = (1 - r^m)/(1 - r) (m where
     1 - r is 0) and D the other factor, m/(4 pi) at L = 0.
 
-    The photon number is checked as ``optimal_amplitudes`` checks it, and
-    ``samples`` against the Nyquist guard 4(N+1) that
-    ``PhaseDistribution.evaluate`` holds, so ``dist`` refuses what the FFT
+    The photon number passes the rule of ``core`` that ``optimal_amplitudes``
+    calls, and ``samples`` the Nyquist guard 4(N+1) that
+    ``PhaseDistribution.evaluate`` calls, so ``dist`` refuses what the FFT
     refuses; the closed form itself needs no guard.
     """
     n = _check_photon_number(n)
-    guard = 4 * (n + 1)
-    if samples < guard:
-        raise ValueError(f"{samples} phase samples are below the Nyquist guard {guard} for N = {n}")
+    _check_phase_samples(samples, n)
     loss = channel_from_loss(loss).loss
     m = n + 2
     log_r = 0.5 * math.log1p(-loss)
@@ -301,13 +290,13 @@ def curve(
     """Scan delta-phi over every integer photon number in [n_min, n_max].
 
     Divergent points are carried through as explicit infinities; no photon
-    number is ever dropped from the scan. The range, the photon-number cap
-    and the loss are checked before any point. The result holds one tuple
-    per column; ``heisenberg`` is ``math.tan(pi/(N+2))`` of each N.
+    number is ever dropped from the scan. The range, the photon-number rule
+    on n_max and the loss are checked before any point. The result holds one
+    tuple per column; ``heisenberg`` is ``math.tan(pi/(N+2))`` of each N.
     """
     if n_min < 1 or n_min > n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got {n_min}:{n_max}")
-    _check_cap(n_max)
+    n_max = _check_photon_number(n_max)
     loss = channel_from_loss(loss).loss
     n = tuple(range(n_min, n_max + 1))
     delta_phi = tuple([_holevo_spread(sharp, defect)[1]
@@ -390,17 +379,14 @@ def nopt_vs_loss(loss_grid, n_max: int = DEFAULT_MAX_PHOTONS, normalized: bool =
     A repeated value gets its row each time. ``n_opt`` is ``curve(loss, 1,
     n_max, normalized).n_opt``, located by bisection (the module docstring
     says when the two agree); the sub-shot-noise edge is not located.
-    ``n_max`` must be an integer; the photon-number cap and every loss are
-    checked before any point.
+    ``n_max`` passes the photon-number rule, then the grid's order and every
+    loss are checked, all before any point.
     """
-    n_max = operator.index(n_max)
-    if n_max < 1:
-        raise ValueError(f"n-max must be >= 1, got {n_max}")
+    n_max = _check_photon_number(n_max, "n-max")
     grid = [float(x) for x in loss_grid]
     for a, b in zip(grid, grid[1:]):
         if b < a:
             raise ValueError(f"loss grid must not descend, got {a!r} then {b!r}")
-    _check_cap(n_max)
     losses = [channel_from_loss(x).loss for x in grid]
     terms = {}
     return [(loss, _n_opt(loss, n_max, normalized, terms)) for loss in losses]

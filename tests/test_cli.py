@@ -102,8 +102,20 @@ class TestParsers:
 
     @pytest.mark.parametrize("bad", ["0.1:0.9", "0.5:0.1:5", "0:0.5:0", "0:1.0:5", "0:0.5:5:lin"])
     def test_loss_grid_rejects(self, bad):
+        # the parser refuses the shape and the size, the library the values
         with pytest.raises(ValueError):
-            parse_loss_grid(bad)
+            sweep.nopt_vs_loss(parse_loss_grid(bad), 10)
+
+    @pytest.mark.parametrize("bad,message", [
+        ("0.5:0:3:log", "log-spaced loss-grid needs lo > 0 and hi > 0"),
+        ("0:0.5:3:log", "log-spaced loss-grid needs lo > 0 and hi > 0"),
+        ("0.5:1.7976931348623157e308:2:log", ", got inf"),
+    ])
+    def test_log_grid_ends(self, bad, message):
+        # log10 needs positive ends; a power past the float range reaches the
+        # loss check as inf rather than raising OverflowError
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sweep.nopt_vs_loss(parse_loss_grid(bad), 10)
 
     def test_fmt_inf(self):
         assert _fmt(math.inf) == "inf"
@@ -418,6 +430,8 @@ class TestDomainEdges:
         (["nopt", "--loss-grid", "0.1:0.1:1", "--n-max", "40"], 0),
         (["nopt", "--loss-grid", "nan:0.1:3", "--n-max", "40"], 2),
         (["nopt", "--loss-grid", "0.1:0.2:3", "--n-max", "0"], 2),
+        (["nopt", "--loss-grid", "0.5:0.1:5"], 2),
+        (["nopt", "--loss-grid", "0:1.0:5"], 2),
         (["dist", "--loss", "0.1", "--n", "0"], 2),
         (["dist", "--loss", "0.1", "--n", "20", "--phi-samples", "84"], 0),
         (["dist", "--loss", "0.1", "--n", "20", "--phi-samples", "83"], 2),

@@ -1,0 +1,73 @@
+"""Each input rule has one home in ``core``, and every entry that takes the input applies it."""
+
+import numpy as np
+import pytest
+
+from lossyphase import povm, sweep
+from lossyphase.core import channel_from_loss
+from lossyphase.states import AmplitudeVector, optimal_amplitudes
+
+# every entry that takes a photon number, and the name its messages give it
+PHOTON_NUMBER_ENTRIES = {
+    "optimal_amplitudes": (optimal_amplitudes, "photon number"),
+    "sine_density": (lambda n: sweep.sine_density(0.1, n, 20000), "photon number"),
+    "sine_mass": (lambda n: sweep.sine_mass(0.1, n), "photon number"),
+    "nopt_vs_loss": (lambda n: sweep.nopt_vs_loss([0.1], n), "n-max"),
+    "lossless_reference": (povm.lossless_reference, "photon number"),
+}
+
+
+@pytest.fixture(params=sorted(PHOTON_NUMBER_ENTRIES))
+def entry(request):
+    return PHOTON_NUMBER_ENTRIES[request.param]
+
+
+class TestPhotonNumber:
+    def test_accepts_any_integer_type(self, entry):
+        call, _ = entry
+        result = call(np.int64(5))
+        expected = call(5)
+        if isinstance(result, AmplitudeVector):
+            result, expected = result.psi, expected.psi
+        assert np.array_equal(np.asarray(result), np.asarray(expected))
+
+    @pytest.mark.parametrize("bad", [5.0, True])
+    def test_refuses_float_and_bool(self, entry, bad):
+        call, name = entry
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {type(bad).__name__}$"):
+            call(bad)
+
+    def test_refuses_zero(self, entry):
+        call, name = entry
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+            call(0)
+
+    def test_refuses_past_the_cap(self, entry):
+        call, _ = entry
+        with pytest.raises(ValueError, match="^photon number 4097 exceeds the supported maximum 4096$"):
+            call(4097)
+
+    def test_curve_range_then_the_rule(self):
+        # the range keeps its own message; n_max then meets the photon-number rule
+        with pytest.raises(ValueError, match="^need 1 <= n_min <= n_max, got 1:0$"):
+            sweep.curve(0.1, 1, 0)
+        with pytest.raises(TypeError, match="^photon number must be an integer, got bool$"):
+            sweep.curve(0.1, 1, True)
+        assert sweep.curve(0.1, 1, np.int64(5)).n == (1, 2, 3, 4, 5)
+
+    @pytest.mark.parametrize("estimate",[povm.phase_estimate, povm.sharpness_closed])
+    def test_sharpness_refuses_no_photons(self, estimate):
+        with pytest.raises(ValueError, match="^photon number must be >= 1, got 0$"):
+            estimate(AmplitudeVector([1.0]), channel_from_loss(0.1))
+
+
+@pytest.mark.parametrize("n,samples", [(1, 7), (20, 83), (256, 64)])
+def test_one_nyquist_message(n, samples):
+    # the FFT oracle and the closed form that ``dist`` writes refuse a grid in the same words
+    dist = povm.distribution(optimal_amplitudes(n), channel_from_loss(0.1))
+    with pytest.raises(ValueError) as fft:
+        dist.evaluate(samples)
+    with pytest.raises(ValueError) as closed:
+        sweep.sine_density(0.1, n, samples)
+    assert str(fft.value) == str(closed.value) == (
+        f"{samples} phase samples are below the Nyquist guard {4 * (n + 1)} for N = {n}")
