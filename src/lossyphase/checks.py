@@ -47,13 +47,12 @@ def _dual_path_defect(n: int, loss: float) -> float:
 
 
 def _curve_defect(n: int, loss: float) -> float:
-    """``curve``'s sharpness (``sweep._sine_sharpness``), raw and normalized, against rho's block 0."""
+    """Larger gap of ``sweep._sine_sharpness``'s S, raw and normalized, to rho's zero-loss block."""
     dist = povm.distribution_from_density(
         loss_mod.reduced_density(optimal_amplitudes(n), channel_from_loss(loss)))
     sharp = dist.fourier_sharpness()
-    terms = sweep._sine_terms([n])
-    [(raw, _, _)] = sweep._sine_sharpness(loss, terms, False)
-    [(normalized, _, _)] = sweep._sine_sharpness(loss, terms, True)
+    raw = sweep._sine_sharpness(loss, False)(n)[0]
+    normalized = sweep._sine_sharpness(loss, True)(n)[0]
     return max(abs(raw - sharp), abs(normalized - sharp / dist.total_mass()))
 
 

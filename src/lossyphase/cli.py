@@ -6,8 +6,9 @@ anything, and hands the rows to ``_emit``, the one writer of every data file
 and plot script, as row slices: tuples of equal-length lists of plain values,
 one list per column. The library's rules (loss, photon number, Nyquist guard)
 live in ``core``; the command line checks only what the library does not
-see: the shapes of ``--n-range`` and ``--loss-grid`` (not its values), the
-grid size and the ``--phi-samples`` range. Every check runs before ``_emit``
+see: the shapes of ``--n-range`` and ``--loss-grid`` (not its values, though
+a one-point grid's ``hi`` goes through the library's grid rule), the grid size
+and the ``--phi-samples`` range. Every check runs before ``_emit``
 opens the data file; ``_emit`` streams the slices into the open file, so its
 memory does not grow with the file, and removes a partly written regular file
 if anything raises.
@@ -123,6 +124,7 @@ def parse_loss_grid(text: str) -> list:
     if not 1 <= count <= MAX_LOSS_GRID_POINTS:
         raise ValueError(f"loss-grid takes 1..{MAX_LOSS_GRID_POINTS} points, got {count}")
     if count == 1:
+        sweep._check_loss_grid([lo, hi])  # the library never sees hi
         return [lo]
     if len(parts) == 4:
         if lo <= 0.0 or hi <= 0.0:

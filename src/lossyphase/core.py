@@ -62,7 +62,7 @@ def channel_from_loss(loss: float) -> LossChannel:
     left and every sharpness term vanishes identically.
     """
     loss = float(loss)
-    if not math.isfinite(loss) or loss < 0.0:
+    if not loss >= 0.0:  # NaN too
         raise ValueError(f"loss must be >= 0, got {loss}")
     if loss >= 1.0:
         raise ValueError(f"loss must be < 1, got {loss}")

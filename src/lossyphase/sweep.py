@@ -5,18 +5,17 @@ in closed form, a few dozen floating-point operations with ``math`` over
 Python floats: no amplitudes, no sum over the photon split. ``curve``
 evaluates delta-phi = sqrt((1-S)(1+S))/S at every N of its range, in memory
 O(n_max); ``nopt_vs_loss`` reads only the about 2 log2(n_max) points per
-loss that its bisection for ``n_opt`` needs (below), and computes the terms
-that do not depend on the loss (m, sin^2 a, sin(a/2), cos a) once per N for
-its whole grid. ``_sine_sharpness`` treats every point on its own, so a
-point has the same bits either way. ``povm._sharpness_kernel`` sums the same S
-for any amplitudes and stays the reference the tests hold this form to.
-``curve`` returns its scan column by column, one tuple each for N, delta-phi
-and the two reference lines (``SweepResult``), so no object is built per
-point. ``sine_density`` and ``sine_mass`` give the ``dist`` command the
-phase distribution P(phi) of one sine state and its integral M in closed
-form too. The module imports no numpy: ``curve``, ``nopt`` and ``dist`` run
-on the standard library alone, and their values do not depend on the CPU
-features numpy's SIMD kernels would pick.
+loss that its bisection for ``n_opt`` needs (below). ``_sine_sharpness``
+treats every point on its own, so a point has the same bits either way.
+``povm._sharpness_kernel`` sums the same S for any amplitudes and stays the
+reference the tests hold this form to. ``curve`` returns its scan column by
+column, one tuple each for N, delta-phi and the two reference lines
+(``SweepResult``), so no object is built per point. ``sine_density`` and
+``sine_mass`` give the ``dist`` command the phase distribution P(phi) of one
+sine state and its integral M in closed form too. The module imports no
+numpy: ``curve``, ``nopt`` and ``dist`` run on the standard library alone, and
+their values do not depend on the CPU features numpy's SIMD kernels would
+pick.
 
 With m = N + 2, a = pi/m and q = 1 - L, the sine state has
 g_t = sqrt(2/m) sin((t+1)a) q^(t/2). Since sin((t+1)a) vanishes at t = -1 and
@@ -123,34 +122,18 @@ def _phi_over_square(x: float, lost: float) -> float:
     return acc * x + c0
 
 
-def _sine_terms(ns) -> list:
-    """The loss-independent terms of each photon number in ``ns``, one tuple per N.
-
-    (m, 2/m, (2/m) sin^2 a, sin^2 a, sin(a/2), cos a) with m = N + 2 and
-    a = pi/m. Each square is a product: ``x ** 2`` calls pow, which differs
-    from ``x * x`` in the last bit at some N.
-    """
-    terms = []
-    for n in ns:
-        m = n + 2.0
-        a = math.pi / m
-        sin = math.sin(a)
-        sin2 = sin * sin
-        two_m = 2.0 / m
-        terms.append((m, two_m, two_m * sin2, sin2, math.sin(0.5 * a), math.cos(a)))
-    return terms
-
-
-def _sine_sharpness(loss: float, terms: list, normalized: bool) -> list:
-    """(S, 1 - S, M) of the sine state at one loss, for each photon number of ``terms``.
+def _sine_sharpness(loss: float, normalized: bool):
+    """``point(n) -> (S, 1 - S, M)`` of the sine state at one loss, for any photon number.
 
     M = sum g^2 is the integral of P(phi); normalized, S is S/M and M is 1.
+    The constants of the loss are formed once, here; ``point`` forms m = N + 2,
+    a = pi/m and the sines and cosine of its own N, so a point has the same
+    bits whichever other points are read.
 
-    ``terms`` comes from ``_sine_terms``. The closed form of the module
-    docstring, in lambda = -log1p(-L) so that 1 - q^m = -expm1(-m lambda) and
-    1 - sqrt(q) = -expm1(-lambda/2) keep their digits at small L. Where
-    M >= 2/3 the difference 1 - M would cancel, so it is formed as
-    [L^2 + sin^2(a) lambda B] / D with phi(u) = e^{-u} - 1 + u and
+    The closed form of the module docstring, in lambda = -log1p(-L) so that
+    1 - q^m = -expm1(-m lambda) and 1 - sqrt(q) = -expm1(-lambda/2) keep their
+    digits at small L. Where M >= 2/3 the difference 1 - M would cancel, so it
+    is formed as [L^2 + sin^2(a) lambda B] / D with phi(u) = e^{-u} - 1 + u and
 
         lambda B = (4/m)(phi(m lambda) - m phi(lambda))/L - 4L + (2/m)(1 - q^m),
 
@@ -159,6 +142,8 @@ def _sine_sharpness(loss: float, terms: list, normalized: bool) -> list:
     subtraction 1 - M at most doubles M's rounding and is used as it is.
     Every product and sum is taken in the order the formulas are written; a
     negation moved onto a factor (x = m * -lambda for -(m lambda)) is exact.
+    Each square is a product: ``x ** 2`` calls pow, which differs from
+    ``x * x`` in the last bit at some N.
     """
     rate = -math.log1p(-loss)
     root_q = math.sqrt(1.0 - loss)
@@ -166,9 +151,14 @@ def _sine_sharpness(loss: float, terms: list, normalized: bool) -> list:
     near_1 = 4.0 * root_q
     cos_scale = 2.0 * root_q
     mass_scale = 2.0 - loss
+    pi, sin, cos = math.pi, math.sin, math.cos
     if normalized:
-        return [(cos_scale * cos / mass_scale, (near_0 + near_1 * half * half) / mass_scale, 1.0)
-                for *_, half, cos in terms]
+        def point(n):
+            a = pi / (n + 2.0)
+            half = sin(0.5 * a)
+            defect = (near_0 + near_1 * half * half) / mass_scale
+            return cos_scale * cos(a) / mass_scale, defect, 1.0
+        return point
     # R = kept * ratio with kept = (1 - q^m)/lambda and ratio = lambda/L, whose
     # limits at L = 0 are m and 1
     lossless = loss == 0.0
@@ -178,23 +168,28 @@ def _sine_sharpness(loss: float, terms: list, normalized: bool) -> list:
     phi_rate = _phi_over_square(-rate, math.expm1(-rate))
     bracket_1 = 4.0 * ratio
     bracket_2 = 4.0 / ratio
-    triples = []
-    # locals for what the per-point loop looks up
-    append, expm1, phi_over_square, neg_rate = triples.append, math.expm1, _phi_over_square, -rate
-    for m, two_m, two_m_sin2, sin2, half, cos in terms:
+    expm1, phi_over_square, neg_rate = math.expm1, _phi_over_square, -rate
+
+    def point(n):
+        m = n + 2.0
+        a = pi / m
+        s = sin(a)
+        sin2 = s * s
+        two_m = 2.0 / m
         x = m * neg_rate
         lost = expm1(x)
         kept = m if lossless else lost / neg_rate
         denom = square + sin2_scale * sin2
-        base = two_m_sin2 * (kept * ratio) / denom
+        base = two_m * sin2 * (kept * ratio) / denom
         mass = mass_scale * base
         if mass < 2.0 / 3.0:
             unkept = 1.0 - mass
         else:
             bracket = bracket_1 * (m * phi_over_square(x, lost) - phi_rate) - bracket_2 + two_m * kept
             unkept = (square + sin2 * (rate * bracket)) / denom
-        append((cos_scale * cos * base, unkept + (near_0 + near_1 * half * half) * base, mass))
-    return triples
+        half = sin(0.5 * a)
+        return cos_scale * cos(a) * base, unkept + (near_0 + near_1 * half * half) * base, mass
+    return point
 
 
 def sine_mass(loss: float, n: int) -> float:
@@ -203,8 +198,7 @@ def sine_mass(loss: float, n: int) -> float:
     The closed form of the module docstring, as ``_sine_sharpness`` forms it.
     """
     n = _check_photon_number(n)
-    [(_, _, mass)] = _sine_sharpness(channel_from_loss(loss).loss, _sine_terms([n]), False)
-    return mass
+    return _sine_sharpness(channel_from_loss(loss).loss, False)(n)[2]
 
 
 def sine_density(loss: float, n: int, samples: int, count: int | None = None) -> array:
@@ -300,7 +294,7 @@ def curve(
     loss = channel_from_loss(loss).loss
     n = tuple(range(n_min, n_max + 1))
     delta_phi = tuple([_holevo_spread(sharp, defect)[1]
-                       for sharp, defect, _ in _sine_sharpness(loss, _sine_terms(n), normalized)])
+                       for sharp, defect, _ in map(_sine_sharpness(loss, normalized), n)])
     shot_noise = tuple([1.0 / math.sqrt(k) for k in n])
     return SweepResult(
         loss=loss,
@@ -353,20 +347,18 @@ def _bisect_n_opt(delta_phi, n_max: int) -> int | None:
     return None if lo == n_max else lo
 
 
-def _n_opt(loss: float, n_max: int, normalized: bool, terms: dict) -> int | None:
+def _n_opt(loss: float, n_max: int, normalized: bool) -> int | None:
     """``n_opt`` of one loss by ``_bisect_n_opt``, each point it reads computed once.
 
-    ``terms`` holds the ``_sine_terms`` of each N read so far and serves every
-    loss. ``_sine_sharpness`` treats each point on its own, so a point is
-    bitwise the one the full scan gives.
+    ``_sine_sharpness`` treats each point on its own, so a point is bitwise
+    the one the full scan gives.
     """
+    point = _sine_sharpness(loss, normalized)
     row = {}
 
     def delta_phi(n: int) -> float:
         if n not in row:
-            if n not in terms:
-                terms[n] = _sine_terms([n])
-            [(sharp, defect, _)] = _sine_sharpness(loss, terms[n], normalized)
+            sharp, defect, _ = point(n)
             row[n] = _holevo_spread(sharp, defect)[1]
         return row[n]
 
@@ -383,10 +375,13 @@ def nopt_vs_loss(loss_grid, n_max: int = DEFAULT_MAX_PHOTONS, normalized: bool =
     loss are checked, all before any point.
     """
     n_max = _check_photon_number(n_max, "n-max")
-    grid = [float(x) for x in loss_grid]
+    return [(loss, _n_opt(loss, n_max, normalized)) for loss in _check_loss_grid(loss_grid)]
+
+
+def _check_loss_grid(grid) -> list:
+    """The grid's values as floats, once their order and then each value pass the loss rules."""
+    grid = [float(x) for x in grid]
     for a, b in zip(grid, grid[1:]):
         if b < a:
             raise ValueError(f"loss grid must not descend, got {a!r} then {b!r}")
-    losses = [channel_from_loss(x).loss for x in grid]
-    terms = {}
-    return [(loss, _n_opt(loss, n_max, normalized, terms)) for loss in losses]
+    return [channel_from_loss(x).loss for x in grid]

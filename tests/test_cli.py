@@ -100,11 +100,17 @@ class TestParsers:
         assert parse_loss_grid("1e-4:0.1:4:log") == [1e-4, 1e-3, 1e-2, 0.1]
         assert parse_loss_grid("1e-300:1e-300:3:log") == [1e-300] * 3
 
-    @pytest.mark.parametrize("bad", ["0.1:0.9", "0.5:0.1:5", "0:0.5:0", "0:1.0:5", "0:0.5:5:lin"])
+    @pytest.mark.parametrize("bad", ["0.1:0.9", "0.5:0.1:5", "0:0.5:0", "0:1.0:5", "0:0.5:5:lin",
+                                     "0.5:0.1:1", "0.1:nan:1"])
     def test_loss_grid_rejects(self, bad):
-        # the parser refuses the shape and the size, the library the values
+        # the parser refuses the shape and the size, the library the values;
+        # a one-point grid's hi, which the library never sees, too
         with pytest.raises(ValueError):
             sweep.nopt_vs_loss(parse_loss_grid(bad), 10)
+
+    @pytest.mark.parametrize("text", ["0.1:0.2:1", "0.1:0.1:1"])
+    def test_one_point_grid_is_lo(self, text):
+        assert parse_loss_grid(text) == [0.1]
 
     @pytest.mark.parametrize("bad,message", [
         ("0.5:0:3:log", "log-spaced loss-grid needs lo > 0 and hi > 0"),
@@ -469,6 +475,16 @@ class TestDomainEdges:
         # a negative value after --loss reaches the loss check in any spelling
         assert _run_in(tmp_path, monkeypatch, argv) == 2
         assert capsys.readouterr().err == f"error: loss must be >= 0, got {shown}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["curve", "--loss", "inf", "--n-range", "1:8"], "loss must be < 1, got inf"),
+        (["nopt", "--loss-grid", "0.5:0.1:1"], "loss grid must not descend, got 0.5 then 0.1"),
+        (["nopt", "--loss-grid", "0.1:nan:1"], "loss must be >= 0, got nan"),
+    ], ids=lambda value: "_".join(value) if isinstance(value, list) else None)
+    def test_library_loss_message(self, tmp_path, monkeypatch, capsys, argv, message):
+        # +inf is at or above 1, not below 0; a one-point grid's hi is checked
+        assert _run_in(tmp_path, monkeypatch, argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # The exact header block, column line, JSON key order and plot-script name of

@@ -94,6 +94,15 @@ class TestChannelFromLoss:
         with pytest.raises(ValueError, match="loss must be < 1"):
             channel_from_loss(1.0)
 
+    @pytest.mark.parametrize("loss,message", [
+        (math.inf, "loss must be < 1, got inf"),
+        (-math.inf, "loss must be >= 0, got -inf"),
+        (math.nan, "loss must be >= 0, got nan"),
+    ])
+    def test_infinite_and_nan_messages(self, loss, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            channel_from_loss(loss)
+
 
 class TestLossColumn:
     @pytest.mark.parametrize("loss", [0.0, 1e-8, 0.1, 0.3, 0.5, 0.9])

@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import mpmath
@@ -28,7 +29,6 @@ from lossyphase.sweep import (
     _locate_n_opt,
     _locate_subshot_max,
     _sine_sharpness,
-    _sine_terms,
     sine_density,
     sine_mass,
 )
@@ -200,6 +200,22 @@ class TestCurve:
             with pytest.raises(TypeError):
                 getattr(result, column)[0] = 0
 
+    @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "normalized"])
+    @pytest.mark.parametrize("loss", [0.0, 1e-5, 0.5])
+    def test_heap_peak_is_near_the_columns(self, loss, normalized):
+        # each point is formed and dropped in turn, so a 4096-point scan
+        # allocates a few transient lists beyond the 0.5 MB of columns it keeps
+        # and builds no per-N table of terms or list of (S, 1 - S, M)
+        curve(loss, 1, 8, normalized)
+        tracemalloc.start()
+        try:
+            result = curve(loss, 1, 4096, normalized)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.n) == 4096
+        assert peak - retained < 256 * 1024, (peak, retained)
+
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             curve(0.1, 0, 10)
@@ -369,7 +385,7 @@ class TestScanEngine:
     def test_closed_form_matches_50_digit_reference(self, loss, normalized):
         # promises 14.7 digits of S, 1 - S and delta-phi; 1 - S stays
         # nonnegative down to the smallest subnormal loss
-        triples = _sine_sharpness(loss, _sine_terms(PRECISION_NS), normalized)
+        triples = list(map(_sine_sharpness(loss, normalized), PRECISION_NS))
         assert all(defect >= 0.0 for _, defect, _ in triples)
         with mpmath.workdps(50):
             for count, (sharp, defect, _) in zip(PRECISION_NS, triples):
@@ -389,9 +405,9 @@ class TestScanEngine:
         assert curve_landmarks(ENGINE_LOSSES, normalized) == expected
 
     def test_shuffled_grid_rows_match_single_loss(self, engine_oracle):
-        # nopt_vs_loss shares the loss-independent terms across its grid, yet a
-        # loss gets the n_opt it gets on its own; a grid that repeats values,
-        # as a parsed grid may, gets the oracle's n_opt on every row
+        # a loss gets the n_opt it gets on its own, wherever it sits in the
+        # grid; a grid that repeats values, as a parsed grid may, gets the
+        # oracle's n_opt on every row
         normalized, oracle = engine_oracle
         grid = list(ENGINE_LOSSES)
         random.Random(5).shuffle(grid)
