@@ -65,7 +65,7 @@ def _quadrature_defect(n: int, loss: float) -> float:
 def _phase_density_defect(n: int, loss: float) -> float:
     """Largest gap of ``dist``'s closed-form P to the FFT on the grid S = 4(N+1), over the peak."""
     samples = 4 * (n + 1)
-    closed = np.frombuffer(sweep.sine_density(loss, n, samples, samples))
+    closed = np.fromiter(sweep.sine_density(loss, n, samples), float, samples)
     fft = povm.distribution(optimal_amplitudes(n), channel_from_loss(loss)).evaluate(samples)[1]
     return float(np.abs(closed - fft).max() / fft.max())
 

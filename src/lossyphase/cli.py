@@ -37,10 +37,10 @@ to the library.
 
 At import this module loads only the standard library, ``sweep`` and
 ``core``, so ``curve``, ``nopt`` and ``dist`` run without numpy. ``run_dist``
-writes the closed form of ``sweep.sine_density``, computed for the half turn
-and mirrored row by row, and imports none of the numpy layers (``states``,
-``povm``); their FFT, ``PhaseDistribution.evaluate``, is its oracle in the
-tests and in ``validate``. Only ``run_validate`` loads numpy, with the check
+writes the closed form of ``sweep.sine_density`` one row slice at a time and
+imports none of the numpy layers (``states``, ``povm``); their FFT,
+``PhaseDistribution.evaluate``, is its oracle in the tests and in
+``validate``. Only ``run_validate`` loads numpy, with the check
 table in ``checks``.
 
 ``main`` runs a command in the calling process as it stands. The command line
@@ -271,15 +271,13 @@ def _emit(args, config: dict, columns: tuple, slices, logscale: bool, ylabel: st
     return EXIT_OK
 
 
-def _mirrored_rows(half, samples: int):
-    """Row slices of the ``dist`` file from P on the half turn k = 0..samples // 2.
+def _dist_rows(p, samples: int):
+    """Row slices of the ``dist`` file: phi_k = k * (2 pi / samples) paired with P.
 
-    phi_k = k * (2 pi / samples), and P at k > samples / 2 is the stored
-    P(phi_{samples - k}), its bitwise equal; ``ROW_SLICE`` rows at a time, so
-    no Python list of a whole column is built.
+    ``p`` yields P(phi_k) for k = 0..samples - 1; ``ROW_SLICE`` rows at a
+    time, so no Python list of a whole column is built.
     """
     step = 2.0 * math.pi / samples
-    p = itertools.chain(half, (half[k] for k in range((samples - 1) // 2, 0, -1)))
     for start in range(0, samples, ROW_SLICE):
         stop = min(start + ROW_SLICE, samples)
         yield [k * step for k in range(start, stop)], list(itertools.islice(p, stop - start))
@@ -306,9 +304,9 @@ def run_dist(args) -> int:
     samples = args.phi_samples
     if not MIN_PHI_SAMPLES <= samples <= MAX_PHI_SAMPLES:
         raise ValueError(f"phi-samples must be in {MIN_PHI_SAMPLES}..{MAX_PHI_SAMPLES}, got {samples}")
-    half = sweep.sine_density(args.loss, args.n, samples)
+    p = sweep.sine_density(args.loss, args.n, samples)
     config = {"loss": args.loss, "n": args.n, "phi_samples": samples}
-    return _emit(args, config, DIST_COLUMNS, _mirrored_rows(half, samples), logscale=False,
+    return _emit(args, config, DIST_COLUMNS, _dist_rows(p, samples), logscale=False,
                  ylabel="P(phi)", extra={"integral_p": sweep.sine_mass(args.loss, args.n)})
 
 
@@ -373,23 +371,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_loss_value(argv) -> list:
-    """``--loss VALUE`` as ``--loss=VALUE`` where VALUE is a negative number.
+def _join_negative_values(argv) -> list:
+    """``--loss VALUE`` as ``--loss=VALUE`` where VALUE starts like a negative number.
 
-    argparse reads a word such as ``-1e-300`` as an option (its negative-number
-    pattern has no exponent), which would refuse ``--loss -1e-300`` as a
-    missing value instead of letting it reach the loss check.
+    The same for ``--loss-grid`` and ``--n-range``. argparse reads a word such
+    as ``-1e-300`` or ``-0.1:0.2:3`` as an option (its negative-number pattern
+    has no exponent and no colon), which would refuse ``--loss -1e-300`` as a
+    missing value instead of letting it reach the library's check.
     """
     words = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(words) - 1, 0, -1):
-        if words[i - 1] == "--loss" and re.match(r"-\.?\d", words[i]):
-            words[i - 1 : i + 1] = [f"--loss={words[i]}"]
+        if words[i - 1] in ("--loss", "--loss-grid", "--n-range") and re.match(r"-\.?\d", words[i]):
+            words[i - 1 : i + 1] = [f"{words[i - 1]}={words[i]}"]
     return words
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_loss_value(argv))
+    args = parser.parse_args(_join_negative_values(argv))
     try:
         if args.command == "validate":
             return run_validate()

@@ -9,13 +9,14 @@ loss that its bisection for ``n_opt`` needs (below). ``_sine_sharpness``
 treats every point on its own, so a point has the same bits either way.
 ``povm._sharpness_kernel`` sums the same S for any amplitudes and stays the
 reference the tests hold this form to. ``curve`` returns its scan column by
-column, one tuple each for N, delta-phi and the two reference lines
-(``SweepResult``), so no object is built per point. ``sine_density`` and
-``sine_mass`` give the ``dist`` command the phase distribution P(phi) of one
-sine state and its integral M in closed form too. The module imports no
-numpy: ``curve``, ``nopt`` and ``dist`` run on the standard library alone, and
-their values do not depend on the CPU features numpy's SIMD kernels would
-pick.
+column, one tuple each for N, delta-phi and the two reference lines, in a
+named tuple (``SweepResult``), so no object is built per point.
+``sine_density`` and ``sine_mass`` give the ``dist`` command the phase
+distribution P(phi) of one sine state, an iterator over the whole turn that
+holds only the half turn, and its integral M in closed form too. The module
+imports no numpy: ``curve``, ``nopt`` and ``dist`` run on the standard library
+alone, and their values do not depend on the CPU features numpy's SIMD
+kernels would pick.
 
 With m = N + 2, a = pi/m and q = 1 - L, the sine state has
 g_t = sqrt(2/m) sin((t+1)a) q^(t/2). Since sin((t+1)a) vanishes at t = -1 and
@@ -47,6 +48,7 @@ over hypothesis-drawn losses in [0, 1), n_max up to 4096 and both variants.
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from collections import namedtuple
@@ -66,7 +68,8 @@ class CurvePoint(namedtuple("CurvePoint", "n delta_phi shot_noise heisenberg")):
     __slots__ = ()
 
 
-class SweepResult:
+class SweepResult(namedtuple("SweepResult",
+                             "loss n delta_phi shot_noise heisenberg n_opt n_subshot_max")):
     """A scanned curve, column by column, plus the located optimum and sub-shot-noise edge.
 
     ``n`` (ints), ``delta_phi``, ``shot_noise`` and ``heisenberg`` are
@@ -74,36 +77,19 @@ class SweepResult:
     ``np.asarray`` turns any of them into an array. ``n_opt`` and
     ``n_subshot_max`` are None when the feature is not pinned down inside the
     scanned range (minimum still falling at the top of the scan, or no
-    sub-shot-noise point at all). The attributes are read-only.
+    sub-shot-noise point at all). A named tuple, so the fields are read-only.
     """
 
-    __slots__ = ("loss", "n", "delta_phi", "shot_noise", "heisenberg", "n_opt", "n_subshot_max",
-                 "_points")
-
-    def __init__(self, loss, n, delta_phi, shot_noise, heisenberg, n_opt, n_subshot_max):
-        values = (loss, n, delta_phi, shot_noise, heisenberg, n_opt, n_subshot_max, None)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"cannot assign to {name!r}: a SweepResult is read-only")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return SweepResult, tuple(getattr(self, name) for name in self.__slots__[:-1])
+    __slots__ = ()
 
     @property
     def points(self) -> tuple:
-        """The columns as one ``CurvePoint`` per photon number, built on first read.
+        """The columns as one ``CurvePoint`` per photon number, built at each read.
 
         Nothing in the package reads it; the benchmark's traced run counts a
         curve's points through it.
         """
-        if self._points is None:
-            object.__setattr__(self, "_points", tuple(
-                map(CurvePoint, self.n, self.delta_phi, self.shot_noise, self.heisenberg)))
-        return self._points
+        return tuple(map(CurvePoint, self.n, self.delta_phi, self.shot_noise, self.heisenberg))
 
 
 def _phi_over_square(x: float, lost: float) -> float:
@@ -201,12 +187,13 @@ def sine_mass(loss: float, n: int) -> float:
     return _sine_sharpness(channel_from_loss(loss).loss, False)(n)[2]
 
 
-def sine_density(loss: float, n: int, samples: int, count: int | None = None) -> array:
-    """P(phi_k) of the N-photon sine state at phi_k = 2 pi k / samples, k = 0..count - 1.
+def sine_density(loss: float, n: int, samples: int):
+    """P(phi_k) of the N-photon sine state at phi_k = 2 pi k / samples, k = 0..samples - 1.
 
-    ``count`` defaults to samples // 2 + 1, the half turn: the rest is its
-    mirror image, since P(phi_{samples - k}) == P(phi_k) bit for bit. With
-    r = sqrt(q) the two geometric sums of the amplitude give
+    An iterator over the whole turn: the half turn k <= samples/2 is computed
+    into an ``array('d')``, and the rest is read back as its mirror image,
+    P(phi_{samples - k}) = P(phi_k). With r = sqrt(q) the two geometric sums
+    of the amplitude give
 
         P = sin^2(a) [(1 - r^m)^2 + 4 r^m cos^2(m phi/2)] / (pi m D+ D-),
         D+- = (1 - r)^2 + 4r sin^2((phi +- a)/2),
@@ -216,12 +203,12 @@ def sine_density(loss: float, n: int, samples: int, count: int | None = None) ->
     integers before ``math.sin`` sees it: (phi_k +- a)/2 = pi u/(2 S m) with
     u = 2km +- S taken mod 2Sm and folded into [0, pi/2], and cos^2(m phi_k/2)
     = sin^2(pi |S - 2j|/(2S)) with j = km mod S. So every value keeps about
-    15 digits (within 2e-15 relative of 40-digit mpmath), tails included, and
-    phi_k and phi_{S-k} meet the same arguments. At phi = +-a, cos(m phi/2)
-    is 0 and D- (or D+) is (1 - r)^2 alone, so P holds (1 - r^m)^2/(1 - r)^2:
-    0/0 at L = 0, and both squares underflow below about L = 1e-161. There P
-    is taken as sin^2(a) R^2 / (pi m D) with R = (1 - r^m)/(1 - r) (m where
-    1 - r is 0) and D the other factor, m/(4 pi) at L = 0.
+    15 digits (within 2e-15 relative of 40-digit mpmath), tails included. On
+    the half turn only phi = +a can meet a pole (u = 2km + S lies in [S, S(m+1)],
+    never 0 mod 2Sm): there cos(m phi/2) is 0 and D- is (1 - r)^2 alone, so P
+    holds (1 - r^m)^2/(1 - r)^2: 0/0 at L = 0, and both squares underflow
+    below about L = 1e-161. There P is taken as sin^2(a) R^2 / (pi m D+) with
+    R = (1 - r^m)/(1 - r) (m where 1 - r is 0), m/(4 pi) at L = 0.
 
     The photon number passes the rule of ``core`` that ``optimal_amplitudes``
     calls, and ``samples`` the Nyquist guard 4(N+1) that
@@ -252,10 +239,10 @@ def sine_density(loss: float, n: int, samples: int, count: int | None = None) ->
     side_step = math.pi / turn
     node_step = math.pi / (2.0 * size)
     sin = math.sin
-    values = array("d")
-    append = values.append
+    half = array("d")
+    append = half.append
     km = 0.0
-    for _ in range(samples // 2 + 1 if count is None else count):
+    for _ in range(samples // 2 + 1):
         plus = (2.0 * km + size) % turn
         minus = (2.0 * km - size) % turn
         if plus > half_turn:
@@ -266,13 +253,13 @@ def sine_density(loss: float, n: int, samples: int, count: int | None = None) ->
         s_minus = sin(minus * side_step)
         d_plus = near + four_r * (s_plus * s_plus)
         d_minus = near + four_r * (s_minus * s_minus)
-        if plus == 0.0 or minus == 0.0:
-            append(pole / (d_minus if plus == 0.0 else d_plus))
+        if minus == 0.0:
+            append(pole / d_plus)
         else:
             c = sin(abs(size - 2.0 * (km % size)) * node_step)
             append(scale * (top + four_rm * (c * c)) / (d_plus * d_minus))
         km += m
-    return values
+    return itertools.chain(half, (half[k] for k in range((samples - 1) // 2, 0, -1)))
 
 
 def curve(
@@ -284,13 +271,14 @@ def curve(
     """Scan delta-phi over every integer photon number in [n_min, n_max].
 
     Divergent points are carried through as explicit infinities; no photon
-    number is ever dropped from the scan. The range, the photon-number rule
-    on n_max and the loss are checked before any point. The result holds one
-    tuple per column; ``heisenberg`` is ``math.tan(pi/(N+2))`` of each N.
+    number is ever dropped from the scan. The range, the photon-number rule on
+    n_max and n_min, and the loss are checked before any point. The result
+    holds one tuple per column; ``heisenberg`` is ``math.tan(pi/(N+2))``.
     """
     if n_min < 1 or n_min > n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got {n_min}:{n_max}")
     n_max = _check_photon_number(n_max)
+    n_min = _check_photon_number(n_min, "n_min")
     loss = channel_from_loss(loss).loss
     n = tuple(range(n_min, n_max + 1))
     delta_phi = tuple([_holevo_spread(sharp, defect)[1]
@@ -348,21 +336,9 @@ def _bisect_n_opt(delta_phi, n_max: int) -> int | None:
 
 
 def _n_opt(loss: float, n_max: int, normalized: bool) -> int | None:
-    """``n_opt`` of one loss by ``_bisect_n_opt``, each point it reads computed once.
-
-    ``_sine_sharpness`` treats each point on its own, so a point is bitwise
-    the one the full scan gives.
-    """
+    """``n_opt`` of one loss by ``_bisect_n_opt``, each point bitwise the full scan's."""
     point = _sine_sharpness(loss, normalized)
-    row = {}
-
-    def delta_phi(n: int) -> float:
-        if n not in row:
-            sharp, defect, _ = point(n)
-            row[n] = _holevo_spread(sharp, defect)[1]
-        return row[n]
-
-    return _bisect_n_opt(delta_phi, n_max)
+    return _bisect_n_opt(lambda n: _holevo_spread(*point(n)[:2])[1], n_max)
 
 
 def nopt_vs_loss(loss_grid, n_max: int = DEFAULT_MAX_PHOTONS, normalized: bool = False) -> list:

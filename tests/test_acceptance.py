@@ -21,10 +21,10 @@ from lossyphase import (
     curve,
     distribution,
     distribution_from_density,
-    holevo,
     lossless_reference,
     nopt_vs_loss,
     optimal_amplitudes,
+    phase_estimate,
     pure_lossy_state,
     reduced_density,
     sharpness_closed,
@@ -70,7 +70,7 @@ def test_criterion_1_lossless_analytic_anchor():
     with criterion(1, "lossless pipeline reproduces tan^2(pi/(N+2)), N=1..100", budget=1.0):
         identity = channel_from_loss(0.0)
         for n in range(1, 101):
-            variance = holevo(sharpness_closed(optimal_amplitudes(n), identity)).holevo_variance
+            variance = phase_estimate(optimal_amplitudes(n), identity).holevo_variance
             assert variance == pytest.approx(lossless_reference(n), rel=1e-9)
 
 

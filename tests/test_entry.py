@@ -169,7 +169,7 @@ class TestValueTypes:
                 setattr(result, name, None)
             with pytest.raises(AttributeError):
                 delattr(result, name)
-        assert result.points is result.points
+        assert result.points == result.points
         assert result.loss == 0.1 and result.n == tuple(range(1, 11))
 
     def test_sweep_result_copies(self):

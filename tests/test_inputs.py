@@ -10,7 +10,7 @@ from lossyphase.states import AmplitudeVector, optimal_amplitudes
 # every entry that takes a photon number, and the name its messages give it
 PHOTON_NUMBER_ENTRIES = {
     "optimal_amplitudes": (optimal_amplitudes, "photon number"),
-    "sine_density": (lambda n: sweep.sine_density(0.1, n, 20000), "photon number"),
+    "sine_density": (lambda n: list(sweep.sine_density(0.1, n, 20000)), "photon number"),
     "sine_mass": (lambda n: sweep.sine_mass(0.1, n), "photon number"),
     "nopt_vs_loss": (lambda n: sweep.nopt_vs_loss([0.1], n), "n-max"),
     "lossless_reference": (povm.lossless_reference, "photon number"),
@@ -48,11 +48,15 @@ class TestPhotonNumber:
             call(4097)
 
     def test_curve_range_then_the_rule(self):
-        # the range keeps its own message; n_max then meets the photon-number rule
+        # the range keeps its own message; n_max and n_min then meet the photon-number rule
         with pytest.raises(ValueError, match="^need 1 <= n_min <= n_max, got 1:0$"):
             sweep.curve(0.1, 1, 0)
         with pytest.raises(TypeError, match="^photon number must be an integer, got bool$"):
             sweep.curve(0.1, 1, True)
+        with pytest.raises(TypeError, match="^n_min must be an integer, got bool$"):
+            sweep.curve(0.1, True, 10)
+        with pytest.raises(TypeError, match="^n_min must be an integer, got float$"):
+            sweep.curve(0.1, 2.0, 10)
         assert sweep.curve(0.1, 1, np.int64(5)).n == (1, 2, 3, 4, 5)
 
     @pytest.mark.parametrize("estimate",[povm.phase_estimate, povm.sharpness_closed])

@@ -448,13 +448,12 @@ class TestScanEngine:
 
 
 class TestSineDensity:
-    """``dist``'s P(phi) in closed form, on the half turn it stores."""
+    """``dist``'s P(phi) in closed form, over the whole turn it hands back."""
 
     @staticmethod
     def published(loss, n, samples):
-        # the P column dist writes: the half turn, mirrored
-        half = sine_density(loss, n, samples)
-        return [half[min(k, samples - k)] for k in range(samples)]
+        # the P column dist writes
+        return list(sine_density(loss, n, samples))
 
     @pytest.mark.parametrize("loss", DENSITY_LOSSES)
     @pytest.mark.parametrize("n", DENSITY_NS)
@@ -462,10 +461,10 @@ class TestSineDensity:
         # 14.7 digits relative at every sampled angle, the tails and the points
         # next to +-a included; the absolute floor only meets the exact zeros
         # of P at L = 0, where the 40-digit sums leave a residue
-        half = sine_density(loss, n, DENSITY_SAMPLES)
-        peak = max(half)
+        values = self.published(loss, n, DENSITY_SAMPLES)
+        peak = max(values)
         for k in density_angles(n, DENSITY_SAMPLES):
-            value = half[min(k, DENSITY_SAMPLES - k)]
+            value = values[k]
             exact = mp_density(n, loss, k, DENSITY_SAMPLES)
             assert abs(value - exact) <= 2e-15 * exact + 1e-30 * peak, (k, value, float(exact))
 
@@ -483,10 +482,9 @@ class TestSineDensity:
     @pytest.mark.parametrize("loss", [0.0, 1e-300, 1e-8, 0.3, 0.999999])
     @pytest.mark.parametrize("n,samples", [(1, 64), (2, 64), (20, 336), (20, 1001), (256, 65536), (4096, 16388)])
     def test_mirror_image_is_bitwise(self, n, samples, loss):
-        full = sine_density(loss, n, samples, samples)
+        full = self.published(loss, n, samples)
+        assert len(full) == samples
         assert all(full[k] == full[samples - k] for k in range(1, samples))
-        assert full[: samples // 2 + 1] == sine_density(loss, n, samples)
-        assert len(sine_density(loss, n, samples)) == samples // 2 + 1
 
     @pytest.mark.parametrize("n,samples", [(1, 66), (2, 64), (20, 264), (4094, 16384)])
     def test_removable_point_at_plus_minus_a(self, n, samples):
@@ -498,7 +496,7 @@ class TestSineDensity:
         assert 2 * k * m == samples
         values = []
         for loss in (0.0, 5e-324, 1e-300):
-            full = sine_density(loss, n, samples, samples)
+            full = self.published(loss, n, samples)
             assert math.isfinite(full[k]) and full[k] == full[samples - k]
             values.append(full[k])
         assert values[0] == pytest.approx(m / (4 * math.pi), rel=1e-15)
