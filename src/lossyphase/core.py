@@ -26,22 +26,29 @@ def _check_cap(n_photons: int) -> None:
         )
 
 
-def _check_photon_number(n, name: str = "photon number") -> int:
-    """``n`` as an int in 1..MAX_PHOTON_NUMBER: any integer type, no bool or float."""
+def _check_integer(n, name: str) -> int:
+    """``n`` as an int: any integer type, no bool or float."""
     if isinstance(n, bool) or not hasattr(type(n), "__index__"):
         raise TypeError(f"{name} must be an integer, got {type(n).__name__}")
-    n = operator.index(n)
+    return operator.index(n)
+
+
+def _check_photon_number(n, name: str = "photon number") -> int:
+    """``n`` as an int in 1..MAX_PHOTON_NUMBER."""
+    n = _check_integer(n, name)
     if n < 1:
         raise ValueError(f"{name} must be >= 1, got {n}")
     _check_cap(n)
     return n
 
 
-def _check_phase_samples(samples: int, n_photons: int) -> None:
-    """The Nyquist guard: a grid of P(phi) holds four points per harmonic, 4(N+1) in all."""
+def _check_phase_samples(samples, n_photons: int) -> int:
+    """``samples`` as an int at the Nyquist guard 4(N+1) or above: four points per harmonic."""
+    samples = _check_integer(samples, "phase samples")
     if samples < 4 * (n_photons + 1):
         raise ValueError(f"{samples} phase samples are below the Nyquist guard "
                          f"{4 * (n_photons + 1)} for N = {n_photons}")
+    return samples
 
 
 class LossChannel(namedtuple("LossChannel", "loss")):

@@ -3,9 +3,11 @@
 Loss of a fraction L in the phase-shift arm is modeled by a beam splitter of
 transmission 1 - L coupling that arm to a vacuum mode. Of t photons entering
 it, ell are scattered with the binomial amplitude
-sqrt(C(t, ell)) (1-L)^((t-ell)/2) L^(ell/2), the corner column of the
-splitter's rotation matrix. Scattered photons are traced out, leaving a mixed
-state on the inner modes that is block diagonal in the number of photons lost.
+K[t, ell] = sqrt(C(t, ell)) (1-L)^((t-ell)/2) L^(ell/2), the corner column of
+the splitter's rotation matrix; each branch takes one row of K and each block
+one column, formed from O(N) log tables. Scattered photons are traced out,
+leaving a mixed state on the inner modes that is block diagonal in the
+number of photons lost.
 """
 
 from __future__ import annotations
@@ -19,34 +21,24 @@ import numpy as np
 from .core import LossChannel
 from .states import AmplitudeVector
 
-# The density path builds the (N+1)^2 loss column and is refused above this
-# photon number; the closed form in the povm module covers large N.
-DENSITY_MATRIX_MAX_PHOTONS = 256
-
 # i^n for the kept-photon phase e^{i (pi/2)(m-k)}; exact complex units.
 _QUARTER_TURNS = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
 
 
-def _loss_column(n: int, loss: float) -> np.ndarray:
-    """K[t, ell] = sqrt(C(t, ell)) (1-L)^((t-ell)/2) L^(ell/2) for 0 <= ell <= t <= n.
+def _loss_logs(n: int, loss: float) -> tuple:
+    """log k!, k log(1-L) and k log L for k = 0..n, the tables K is formed from.
 
-    The amplitude for ell of t photons to be scattered; zero above the
-    diagonal. Each row is summed in the log domain and exponentiated in
-    place, so an entry underflows only where its value is below the smallest
-    double, and L = 0 gives exact ones at ell = 0 and exact zeros elsewhere.
+    2 log K[t, ell] = log t! - log ell! - log (t-ell)! + (t-ell) log(1-L) + ell log L,
+    summed in that order and then halved and exponentiated, so an entry
+    underflows only where its value is below the smallest double. At L = 0
+    the last table is -inf past k = 0, which gives exact ones at ell = 0 and
+    exact zeros elsewhere.
     """
     log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
-    log_kept = np.arange(n + 1) * math.log1p(-loss)  # indexed by t - ell
-    log_lost = np.zeros(n + 1)  # indexed by ell; 0 * log(0) stays 0
+    log_kept = np.arange(n + 1) * math.log1p(-loss)
+    log_lost = np.zeros(n + 1)  # 0 * log(0) stays 0
     log_lost[1:] = np.arange(1, n + 1) * math.log(loss) if loss > 0.0 else -math.inf
-    column = np.full((n + 1, n + 1), -math.inf)
-    for t in range(n + 1):
-        column[t, : t + 1] = (
-            log_factorial[t] - log_factorial[: t + 1] - log_factorial[t::-1]
-            + log_kept[t::-1] + log_lost[: t + 1]
-        )
-    column *= 0.5
-    return np.exp(column, out=column)
+    return log_factorial, log_kept, log_lost
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,16 +66,18 @@ def pure_lossy_state(state: AmplitudeVector, channel: LossChannel) -> PureLossyS
     """Send the input through the loss splitter, keeping the scattered mode.
 
     The branch with s of the t lossy-arm photons surviving carries amplitude
-    psi_t * i^(s-t) * K[t, t-s], K being the binomial loss column; the
+    psi_t * i^(s-t) * K[t, t-s], K being the binomial loss amplitude; the
     squares of each row of K sum to one, so the total norm is preserved.
     """
     n = state.n_photons
-    column = _loss_column(n, channel.loss)
+    log_factorial, log_kept, log_lost = _loss_logs(n, channel.loss)
     lost_phase = np.array(_QUARTER_TURNS)[-np.arange(n + 1) % 4]  # i^(-ell)
     coeffs = []
     for t in range(n + 1):
-        # reversed rows run over s = 0..t kept photons, ell = t - s lost
-        branch = state.psi[t] * column[t, t::-1] * lost_phase[t::-1]
+        # row t of K over ell = 0..t; reversed, it runs over s = t - ell kept photons
+        row = np.exp(0.5 * (log_factorial[t] - log_factorial[: t + 1] - log_factorial[t::-1]
+                            + log_kept[t::-1] + log_lost[: t + 1]))
+        branch = state.psi[t] * row[::-1] * lost_phase[t::-1]
         branch.flags.writeable = False
         coeffs.append(branch)
     return PureLossyState(channel=channel, coeffs=tuple(coeffs))
@@ -100,7 +94,7 @@ class ReducedDensity:
     ``block(ell)`` builds one dense block on demand, and ``blocks`` is a
     read-only mapping over the kept ell that builds a block only when it is
     indexed. ``reduced_density`` keeps block ell exactly when some w_ell(t)
-    is a nonzero double; the loss column K underflows only below the
+    is a nonzero double; the loss amplitude K underflows only below the
     smallest double, and at L = 0 only block 0 is kept.
     """
 
@@ -179,18 +173,17 @@ def reduced_density(state: AmplitudeVector, channel: LossChannel) -> ReducedDens
     Tracing forces the two sides of each entry to lose the same number of
     photons ell, which cancels the quarter-turn phases; each surviving block
     is the real rank-one outer product of w_ell(t) = psi_t * K[t, ell] over
-    t = ell..N, K being the binomial loss column, and only w_ell is kept.
+    t = ell..N, K being the binomial loss amplitude, and only w_ell is kept.
     """
     n = state.n_photons
-    if n > DENSITY_MATRIX_MAX_PHOTONS:
-        raise ValueError(
-            f"photon number {n} exceeds the density-matrix cap {DENSITY_MATRIX_MAX_PHOTONS}; "
-            "use the closed-form path for large inputs"
-        )
-    column = _loss_column(n, channel.loss)
+    log_factorial, log_kept, log_lost = _loss_logs(n, channel.loss)
     factors = {}
     for ell in range(n + 1):
-        w = state.psi[ell:] * column[ell:, ell]
+        # column ell of K over t = ell..N
+        column = np.exp(0.5 * (log_factorial[ell:] - log_factorial[ell]
+                               - log_factorial[: n + 1 - ell] + log_kept[: n + 1 - ell]
+                               + log_lost[ell]))
+        w = state.psi[ell:] * column
         if np.any(w != 0.0):
             factors[ell] = w
     return ReducedDensity(n_photons=n, channel=channel, factors=factors)

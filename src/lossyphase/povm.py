@@ -65,7 +65,7 @@ class PhaseDistribution:
         P e^{i phi} over it exact; below that ``core._check_phase_samples``, the
         guard ``sweep.sine_density`` calls too, raises a ValueError.
         """
-        _check_phase_samples(samples, self.factor.size - 1)
+        samples = _check_phase_samples(samples, self.factor.size - 1)
         phi = np.arange(samples) * (TWO_PI / samples)
         return phi, np.abs(np.fft.fft(self.factor, samples)) ** 2 / TWO_PI
 

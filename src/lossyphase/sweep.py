@@ -216,7 +216,7 @@ def sine_density(loss: float, n: int, samples: int):
     refuses; the closed form itself needs no guard.
     """
     n = _check_photon_number(n)
-    _check_phase_samples(samples, n)
+    samples = _check_phase_samples(samples, n)
     loss = channel_from_loss(loss).loss
     m = n + 2
     log_r = 0.5 * math.log1p(-loss)

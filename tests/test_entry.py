@@ -22,8 +22,7 @@ from lossyphase.__main__ import BLAS_THREAD_VARIABLES
 # the public names each submodule gave the package when it imported them eagerly
 SUBMODULE_NAMES = {
     "core": ("MAX_PHOTON_NUMBER", "LossChannel", "channel_from_loss"),
-    "loss": ("DENSITY_MATRIX_MAX_PHOTONS", "PureLossyState", "ReducedDensity",
-             "pure_lossy_state", "reduced_density"),
+    "loss": ("PureLossyState", "ReducedDensity", "pure_lossy_state", "reduced_density"),
     "povm": ("PhaseDistribution", "PhaseEstimate", "distribution", "distribution_from_density",
              "holevo", "lossless_reference", "phase_estimate", "sharpness_closed"),
     "states": ("AmplitudeVector", "optimal_amplitudes"),

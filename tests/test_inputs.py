@@ -65,6 +65,25 @@ class TestPhotonNumber:
             estimate(AmplitudeVector([1.0]), channel_from_loss(0.1))
 
 
+# every entry that takes a number of phase samples, at N = 2
+PHASE_SAMPLE_ENTRIES = {
+    "sine_density": lambda samples: list(sweep.sine_density(0.1, 2, samples)),
+    "evaluate": lambda samples: povm.distribution(
+        optimal_amplitudes(2), channel_from_loss(0.1)).evaluate(samples)[1],
+}
+
+
+@pytest.mark.parametrize("call", PHASE_SAMPLE_ENTRIES.values(), ids=list(PHASE_SAMPLE_ENTRIES))
+class TestPhaseSamples:
+    def test_accepts_any_integer_type(self, call):
+        assert np.array_equal(np.asarray(call(np.int64(64))), np.asarray(call(64)))
+
+    @pytest.mark.parametrize("bad", [64.0, True])
+    def test_refuses_float_and_bool(self, call, bad):
+        with pytest.raises(TypeError, match=f"^phase samples must be an integer, got {type(bad).__name__}$"):
+            call(bad)
+
+
 @pytest.mark.parametrize("n,samples", [(1, 7), (20, 83), (256, 64)])
 def test_one_nyquist_message(n, samples):
     # the FFT oracle and the closed form that ``dist`` writes refuse a grid in the same words

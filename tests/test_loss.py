@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lossyphase import (
-    DENSITY_MATRIX_MAX_PHOTONS,
+    MAX_PHOTON_NUMBER,
     AmplitudeVector,
     ReducedDensity,
     channel_from_loss,
@@ -17,8 +17,9 @@ from lossyphase import (
     pure_lossy_state,
     reduced_density,
 )
-from lossyphase.loss import _loss_column
 from lossyphase.oracle import ORACLE_MAX_TWICE_SPIN, bs_unitary
+from lossyphase.povm import distribution_from_density
+from lossyphase.sweep import _sine_sharpness
 
 LOSSES = (0.1, 0.3, 0.5, 0.7)
 
@@ -54,36 +55,46 @@ def mp_block_factors(n, loss):
         }
 
 
+def loss_row(t, loss):
+    """K[t, ell] for ell = 0..t: the moduli of the branches of |t>, reversed to run over ell lost.
+
+    Each branch is psi_t = 1 times K[t, ell] times an exact unit i^(-ell), so
+    its modulus is K[t, ell] to the bit.
+    """
+    state = AmplitudeVector(np.eye(t + 1)[t])
+    return np.abs(pure_lossy_state(state, channel_from_loss(loss)).coeffs[t])[::-1]
+
+
 class TestChannelFromLoss:
     def test_no_loss(self):
         # nothing is scattered: exact ones at ell = 0 and exact zeros elsewhere
-        expected = np.zeros((9, 9))
-        expected[:, 0] = 1.0
         assert channel_from_loss(0.0).loss == 0.0
-        np.testing.assert_array_equal(_loss_column(8, 0.0), expected)
+        for t in range(9):
+            np.testing.assert_array_equal(loss_row(t, 0.0), np.eye(t + 1)[0])
 
     def test_half_loss(self):
-        column = _loss_column(12, channel_from_loss(0.5).loss)
+        loss = channel_from_loss(0.5).loss
         for t in range(13):
+            row = loss_row(t, loss)
+            assert row.shape == (t + 1,)  # no more than t of t photons are lost
             for ell in range(t + 1):
-                assert column[t, ell] ** 2 == pytest.approx(math.comb(t, ell) / 2**t, rel=1e-13)
-            assert np.all(column[t, t + 1 :] == 0.0)
+                assert row[ell] ** 2 == pytest.approx(math.comb(t, ell) / 2**t, rel=1e-13)
 
     def test_thirty_percent(self):
-        column = _loss_column(2, channel_from_loss(0.3).loss)
-        np.testing.assert_allclose(column[1, :2], [math.sqrt(0.7), math.sqrt(0.3)], rtol=1e-15)
-        np.testing.assert_allclose(column[2], [0.7, math.sqrt(2 * 0.7 * 0.3), 0.3], rtol=1e-15)
+        loss = channel_from_loss(0.3).loss
+        np.testing.assert_allclose(loss_row(1, loss), [math.sqrt(0.7), math.sqrt(0.3)], rtol=1e-15)
+        np.testing.assert_allclose(loss_row(2, loss), [0.7, math.sqrt(2 * 0.7 * 0.3), 0.3], rtol=1e-15)
 
     @pytest.mark.parametrize("loss", [0.0, 1e-6, 0.1, 0.3, 0.9, 0.999])
     def test_round_trip(self, loss):
         # each row is a binomial distribution of lost photons with mean t L
         ch = channel_from_loss(loss)
         assert ch.loss == loss
-        weights = _loss_column(20, ch.loss) ** 2
-        lost = np.arange(21)
         for t in range(1, 21):
-            assert np.sum(weights[t]) == pytest.approx(1.0, abs=1e-13)
-            assert np.sum(lost * weights[t]) / t == pytest.approx(loss, rel=1e-12, abs=1e-300)
+            weights = loss_row(t, ch.loss) ** 2
+            lost = np.arange(t + 1)
+            assert np.sum(weights) == pytest.approx(1.0, abs=1e-13)
+            assert np.sum(lost * weights) / t == pytest.approx(loss, rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize("loss", [-0.1, 1.0, 1.5, math.nan])
     def test_rejects_out_of_range(self, loss):
@@ -167,6 +178,19 @@ class TestPureLossyState:
         for t, branch in enumerate(lossy.coeffs):
             assert branch.shape == (t + 1,)
 
+    def test_builds_little_beyond_its_coefficients(self):
+        # the branches are formed row by row: a dense (N+1)^2 table of K would
+        # add another 0.97 times the coefficients' bytes at N = 1024
+        state = optimal_amplitudes(1024)
+        channel = channel_from_loss(0.3)
+        tracemalloc.start()
+        try:
+            lossy = pure_lossy_state(state, channel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * sum(c.nbytes for c in lossy.coeffs)
+
 
 class TestReducedDensity:
     def test_lossless_is_rank_one_projector(self):
@@ -211,26 +235,24 @@ class TestReducedDensity:
             assert rho.block(ell).shape == (n + 1 - ell, n + 1 - ell)
 
     @pytest.mark.parametrize("loss", (0.0, 1e-8, 0.25))
-    def test_blocks_are_outer_products_of_the_loss_column(self, loss):
+    def test_blocks_are_outer_products_of_loss_amplitudes(self, loss):
         n = 12
-        state = optimal_amplitudes(n)
-        rho = reduced_density(state, channel_from_loss(loss))
-        column = _loss_column(n, loss)
-        for ell in range(n + 1):
-            w = state.psi[ell:] * column[ell:, ell]
+        rho = reduced_density(optimal_amplitudes(n), channel_from_loss(loss))
+        for ell, exact in mp_block_factors(n, loss).items():
             if ell in rho.factors:
-                np.testing.assert_array_equal(rho.factors[ell], w)
+                w = rho.factors[ell]
+                np.testing.assert_allclose(w, exact, rtol=1e-13, atol=0)
                 np.testing.assert_array_equal(rho.block(ell), np.outer(w, w))
                 np.testing.assert_array_equal(rho.blocks[ell], np.outer(w, w))
             else:
-                assert not np.any(w)
+                assert not np.any(exact)
                 np.testing.assert_array_equal(rho.block(ell), np.zeros((n + 1 - ell,) * 2))
         assert set(rho.blocks) == set(rho.factors)
         with pytest.raises(ValueError, match="outside"):
             rho.block(n + 1)
 
     def test_stores_factors_not_dense_blocks(self):
-        state = optimal_amplitudes(DENSITY_MATRIX_MAX_PHOTONS)
+        state = optimal_amplitudes(256)
         channel = channel_from_loss(0.02)
         tracemalloc.start()
         try:
@@ -243,7 +265,7 @@ class TestReducedDensity:
     def test_block_view_builds_no_block_to_count_or_list(self):
         # every dense block at this size is 43.5 MB under tracemalloc; the
         # view's length, keys and membership read the factors alone (11 KB measured)
-        rho = reduced_density(optimal_amplitudes(DENSITY_MATRIX_MAX_PHOTONS), channel_from_loss(0.02))
+        rho = reduced_density(optimal_amplitudes(256), channel_from_loss(0.02))
         tracemalloc.start()
         try:
             count, kept = len(rho.blocks), set(rho.blocks)
@@ -276,10 +298,17 @@ class TestReducedDensity:
         with pytest.raises(ValueError, match="non-finite"):
             ReducedDensity(n_photons=2, channel=channel, factors={0: [1.0, math.nan, 0.0]})
 
-    def test_memory_guard(self):
-        state = optimal_amplitudes(DENSITY_MATRIX_MAX_PHOTONS + 1)
-        with pytest.raises(ValueError, match="cap"):
-            reduced_density(state, channel_from_loss(0.1))
+    @pytest.mark.parametrize("loss", (1e-6, 0.3))
+    def test_runs_to_the_photon_number_cap(self, loss):
+        # K is formed a column at a time, so the cap of every path bounds this one too
+        rho = reduced_density(optimal_amplitudes(MAX_PHOTON_NUMBER), channel_from_loss(loss))
+        assert rho.trace() == pytest.approx(1.0, abs=1e-12)
+        closed = _sine_sharpness(loss, False)(MAX_PHOTON_NUMBER)[0]
+        assert distribution_from_density(rho).fourier_sharpness() == pytest.approx(closed, rel=2e-15)
+
+    def test_refuses_past_the_photon_number_cap(self):
+        with pytest.raises(ValueError, match="^photon number 4097 exceeds the supported maximum 4096$"):
+            reduced_density(optimal_amplitudes(MAX_PHOTON_NUMBER + 1), channel_from_loss(0.1))
 
     def test_external_state_goes_through(self):
         sq = 1 / math.sqrt(2)
