@@ -2,9 +2,9 @@
 
 Each of ``run_curve``, ``run_nopt`` and ``run_dist`` parses its arguments,
 calls the library, which checks every input and cap before computing
-anything, and hands the rows to ``_emit``, the one writer of every data file
-and plot script, as row slices: tuples of equal-length lists of plain values,
-one list per column. The library's rules (loss, photon number, Nyquist guard)
+anything, and hands ``_emit``, the one writer of every data file and plot
+script, one iterable of plain values per column; ``_emit`` cuts them into
+row slices itself. The library's rules (loss, photon number, Nyquist guard)
 live in ``core``; the command line checks only what the library does not
 see: the shapes of ``--n-range`` and ``--loss-grid`` (not its values, though
 a one-point grid's ``hi`` goes through the library's grid rule), the grid size
@@ -37,7 +37,7 @@ to the library.
 
 At import this module loads only the standard library, ``sweep`` and
 ``core``, so ``curve``, ``nopt`` and ``dist`` run without numpy. ``run_dist``
-writes the closed form of ``sweep.sine_density`` one row slice at a time and
+hands over the closed form of ``sweep.sine_density`` as it is generated and
 imports none of the numpy layers (``states``, ``povm``); their FFT,
 ``PhaseDistribution.evaluate``, is its oracle in the tests and in
 ``validate``. Only ``run_validate`` loads numpy, with the check
@@ -77,8 +77,8 @@ CURVE_COLUMNS = ("n", "delta_phi", "shot_noise", "heisenberg")
 NOPT_COLUMNS = ("loss", "n_opt")
 DIST_COLUMNS = ("phi", "p")
 
-# rows of a long column reach the writer this many at a time; a JSON slice
-# is encoded through a few strings per cell, so 4096 rows raised a 4096-point
+# _slices cuts the columns into slices of this many rows; a JSON slice is
+# encoded through a few strings per cell, so 4096 rows raised a 4096-point
 # curve's tracemalloc peak to 2.6 MB, where 512 keep it at 0.56 MB for the
 # same speed
 ROW_SLICE = 512
@@ -210,22 +210,26 @@ def _open_or_remove(path: str):
         raise
 
 
-def _csv_text(config: dict, extra: dict, columns: tuple, slices):
+def _slices(columns):
+    """The columns, read in step, as tuples of ``ROW_SLICE``-row lists; no whole column is listed."""
+    columns = [iter(column) for column in columns]
+    while (block := tuple(list(itertools.islice(column, ROW_SLICE)) for column in columns))[0]:
+        yield block
+
+
+def _csv_text(config: dict, extra: dict, names: tuple, slices):
     """A CSV data file in pieces: the header and column line, then one piece per row slice."""
     header = [f"# {k} = {str(v).lower() if isinstance(v, bool) else v}" for k, v in config.items()]
     header += [f"# {k} = {_fmt(v)}" for k, v in extra.items()]
-    yield "\n".join(header + [",".join(columns)]) + "\n"
-    cells = ",".join(["%.17g"] * len(columns)) + "\n"  # _fmt of every cell of a row with no None
-    for block in slices:
-        flat = tuple(itertools.chain.from_iterable(zip(*block)))  # the cells, row by row
-        if None in flat:
-            yield "".join(cells % row if None not in row else ",".join(map(_fmt, row)) + "\n"
-                          for row in zip(*block))
-        else:  # the whole slice in one % operation
-            yield (cells * len(block[0])) % flat
+    yield "\n".join(header + [",".join(names)]) + "\n"
+    for block in slices:  # a column holding None as _fmt writes it, so a slice is one % operation
+        formats, block = zip(*(("%s", list(map(_fmt, column))) if None in column else ("%.17g", column)
+                               for column in block))
+        row = ",".join(formats) + "\n"
+        yield (row * len(block[0])) % tuple(itertools.chain.from_iterable(zip(*block)))
 
 
-def _json_text(config: dict, extra: dict, columns: tuple, slices):
+def _json_text(config: dict, extra: dict, names: tuple, slices):
     """A JSON data file in pieces: the header keys on one line, then one row object per line.
 
     Each row line is the text ``json.dumps`` gives the row's dict, with
@@ -234,7 +238,7 @@ def _json_text(config: dict, extra: dict, columns: tuple, slices):
     """
     head = {"config": config, **{k: _json_cell(v) for k, v in extra.items()}}
     yield json.dumps(head)[:-1] + ', "rows": ['
-    row = "{" + ", ".join(json.dumps(column) + ": %s" for column in columns) + "}"
+    row = "{" + ", ".join(json.dumps(name) + ": %s" for name in names) + "}"
     separator = "\n"
     for block in slices:
         yield separator + ",\n".join(row % cells for cells in zip(*map(_json_cells, block)))
@@ -242,27 +246,26 @@ def _json_text(config: dict, extra: dict, columns: tuple, slices):
     yield "\n]}\n"
 
 
-def _emit(args, config: dict, columns: tuple, slices, logscale: bool, ylabel: str,
+def _emit(args, config: dict, names: tuple, columns, logscale: bool, ylabel: str,
           extra: dict | None = None) -> int:
     """Write one command's data file and its plot script; the only writer of either.
 
-    ``slices`` is an iterable of row slices, each a tuple of one nonempty list
-    per column, all of one length, holding ints, floats or None; it is read
-    once and streamed into the open file. ``config`` holds the command's own
-    header keys, after ``command`` and ``format``. ``extra`` holds header values
-    computed with the rows: CSV comments after the config, JSON keys before
-    ``rows``. If anything raises while the files are written, neither is
-    left behind.
+    ``columns`` holds one iterable per name, all of one nonempty length, of
+    ints, floats or None; ``_slices`` cuts them into row slices that stream
+    into the open file. ``config`` holds the command's own header keys, after
+    ``command`` and ``format``. ``extra`` holds header values computed with
+    the rows: CSV comments after the config, JSON keys before ``rows``. If
+    anything raises while the files are written, neither is left behind.
     """
     out = args.out or f"{args.command}.{args.format}"
     config = {"command": args.command, "format": args.format, **config}
     extra = extra or {}
     if args.format == "csv":
-        text = _csv_text(config, extra, columns, slices)
-        script, script_text = out + ".gp", _gnuplot_script(out, columns, logscale, ylabel)
+        text = _csv_text(config, extra, names, _slices(columns))
+        script, script_text = out + ".gp", _gnuplot_script(out, names, logscale, ylabel)
     else:
-        text = _json_text(config, extra, columns, slices)
-        script, script_text = out + "_plot.py", _matplotlib_script(out, columns, logscale, ylabel)
+        text = _json_text(config, extra, names, _slices(columns))
+        script, script_text = out + "_plot.py", _matplotlib_script(out, names, logscale, ylabel)
     with _open_or_remove(out) as data:
         data.writelines(text)
         with _open_or_remove(script) as plot:
@@ -271,42 +274,29 @@ def _emit(args, config: dict, columns: tuple, slices, logscale: bool, ylabel: st
     return EXIT_OK
 
 
-def _dist_rows(p, samples: int):
-    """Row slices of the ``dist`` file: phi_k = k * (2 pi / samples) paired with P.
-
-    ``p`` yields P(phi_k) for k = 0..samples - 1; ``ROW_SLICE`` rows at a
-    time, so no Python list of a whole column is built.
-    """
-    step = 2.0 * math.pi / samples
-    for start in range(0, samples, ROW_SLICE):
-        stop = min(start + ROW_SLICE, samples)
-        yield [k * step for k in range(start, stop)], list(itertools.islice(p, stop - start))
-
-
 def run_curve(args) -> int:
     n_min, n_max = parse_n_range(args.n_range)
     result = sweep.curve(args.loss, n_min, n_max, normalized=args.normalized)
     columns = (result.n, result.delta_phi, result.shot_noise, result.heisenberg)
-    slices = (tuple(column[start : start + ROW_SLICE] for column in columns)
-              for start in range(0, len(result.n), ROW_SLICE))
     config = {"normalized": args.normalized, "loss": result.loss, "n_range": f"{n_min}:{n_max}"}
-    return _emit(args, config, CURVE_COLUMNS, slices, logscale=True, ylabel="delta_phi")
+    return _emit(args, config, CURVE_COLUMNS, columns, logscale=True, ylabel="delta_phi")
 
 
 def run_nopt(args) -> int:
     pairs = sweep.nopt_vs_loss(parse_loss_grid(args.loss_grid), args.n_max, args.normalized)
-    slices = [tuple(map(list, zip(*pairs)))]
     config = {"normalized": args.normalized, "loss_grid": args.loss_grid, "n_max": args.n_max}
-    return _emit(args, config, NOPT_COLUMNS, slices, logscale=True, ylabel="n_opt")
+    return _emit(args, config, NOPT_COLUMNS, zip(*pairs), logscale=True, ylabel="n_opt")
 
 
 def run_dist(args) -> int:
     samples = args.phi_samples
     if not MIN_PHI_SAMPLES <= samples <= MAX_PHI_SAMPLES:
         raise ValueError(f"phi-samples must be in {MIN_PHI_SAMPLES}..{MAX_PHI_SAMPLES}, got {samples}")
+    # phi_k = k * (2 pi / samples); float times int is the same double either way round
+    phi = map((2.0 * math.pi / samples).__mul__, range(samples))
     p = sweep.sine_density(args.loss, args.n, samples)
     config = {"loss": args.loss, "n": args.n, "phi_samples": samples}
-    return _emit(args, config, DIST_COLUMNS, _dist_rows(p, samples), logscale=False,
+    return _emit(args, config, DIST_COLUMNS, (phi, p), logscale=False,
                  ylabel="P(phi)", extra={"integral_p": sweep.sine_mass(args.loss, args.n)})
 
 

@@ -5,9 +5,10 @@ transmission 1 - L coupling that arm to a vacuum mode. Of t photons entering
 it, ell are scattered with the binomial amplitude
 K[t, ell] = sqrt(C(t, ell)) (1-L)^((t-ell)/2) L^(ell/2), the corner column of
 the splitter's rotation matrix; each branch takes one row of K and each block
-one column, formed from O(N) log tables. Scattered photons are traced out,
-leaving a mixed state on the inner modes that is block diagonal in the
-number of photons lost.
+one column, formed from O(N) log tables. The branches are views of one
+buffer and the block factors are frozen once, so neither is held twice.
+Scattered photons are traced out, leaving a mixed state on the inner modes
+that is block diagonal in the number of photons lost.
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ class PureLossyState:
     ``coeffs[t][s]`` is the complex amplitude on the Fock ket with s photons
     kept in the lossy arm, t - s photons scattered into the traced mode, and
     N - t photons in the reference arm (t = j + mu runs 0..N). Each branch
-    carries the quarter-turn phase i^(s-t) picked up at the splitter.
+    carries the quarter-turn phase i^(s-t) picked up at the splitter. The
+    branches are read-only views of one buffer, branch t its entries
+    t(t+1)/2 up to (t+1)(t+2)/2.
     """
 
     channel: LossChannel
@@ -72,15 +75,15 @@ def pure_lossy_state(state: AmplitudeVector, channel: LossChannel) -> PureLossyS
     n = state.n_photons
     log_factorial, log_kept, log_lost = _loss_logs(n, channel.loss)
     lost_phase = np.array(_QUARTER_TURNS)[-np.arange(n + 1) % 4]  # i^(-ell)
-    coeffs = []
+    starts = [t * (t + 1) // 2 for t in range(n + 2)]
+    buffer = np.empty(starts[-1], dtype=complex)
     for t in range(n + 1):
         # row t of K over ell = 0..t; reversed, it runs over s = t - ell kept photons
         row = np.exp(0.5 * (log_factorial[t] - log_factorial[: t + 1] - log_factorial[t::-1]
                             + log_kept[t::-1] + log_lost[: t + 1]))
-        branch = state.psi[t] * row[::-1] * lost_phase[t::-1]
-        branch.flags.writeable = False
-        coeffs.append(branch)
-    return PureLossyState(channel=channel, coeffs=tuple(coeffs))
+        np.multiply(state.psi[t] * row[::-1], lost_phase[t::-1], out=buffer[starts[t] : starts[t + 1]])
+    buffer.flags.writeable = False  # so is every view of it
+    return PureLossyState(channel=channel, coeffs=tuple(buffer[a:b] for a, b in zip(starts, starts[1:])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +98,9 @@ class ReducedDensity:
     read-only mapping over the kept ell that builds a block only when it is
     indexed. ``reduced_density`` keeps block ell exactly when some w_ell(t)
     is a nonzero double; the loss amplitude K underflows only below the
-    smallest double, and at L = 0 only block 0 is kept.
+    smallest double, and at L = 0 only block 0 is kept. Every factor is
+    read-only: one that ``reduced_density`` froze is kept as it is, and any
+    other array (a caller's) is copied once.
     """
 
     n_photons: int
@@ -108,7 +113,9 @@ class ReducedDensity:
         for ell, w in sorted(self.factors.items()):
             if not 0 <= ell <= n:
                 raise ValueError(f"lost-photon count {ell} outside 0..{n}")
-            arr = np.array(w, dtype=float)
+            arr = np.asarray(w, dtype=float)
+            if arr.flags.writeable or arr.base is not None:  # a read-only view still sees its base
+                arr = arr.copy()
             if arr.shape != (n + 1 - ell,):
                 raise ValueError(
                     f"factor {ell} has shape {arr.shape}, expected {(n + 1 - ell,)}"
@@ -185,5 +192,6 @@ def reduced_density(state: AmplitudeVector, channel: LossChannel) -> ReducedDens
                                + log_lost[ell]))
         w = state.psi[ell:] * column
         if np.any(w != 0.0):
+            w.flags.writeable = False
             factors[ell] = w
     return ReducedDensity(n_photons=n, channel=channel, factors=factors)

@@ -565,9 +565,9 @@ GOLDEN_CASES = {
 }
 
 # rows with an inf and a none cell, written by _emit itself (no command yields
-# them from this configuration) as one row slice; the CSV bytes are those of
-# the same rows before streaming
-EDGE_SLICE = ([1, 2, 3], [0.1, math.inf, None])
+# them from this configuration) from one iterable per column; the CSV bytes
+# are those of the same rows before streaming
+EDGE_COLUMNS = ([1, 2, 3], [0.1, math.inf, None])
 EDGE_CSV = (
     "# command = curve\n# format = csv\n# loss = 0.5\n# integral_p = inf\n"
     "n,delta_phi\n1,0.10000000000000001\n2,inf\n3,none\n"
@@ -594,7 +594,7 @@ CURVE_DIGESTS = {
 def _emit_edge_rows(directory, fmt):
     out = directory / f"edge.{fmt}"
     args = argparse.Namespace(command="curve", format=fmt, out=str(out))
-    assert cli._emit(args, {"loss": 0.5}, ("n", "delta_phi"), iter([EDGE_SLICE]),
+    assert cli._emit(args, {"loss": 0.5}, ("n", "delta_phi"), map(iter, EDGE_COLUMNS),
                      logscale=True, ylabel="delta_phi", extra={"integral_p": math.inf}) == 0
     return out.read_text(encoding="utf-8")
 
@@ -689,14 +689,17 @@ class TestStreamedFiles:
 
     @staticmethod
     def _fail_after_one_slice(monkeypatch):
+        # slices of one row, and the first column raises once its first row is read
         emit = cli._emit
 
-        def emit_failing_after_one_slice(args, config, columns, slices, *rest, **kwargs):
-            def failing_slices():
-                yield next(iter(slices))
+        def emit_failing_after_one_slice(args, config, names, columns, *rest, **kwargs):
+            def failing(column):
+                yield next(iter(column))
                 raise OSError("device full")
-            return emit(args, config, columns, failing_slices(), *rest, **kwargs)
+            first, *others = columns
+            return emit(args, config, names, (failing(first), *others), *rest, **kwargs)
 
+        monkeypatch.setattr(cli, "ROW_SLICE", 1)
         monkeypatch.setattr(cli, "_emit", emit_failing_after_one_slice)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -729,3 +732,32 @@ class TestStreamedFiles:
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rows"]
         assert received[0].startswith(b"# command = curve\n")
+
+
+class TestRowSlices:
+    # the goldens hold 3 rows and the benchmark's jobs multiples of 512, so
+    # these lengths are the ones that cross or end on a slice boundary
+    @pytest.mark.parametrize("length", [1, 511, 512, 513, 1025])
+    @pytest.mark.parametrize("kind", [tuple, list, lambda column: map(float, column), iter])
+    def test_slices_cut_every_column_at_the_same_rows(self, length, kind):
+        n = list(range(length))
+        half = [0.5 * k for k in n]
+        blocks = list(cli._slices((kind(n), kind(half))))
+        step = cli.ROW_SLICE
+        assert blocks == [(n[start : start + step], half[start : start + step]) for start in range(0, length, step)]
+        assert all(type(column) is list for block in blocks for column in block)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_dist_columns_across_slices(self, tmp_path, fmt):
+        # 1000 rows: one full slice and a partial one, each value kept bitwise
+        out = tmp_path / f"dist.{fmt}"
+        argv = ["dist", "--loss", "0.1", "--n", "7", "--phi-samples", "1000", "--format", fmt, "--out", str(out)]
+        assert main(argv) == 0
+        if fmt == "csv":
+            rows = [[float(cell) for cell in row] for row in read_rows(out)[2]]
+        else:
+            rows = [[row["phi"], row["p"]] for row in json.loads(out.read_text(encoding="utf-8"))["rows"]]
+        phi, p = zip(*rows)
+        step = 2.0 * math.pi / 1000
+        assert [x.hex() for x in phi] == [(k * step).hex() for k in range(1000)]
+        assert [x.hex() for x in p] == [x.hex() for x in sweep.sine_density(0.1, 7, 1000)]

@@ -2,12 +2,17 @@
 
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import lossyphase
 from lossyphase import (
     MAX_PHOTON_NUMBER,
     AmplitudeVector,
@@ -191,6 +196,41 @@ class TestPureLossyState:
             tracemalloc.stop()
         assert peak < 1.25 * sum(c.nbytes for c in lossy.coeffs)
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KB on Linux only")
+    def test_process_grows_by_little_beyond_its_coefficients(self):
+        # the branches share one buffer: a separate array per branch, with the
+        # row temporaries freed between them, grew the process by 2.0 times
+        # the coefficients at N = 2048 (67.0 MB against 33.6)
+        env = dict(os.environ)
+        package_root = str(Path(lossyphase.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join([package_root] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        run = subprocess.run([sys.executable, "-c", RSS_GROWTH_OF_BRANCHES], capture_output=True, text=True,
+                             env=env, timeout=120, check=True)
+        growth_kb, coeff_bytes = map(int, run.stdout.split())
+        assert growth_kb * 1024 < 1.3 * coeff_bytes
+
+    def test_branches_are_read_only(self):
+        lossy = pure_lossy_state(optimal_amplitudes(6), channel_from_loss(0.3))
+        for branch in lossy.coeffs:
+            assert not branch.flags.writeable
+            with pytest.raises(ValueError):
+                branch[0] = 0.0
+            with pytest.raises(ValueError):
+                branch.flags.writeable = True
+
+
+# prints the peak-RSS growth (KB) of one pure_lossy_state call at N = 2048 and
+# the bytes of its coefficients
+RSS_GROWTH_OF_BRANCHES = (
+    "import resource\n"
+    "from lossyphase import channel_from_loss, optimal_amplitudes, pure_lossy_state\n"
+    "state, channel = optimal_amplitudes(2048), channel_from_loss(1e-6)\n"
+    "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+    "lossy = pure_lossy_state(state, channel)\n"
+    "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+    "print(after - before, sum(c.nbytes for c in lossy.coeffs))\n"
+)
+
 
 class TestReducedDensity:
     def test_lossless_is_rank_one_projector(self):
@@ -261,6 +301,40 @@ class TestReducedDensity:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_holds_its_factors_once(self):
+        # the factors are frozen once and kept as they are: a second, copied
+        # set peaked at 2.09 times the factor bytes
+        state = optimal_amplitudes(1024)
+        channel = channel_from_loss(0.3)
+        tracemalloc.start()
+        try:
+            rho = reduced_density(state, channel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * sum(w.nbytes for w in rho.factors.values())
+
+    def test_factors_are_read_only(self):
+        rho = reduced_density(optimal_amplitudes(6), channel_from_loss(0.3))
+        for w in rho.factors.values():
+            assert not w.flags.writeable
+            with pytest.raises(ValueError):
+                w[0] = 0.0
+
+    def test_copies_a_callers_array(self):
+        # a writeable array, or a read-only view of one, could still change
+        # under the density matrix, so it is copied
+        mine = np.array([0.5, 0.25])
+        view = mine[:]
+        view.flags.writeable = False
+        channel = channel_from_loss(0.1)
+        rho = ReducedDensity(n_photons=1, channel=channel, factors={0: mine})
+        rho_view = ReducedDensity(n_photons=1, channel=channel, factors={0: view})
+        mine[0] = 0.0
+        for kept in (rho, rho_view):
+            assert not kept.factors[0].flags.writeable
+            np.testing.assert_array_equal(kept.block(0), [[0.25, 0.125], [0.125, 0.0625]])
 
     def test_block_view_builds_no_block_to_count_or_list(self):
         # every dense block at this size is 43.5 MB under tracemalloc; the
