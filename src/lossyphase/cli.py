@@ -6,12 +6,12 @@ anything, and hands ``_emit``, the one writer of every data file and plot
 script, one iterable of plain values per column; ``_emit`` cuts them into
 row slices itself. The library's rules (loss, photon number, Nyquist guard)
 live in ``core``; the command line checks only what the library does not
-see: the shapes of ``--n-range`` and ``--loss-grid`` (not its values, though
-a one-point grid's ``hi`` goes through the library's grid rule), the grid size
-and the ``--phi-samples`` range. Every check runs before ``_emit``
-opens the data file; ``_emit`` streams the slices into the open file, so its
-memory does not grow with the file, and removes a partly written regular file
-if anything raises.
+see: the shapes of ``--n-range`` and ``--loss-grid`` (a linear or one-point
+grid's typed ``lo:hi`` goes through the library's grid rule before any
+arithmetic), the grid size and the ``--phi-samples`` range. Every check
+runs before ``_emit`` opens the data file; ``_emit`` streams the slices into
+the open file, so its memory does not grow with the file, and removes a
+partly written regular file if anything raises.
 
 Data files are deterministic for a fixed configuration: stable row order,
 17-significant-digit decimals, no timestamps. A CSV file opens with
@@ -61,7 +61,7 @@ import re
 import stat
 import sys
 
-from . import sweep
+from . import core, sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -123,16 +123,17 @@ def parse_loss_grid(text: str) -> list:
         raise ValueError(f"bad loss-grid numbers in {text!r}") from None
     if not 1 <= count <= MAX_LOSS_GRID_POINTS:
         raise ValueError(f"loss-grid takes 1..{MAX_LOSS_GRID_POINTS} points, got {count}")
-    if count == 1:
-        sweep._check_loss_grid([lo, hi])  # the library never sees hi
-        return [lo]
-    if len(parts) == 4:
-        if lo <= 0.0 or hi <= 0.0:
-            raise ValueError("log-spaced loss-grid needs lo > 0 and hi > 0")
+    log = len(parts) == 4
+    if log and not (lo > 0.0 and hi > 0.0):  # NaN too
+        raise ValueError("log-spaced loss-grid needs lo > 0 and hi > 0")
+    if log and count > 1:
         # a power of 1e308 or more is taken as inf, which the loss check refuses
         return [10.0 ** x if x < 308.0 else math.inf
                 for x in _linear_grid(math.log10(lo), math.log10(hi), count)]
-    return _linear_grid(lo, hi, count)
+    # the typed ends pass the library's grid rule first: the library never sees
+    # a one-point grid's hi, and a linear grid's 0 * inf would show it a NaN
+    core._check_loss_grid([lo, hi])
+    return [lo] if count == 1 else _linear_grid(lo, hi, count)
 
 
 def _linear_grid(lo: float, hi: float, count: int) -> list:
@@ -365,13 +366,17 @@ def _join_negative_values(argv) -> list:
     """``--loss VALUE`` as ``--loss=VALUE`` where VALUE starts like a negative number.
 
     The same for ``--loss-grid`` and ``--n-range``. argparse reads a word such
-    as ``-1e-300`` or ``-0.1:0.2:3`` as an option (its negative-number pattern
-    has no exponent and no colon), which would refuse ``--loss -1e-300`` as a
-    missing value instead of letting it reach the library's check.
+    as ``-1e-300``, ``-0.1:0.2:3`` or ``-inf`` as an option (its
+    negative-number pattern has no exponent, no colon and no letters), which
+    would refuse ``--loss -1e-300`` as a missing value instead of letting it
+    reach the library's check. A word is joined when it starts like any
+    negative value ``float`` accepts: a digit, a point and a digit, ``inf``
+    (``infinity`` too) or ``nan``, in any case.
     """
     words = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(words) - 1, 0, -1):
-        if words[i - 1] in ("--loss", "--loss-grid", "--n-range") and re.match(r"-\.?\d", words[i]):
+        if (words[i - 1] in ("--loss", "--loss-grid", "--n-range")
+                and re.match(r"-(\.?\d|inf|nan)", words[i], re.IGNORECASE)):
             words[i - 1 : i + 1] = [f"{words[i - 1]}={words[i]}"]
     return words
 

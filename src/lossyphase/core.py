@@ -4,8 +4,8 @@ These are the pieces the sine-state scan shares with the numpy layers. Since
 nothing here imports numpy, ``sweep`` and ``cli`` import only this module and
 the standard library, and a ``curve`` or ``nopt`` process never loads numpy.
 This is the one home of each input rule (the photon number with its cap, the
-loss, the Nyquist guard) and of the channel: every entry calls these rules,
-and the package exports the cap and the channel from here.
+loss and the loss grid, the Nyquist guard) and of the channel: every entry
+calls these rules, and the package exports the cap and the channel from here.
 """
 
 from __future__ import annotations
@@ -74,6 +74,15 @@ def channel_from_loss(loss: float) -> LossChannel:
     if loss >= 1.0:
         raise ValueError(f"loss must be < 1, got {loss}")
     return LossChannel(loss=loss)
+
+
+def _check_loss_grid(grid) -> list:
+    """The grid's values as floats, once their order and then each value pass the loss rules."""
+    grid = [float(x) for x in grid]
+    for a, b in zip(grid, grid[1:]):
+        if b < a:
+            raise ValueError(f"loss grid must not descend, got {a!r} then {b!r}")
+    return [channel_from_loss(x).loss for x in grid]
 
 
 def _holevo_spread(sharp: float, defect: float) -> tuple:

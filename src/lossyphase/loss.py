@@ -6,7 +6,8 @@ it, ell are scattered with the binomial amplitude
 K[t, ell] = sqrt(C(t, ell)) (1-L)^((t-ell)/2) L^(ell/2), the corner column of
 the splitter's rotation matrix; each branch takes one row of K and each block
 one column, formed from O(N) log tables. The branches are views of one
-buffer and the block factors are frozen once, so neither is held twice.
+buffer and the block factors are frozen once, so neither is held twice,
+and neither keeps the channel it came from.
 Scattered photons are traced out, leaving a mixed state on the inner modes
 that is block diagonal in the number of photons lost.
 """
@@ -54,7 +55,6 @@ class PureLossyState:
     t(t+1)/2 up to (t+1)(t+2)/2.
     """
 
-    channel: LossChannel
     coeffs: tuple
 
     @property
@@ -83,7 +83,7 @@ def pure_lossy_state(state: AmplitudeVector, channel: LossChannel) -> PureLossyS
                             + log_kept[t::-1] + log_lost[: t + 1]))
         np.multiply(state.psi[t] * row[::-1], lost_phase[t::-1], out=buffer[starts[t] : starts[t + 1]])
     buffer.flags.writeable = False  # so is every view of it
-    return PureLossyState(channel=channel, coeffs=tuple(buffer[a:b] for a, b in zip(starts, starts[1:])))
+    return PureLossyState(tuple(buffer[a:b] for a, b in zip(starts, starts[1:])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +104,6 @@ class ReducedDensity:
     """
 
     n_photons: int
-    channel: LossChannel
     factors: dict
 
     def __post_init__(self):
@@ -143,10 +142,6 @@ class ReducedDensity:
     def trace(self) -> float:
         """Sum over blocks of |w|^2."""
         return float(sum(np.add.reduce(w * w) for w in self.factors.values()))
-
-    def purity(self) -> float:
-        """Sum over blocks of |w|^4, the squared Frobenius norm of each rank-one block."""
-        return float(sum(np.add.reduce(w * w) ** 2 for w in self.factors.values()))
 
 
 class _BlockView(Mapping):
@@ -194,4 +189,4 @@ def reduced_density(state: AmplitudeVector, channel: LossChannel) -> ReducedDens
         if np.any(w != 0.0):
             w.flags.writeable = False
             factors[ell] = w
-    return ReducedDensity(n_photons=n, channel=channel, factors=factors)
+    return ReducedDensity(n, factors)

@@ -18,9 +18,11 @@ library only), which calls the same guard, and ``evaluate`` is the oracle
 that the tests and ``validate`` hold that form to.
 
 With loss the distribution integrates to less than one (the measured sector
-is reached with probability sum_t psi_t^2 (1-L)^t). That raw quantity
-is the default everywhere; dividing the sharpness by the integral is offered
-behind an explicit ``normalized`` flag and is never switched on silently.
+is reached with probability sum_t psi_t^2 (1-L)^t). ``sharpness_closed`` and
+``phase_estimate`` give that raw quantity. The sharpness divided by the
+integral is the ``normalized`` variant of ``sweep.curve`` and
+``sweep.nopt_vs_loss``, never switched on silently; the tests hold it to
+``_sharpness_kernel``'s ``normalized`` branch.
 """
 
 from __future__ import annotations
@@ -142,21 +144,15 @@ def _sharpness_kernel(
     return sharp, total(psi * psi * lost) + spread
 
 
-def sharpness_closed(
-    state: AmplitudeVector,
-    channel: LossChannel,
-    normalized: bool = False,
-) -> float:
+def sharpness_closed(state: AmplitudeVector, channel: LossChannel) -> float:
     """Sharpness |<e^{i phi}>| from the closed-form nearest-neighbor sum.
 
     S = sum_t psi_t psi_{t-1} (1-L)^(t-1/2), the exact first
-    Fourier coefficient of the distribution. With ``normalized`` the raw
-    value is divided by the distribution's integral; that variant is not the
-    default quantity anywhere else in the library.
+    Fourier coefficient of the distribution.
     """
     _check_photon_number(state.n_photons)
     factors = _loss_factors(state.n_photons, channel.loss)
-    return float(_sharpness_kernel(state.psi, *factors, normalized)[0])
+    return float(_sharpness_kernel(state.psi, *factors, False)[0])
 
 
 @dataclass(frozen=True)
@@ -184,11 +180,7 @@ def holevo(sharpness: float) -> PhaseEstimate:
     return PhaseEstimate(sharpness, variance, math.sqrt(variance))
 
 
-def phase_estimate(
-    state: AmplitudeVector,
-    channel: LossChannel,
-    normalized: bool = False,
-) -> PhaseEstimate:
+def phase_estimate(state: AmplitudeVector, channel: LossChannel) -> PhaseEstimate:
     """Sharpness, Holevo variance and minimum detectable phase of a state.
 
     The same numbers as ``holevo(sharpness_closed(state, channel))``, but
@@ -198,7 +190,7 @@ def phase_estimate(
     """
     _check_photon_number(state.n_photons)
     factors = _loss_factors(state.n_photons, channel.loss)
-    sharp, defect = _sharpness_kernel(state.psi, *factors, normalized)
+    sharp, defect = _sharpness_kernel(state.psi, *factors, False)
     if sharp < 0.0:
         raise ValueError(f"sharpness must lie in [0, 1], got {float(sharp)}")
     variance, delta_phi = _holevo_spread(sharp, defect)

@@ -53,7 +53,8 @@ import math
 from array import array
 from collections import namedtuple
 
-from .core import _check_phase_samples, _check_photon_number, _holevo_spread, channel_from_loss
+from .core import (_check_loss_grid, _check_phase_samples, _check_photon_number, _holevo_spread,
+                   channel_from_loss)
 
 DEFAULT_MAX_PHOTONS = 1000
 
@@ -352,12 +353,3 @@ def nopt_vs_loss(loss_grid, n_max: int = DEFAULT_MAX_PHOTONS, normalized: bool =
     """
     n_max = _check_photon_number(n_max, "n-max")
     return [(loss, _n_opt(loss, n_max, normalized)) for loss in _check_loss_grid(loss_grid)]
-
-
-def _check_loss_grid(grid) -> list:
-    """The grid's values as floats, once their order and then each value pass the loss rules."""
-    grid = [float(x) for x in grid]
-    for a, b in zip(grid, grid[1:]):
-        if b < a:
-            raise ValueError(f"loss grid must not descend, got {a!r} then {b!r}")
-    return [channel_from_loss(x).loss for x in grid]

@@ -6,16 +6,13 @@ failure) and enforces its runtime budget.
 
 import contextlib
 import math
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import lossyphase
 from lossyphase import (
     channel_from_loss,
     curve,
@@ -31,6 +28,8 @@ from lossyphase import (
 )
 from lossyphase.oracle import bs_unitary, trace_out_explicit
 from lossyphase.wigner import d_element
+
+from conftest import child_env
 
 
 @contextlib.contextmanager
@@ -49,21 +48,6 @@ def criterion(num, description, budget=None):
         )
         raise AssertionError(f"criterion {num} runtime {elapsed:.2f}s exceeds {budget}s")
     print(f"[acceptance] criterion {num} PASS: {description} ({elapsed:.2f}s)")
-
-
-def cli_env():
-    """Environment in which ``python -m lossyphase`` imports this package.
-
-    The directory holding the imported package goes first on PYTHONPATH, as an
-    absolute path, so a child started in another working directory runs the
-    same code as the tests (a relative ``PYTHONPATH=src`` would not resolve).
-    """
-    env = dict(os.environ)
-    package_root = str(Path(lossyphase.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [package_root] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-    )
-    return env
 
 
 def test_criterion_1_lossless_analytic_anchor():
@@ -173,7 +157,7 @@ def test_criterion_8_cli_determinism_and_validation(tmp_path):
             sys.executable, "-m", "lossyphase", "curve",
             "--loss", "0", "--n-range", "1:100",
         ]
-        env = cli_env()
+        env = child_env()
         for name in ("first.csv", "second.csv"):
             run = subprocess.run(
                 cmd + ["--out", str(tmp_path / name)],

@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 from lossyphase import checks, cli, sweep
 from lossyphase.cli import _fmt, main, parse_loss_grid, parse_n_range
 
+from conftest import child_env
+
 
 # a fixed example sequence keeps Tier-1 reproducible and its cost bounded
 GRID_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -115,10 +117,11 @@ class TestParsers:
         ("0.5:0:3:log", "log-spaced loss-grid needs lo > 0 and hi > 0"),
         ("0:0.5:3:log", "log-spaced loss-grid needs lo > 0 and hi > 0"),
         ("0.5:1.7976931348623157e308:2:log", ", got inf"),
+        ("nan:0.5:3:log", "log-spaced loss-grid needs lo > 0 and hi > 0"),
     ])
     def test_log_grid_ends(self, bad, message):
-        # log10 needs positive ends; a power past the float range reaches the
-        # loss check as inf rather than raising OverflowError
+        # log10 needs positive ends, and NaN is not one; a power past the float
+        # range reaches the loss check as inf rather than raising OverflowError
         with pytest.raises(ValueError, match=re.escape(message)):
             sweep.nopt_vs_loss(parse_loss_grid(bad), 10)
 
@@ -296,11 +299,8 @@ PEAK_RSS_OF_JOB = (
 
 def child_peak_rss_kb(argv, cwd) -> int:
     """Peak RSS of ``python -m lossyphase argv`` in a fresh process; the job must exit 0."""
-    env = dict(os.environ)
-    package_root = str(Path(cli.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join([package_root] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     run = subprocess.run([sys.executable, "-c", PEAK_RSS_OF_JOB, *argv], capture_output=True, text=True,
-                         cwd=cwd, env=env, timeout=120, check=True)
+                         cwd=cwd, env=child_env(), timeout=120, check=True)
     code, peak = map(int, run.stdout.splitlines()[-1].split())
     assert code == 0, run.stderr
     return peak
@@ -475,6 +475,10 @@ class TestDomainEdges:
         (["dist", "--loss", "-1e-300", "--n", "2"], "loss must be >= 0, got -1e-300"),
         (["nopt", "--loss-grid", "-0.1:0.2:3"], "loss must be >= 0, got -0.1"),
         (["curve", "--loss", "0.1", "--n-range", "-1:5"], "need 1 <= n_min <= n_max, got -1:5"),
+        (["curve", "--loss", "-inf", "--n-range", "1:8"], "loss must be >= 0, got -inf"),
+        (["curve", "--loss", "-Infinity", "--n-range", "1:8"], "loss must be >= 0, got -inf"),
+        (["curve", "--loss", "-nan", "--n-range", "1:8"], "loss must be >= 0, got nan"),
+        (["nopt", "--loss-grid", "-inf:0.1:3"], "loss must be >= 0, got -inf"),
     ], ids=lambda value: "_".join(value) if isinstance(value, list) else value.split()[-1])
     def test_negative_loss_message(self, tmp_path, monkeypatch, capsys, argv, shown):
         # a negative value after --loss, --loss-grid or --n-range reaches the
@@ -486,9 +490,11 @@ class TestDomainEdges:
         (["curve", "--loss", "inf", "--n-range", "1:8"], "loss must be < 1, got inf"),
         (["nopt", "--loss-grid", "0.5:0.1:1"], "loss grid must not descend, got 0.5 then 0.1"),
         (["nopt", "--loss-grid", "0.1:nan:1"], "loss must be >= 0, got nan"),
+        (["nopt", "--loss-grid", "0:inf:3"], "loss must be < 1, got inf"),
     ], ids=lambda value: "_".join(value) if isinstance(value, list) else None)
     def test_library_loss_message(self, tmp_path, monkeypatch, capsys, argv, message):
-        # +inf is at or above 1, not below 0; a one-point grid's hi is checked
+        # +inf is at or above 1, not below 0; a one-point grid's hi is checked,
+        # and a grid's typed ends are checked before 0 * inf can make a NaN
         assert _run_in(tmp_path, monkeypatch, argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -8,16 +8,16 @@ process imported numpy long ago.
 import copy
 import importlib
 import json
-import os
 import pickle
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import lossyphase
 from lossyphase.__main__ import BLAS_THREAD_VARIABLES
+
+from conftest import child_env
 
 # the public names each submodule gave the package when it imported them eagerly
 SUBMODULE_NAMES = {
@@ -70,9 +70,7 @@ NUMPY_JOBS = {
 
 def run_python(code, cwd, **env_vars):
     """Last stdout line of ``python -c code`` (as JSON), with only ``env_vars`` of the BLAS variables set."""
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
-    package_root = str(Path(lossyphase.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join([package_root] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    env = {k: v for k, v in child_env().items() if k not in BLAS_THREAD_VARIABLES}
     env.update(env_vars)
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd,
                          env=env, timeout=60)

@@ -220,7 +220,6 @@ class TestDistributionFromDensity:
         rho = reduced_density(optimal_amplitudes(2), channel_from_loss(0.4))
         stripped = ReducedDensity(
             n_photons=rho.n_photons,
-            channel=rho.channel,
             factors={ell: w for ell, w in rho.factors.items() if ell >= 1},
         )
         dist = distribution_from_density(stripped)
@@ -275,14 +274,6 @@ class TestSharpness:
             for loss in (0.0, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 0.95)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_normalized_variant(self):
-        state = optimal_amplitudes(1)
-        ch = channel_from_loss(0.3)
-        raw = sharpness_closed(state, ch)
-        scaled = sharpness_closed(state, ch, normalized=True)
-        assert scaled == pytest.approx(raw / 0.85, abs=1e-12)
-        assert scaled > raw
 
     def test_rejects_zero_photons(self):
         vacuum = AmplitudeVector([1.0])
@@ -348,13 +339,12 @@ class TestPhaseEstimate:
         assert abs(est.min_detectable_phase - reference) / reference <= 1e-14
         assert abs(est.holevo_variance - reference**2) / reference**2 <= 1e-14
 
-    @pytest.mark.parametrize("normalized", [False, True])
     @pytest.mark.parametrize("loss", LOSSES)
     @pytest.mark.parametrize("n", [1, 2, 7, 30])
-    def test_agrees_with_holevo_of_closed_sharpness(self, n, loss, normalized):
+    def test_agrees_with_holevo_of_closed_sharpness(self, n, loss):
         state, ch = optimal_amplitudes(n), channel_from_loss(loss)
-        est = phase_estimate(state, ch, normalized=normalized)
-        old = holevo(sharpness_closed(state, ch, normalized=normalized))
+        est = phase_estimate(state, ch)
+        old = holevo(sharpness_closed(state, ch))
         assert est.sharpness == old.sharpness
         assert est.holevo_variance == pytest.approx(old.holevo_variance, rel=1e-13)
         assert est.min_detectable_phase == pytest.approx(old.min_detectable_phase, rel=1e-13)
