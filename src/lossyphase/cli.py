@@ -6,12 +6,12 @@ anything, and hands ``_emit``, the one writer of every data file and plot
 script, one iterable of plain values per column; ``_emit`` cuts them into
 row slices itself. The library's rules (loss, photon number, Nyquist guard)
 live in ``core``; the command line checks only what the library does not
-see: the shapes of ``--n-range`` and ``--loss-grid`` (a linear or one-point
-grid's typed ``lo:hi`` goes through the library's grid rule before any
-arithmetic), the grid size and the ``--phi-samples`` range. Every check
-runs before ``_emit`` opens the data file; ``_emit`` streams the slices into
-the open file, so its memory does not grow with the file, and removes a
-partly written regular file if anything raises.
+see: the shapes of ``--n-range`` and ``--loss-grid``, the grid size and the
+``--phi-samples`` range. Each typed value is parsed, shape- or range-checked
+and then meets the library's rule (a grid by its typed ``lo:hi``) before any
+arithmetic and before ``_emit`` opens the data file; ``_emit`` streams the
+slices into the open file, so its memory does not grow with the file, and
+removes a partly written regular file if anything raises.
 
 Data files are deterministic for a fixed configuration: stable row order,
 17-significant-digit decimals, no timestamps. A CSV file opens with
@@ -57,7 +57,6 @@ import itertools
 import json
 import math
 import os
-import re
 import stat
 import sys
 
@@ -126,13 +125,11 @@ def parse_loss_grid(text: str) -> list:
     log = len(parts) == 4
     if log and not (lo > 0.0 and hi > 0.0):  # NaN too
         raise ValueError("log-spaced loss-grid needs lo > 0 and hi > 0")
-    if log and count > 1:
-        # a power of 1e308 or more is taken as inf, which the loss check refuses
-        return [10.0 ** x if x < 308.0 else math.inf
-                for x in _linear_grid(math.log10(lo), math.log10(hi), count)]
-    # the typed ends pass the library's grid rule first: the library never sees
-    # a one-point grid's hi, and a linear grid's 0 * inf would show it a NaN
+    # every grid's typed ends pass the library's grid rule before any arithmetic: the
+    # library never sees a one-point hi, and 0 * inf or 10**x would show it untyped values
     core._check_loss_grid([lo, hi])
+    if log and count > 1:
+        return [10.0 ** x for x in _linear_grid(math.log10(lo), math.log10(hi), count)]
     return [lo] if count == 1 else _linear_grid(lo, hi, count)
 
 
@@ -363,20 +360,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _join_negative_values(argv) -> list:
-    """``--loss VALUE`` as ``--loss=VALUE`` where VALUE starts like a negative number.
+    """``--loss VALUE`` as ``--loss=VALUE`` where VALUE starts with a single dash.
 
     The same for ``--loss-grid`` and ``--n-range``. argparse reads a word such
     as ``-1e-300``, ``-0.1:0.2:3`` or ``-inf`` as an option (its
     negative-number pattern has no exponent, no colon and no letters), which
     would refuse ``--loss -1e-300`` as a missing value instead of letting it
-    reach the library's check. A word is joined when it starts like any
-    negative value ``float`` accepts: a digit, a point and a digit, ``inf``
-    (``infinity`` too) or ``nan``, in any case.
+    reach the library's check. Joined, any such word meets the option's own
+    parsing: a negative value in any spelling reaches the library, and a word
+    such as ``-h`` is refused as a bad value.
     """
     words = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(words) - 1, 0, -1):
         if (words[i - 1] in ("--loss", "--loss-grid", "--n-range")
-                and re.match(r"-(\.?\d|inf|nan)", words[i], re.IGNORECASE)):
+                and words[i].startswith("-") and not words[i].startswith("--")):
             words[i - 1 : i + 1] = [f"{words[i - 1]}={words[i]}"]
     return words
 

@@ -53,8 +53,8 @@ import math
 from array import array
 from collections import namedtuple
 
-from .core import (_check_loss_grid, _check_phase_samples, _check_photon_number, _holevo_spread,
-                   channel_from_loss)
+from .core import (_check_cap, _check_integer, _check_loss_grid, _check_phase_samples,
+                   _check_photon_number, _holevo_spread, channel_from_loss)
 
 DEFAULT_MAX_PHOTONS = 1000
 
@@ -272,14 +272,14 @@ def curve(
     """Scan delta-phi over every integer photon number in [n_min, n_max].
 
     Divergent points are carried through as explicit infinities; no photon
-    number is ever dropped from the scan. The range, the photon-number rule on
-    n_max and n_min, and the loss are checked before any point. The result
-    holds one tuple per column; ``heisenberg`` is ``math.tan(pi/(N+2))``.
+    number is ever dropped from the scan. Both bounds' integer type, then the
+    range, then the cap on n_max, and the loss are checked before any point. The
+    result holds one tuple per column; ``heisenberg`` is ``math.tan(pi/(N+2))``.
     """
+    n_min, n_max = _check_integer(n_min, "n_min"), _check_integer(n_max, "photon number")
     if n_min < 1 or n_min > n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got {n_min}:{n_max}")
-    n_max = _check_photon_number(n_max)
-    n_min = _check_photon_number(n_min, "n_min")
+    _check_cap(n_max)
     loss = channel_from_loss(loss).loss
     n = tuple(range(n_min, n_max + 1))
     delta_phi = tuple([_holevo_spread(sharp, defect)[1]

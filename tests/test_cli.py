@@ -116,12 +116,15 @@ class TestParsers:
     @pytest.mark.parametrize("bad,message", [
         ("0.5:0:3:log", "log-spaced loss-grid needs lo > 0 and hi > 0"),
         ("0:0.5:3:log", "log-spaced loss-grid needs lo > 0 and hi > 0"),
-        ("0.5:1.7976931348623157e308:2:log", ", got inf"),
+        ("0.5:1.7976931348623157e308:2:log", ", got 1.7976931348623157e+308"),
         ("nan:0.5:3:log", "log-spaced loss-grid needs lo > 0 and hi > 0"),
+        ("0.5:2:3:log", "loss must be < 1, got 2.0"),
+        ("0.5:1e308:3:log", ", got 1e+308"),
+        ("1e-3:1e-5:3:log", "loss grid must not descend, got 0.001 then 1e-05"),
     ])
     def test_log_grid_ends(self, bad, message):
-        # log10 needs positive ends, and NaN is not one; a power past the float
-        # range reaches the loss check as inf rather than raising OverflowError
+        # log10 needs positive ends, and NaN is not one; then the typed ends,
+        # not their powers, meet the library's grid rule
         with pytest.raises(ValueError, match=re.escape(message)):
             sweep.nopt_vs_loss(parse_loss_grid(bad), 10)
 
@@ -434,6 +437,7 @@ class TestDomainEdges:
         (["curve", "--loss", "inf", "--n-range", "1:8"], 2),
         (["curve", "--loss=-1e-300", "--n-range", "1:8"], 2),
         (["curve", "--loss", "-1e-300", "--n-range", "1:8"], 2),
+        (["curve", "--loss", "-h"], 2),
         (["curve", "--loss", "0.1", "--n-range", "0:5"], 2),
         (["dist", "--loss", "nan", "--n", "2"], 2),
         (["nopt", "--loss-grid", "0.1:0.1:1", "--n-max", "40"], 0),

@@ -48,7 +48,8 @@ class TestPhotonNumber:
             call(4097)
 
     def test_curve_range_then_the_rule(self):
-        # the range keeps its own message; n_max and n_min then meet the photon-number rule
+        # both bounds meet the integer rule, then the range keeps its own message,
+        # then n_max meets the cap
         with pytest.raises(ValueError, match="^need 1 <= n_min <= n_max, got 1:0$"):
             sweep.curve(0.1, 1, 0)
         with pytest.raises(TypeError, match="^photon number must be an integer, got bool$"):
@@ -57,6 +58,10 @@ class TestPhotonNumber:
             sweep.curve(0.1, True, 10)
         with pytest.raises(TypeError, match="^n_min must be an integer, got float$"):
             sweep.curve(0.1, 2.0, 10)
+        with pytest.raises(TypeError, match="^n_min must be an integer, got NoneType$"):
+            sweep.curve(0.1, None, 10)
+        with pytest.raises(TypeError, match="^photon number must be an integer, got float$"):
+            sweep.curve(0.1, 5, 2.5)
         assert sweep.curve(0.1, 1, np.int64(5)).n == (1, 2, 3, 4, 5)
 
     @pytest.mark.parametrize("estimate",[povm.phase_estimate, povm.sharpness_closed])

@@ -23,7 +23,7 @@ from lossyphase.oracle import ORACLE_MAX_TWICE_SPIN, bs_unitary
 from lossyphase.povm import distribution_from_density
 from lossyphase.sweep import _sine_sharpness
 
-from conftest import child_env
+from conftest import child_env, mp_sine_profile
 
 LOSSES = (0.1, 0.3, 0.5, 0.7)
 
@@ -44,14 +44,10 @@ def mp_block_factors(n, loss):
     block ell is the outer product of its factor with itself.
     """
     with mpmath.workdps(50):
-        loss = mpmath.mpf(loss)
-        root = mpmath.sqrt(1 - loss)
-        scale = mpmath.sqrt(mpmath.mpf(n) / 2 + 1)
         # w_ell(t) = [psi_t (1-L)^(t/2)] [L/(1-L)]^(ell/2) sqrt(C(t, ell))
-        survived = [
-            mpmath.sin((t + 1) * mpmath.pi / (n + 2)) / scale * root**t for t in range(n + 1)
-        ]
-        odds = [(mpmath.sqrt(loss) / root) ** ell for ell in range(n + 1)]
+        survived = mp_sine_profile(n, loss)
+        loss = mpmath.mpf(loss)
+        odds = [(mpmath.sqrt(loss) / mpmath.sqrt(1 - loss)) ** ell for ell in range(n + 1)]
         roots = mp_root_binomials(n)
         return {
             ell: np.array([float(survived[t] * odds[ell] * roots[t][ell]) for t in range(ell, n + 1)])

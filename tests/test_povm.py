@@ -1,6 +1,5 @@
 """Unit tests for the phase distribution, sharpness and Holevo variance."""
 
-import functools
 import math
 import tracemalloc
 
@@ -33,6 +32,8 @@ from lossyphase.povm import (
     _sharpness_kernel,
 )
 
+from conftest import mp_sine_sums
+
 LOSSES = (0.0, 0.1, 0.3, 0.5)
 SQRT_HALF = 1 / math.sqrt(2)
 EPS = float(np.finfo(float).eps)
@@ -47,24 +48,14 @@ def survival_weights(n, loss):
     return (1 - loss) ** np.arange(n + 1)
 
 
-@functools.lru_cache(maxsize=None)
-def mp_sine(n):
-    """sin((t+1) pi / (N+2)) for t = 0..N at 50 digits: psi times sqrt(N/2+1)."""
-    with mpmath.workdps(50):
-        return tuple(mpmath.sin((t + 1) * mpmath.pi / (n + 2)) for t in range(n + 1))
-
-
 def mp_sharpness(n, loss, normalized=False):
     """sum_t psi_t psi_{t-1} (1-L)^(t-1/2) of the sine state at 50 digits.
 
     With ``normalized`` it is divided by the integral sum_t psi_t^2 (1-L)^t.
     """
     with mpmath.workdps(50):
-        root = mpmath.sqrt(1 - mpmath.mpf(loss))
-        g = [x * root**t for t, x in enumerate(mp_sine(n))]
-        total = mpmath.fsum(g[t] * g[t - 1] for t in range(1, n + 1))
-        scale = mpmath.fsum(x * x for x in g) if normalized else mpmath.mpf(n) / 2 + 1
-        return total / scale
+        pair, mass = mp_sine_sums(n, loss)
+        return pair / mass if normalized else pair
 
 
 def mp_delta_phi(n, loss, normalized):

@@ -1,6 +1,5 @@
 """Unit tests for the photon-number sweep and its landmarks."""
 
-import functools
 import math
 import random
 import tracemalloc
@@ -32,6 +31,8 @@ from lossyphase.sweep import (
     sine_density,
     sine_mass,
 )
+
+from conftest import mp_sine_sums
 
 CURVE_COLUMNS = ("n", "delta_phi", "shot_noise", "heisenberg")
 ENGINE_N_MAX = 512
@@ -93,17 +94,6 @@ def engine_oracle(request):
 
 def engine_rows(losses, normalized):
     return [np.asarray(curve(loss, 1, ENGINE_N_MAX, normalized).delta_phi) for loss in losses]
-
-
-@functools.lru_cache(maxsize=None)
-def mp_sums(n, loss):
-    """(sum g_t g_{t-1}, sum g_t^2) of the N-photon sine state, term by term at 50 digits."""
-    with mpmath.workdps(50):
-        a, root = mpmath.pi / (n + 2), mpmath.sqrt(1 - mpmath.mpf(loss))
-        scale = mpmath.mpf(2) / (n + 2)
-        g = [mpmath.sin((t + 1) * a) * root**t for t in range(n + 1)]
-        return (scale * mpmath.fsum(g[t] * g[t - 1] for t in range(1, n + 1)),
-                scale * mpmath.fsum(x * x for x in g))
 
 
 def mp_density(n, loss, k, samples):
@@ -390,7 +380,7 @@ class TestScanEngine:
         with mpmath.workdps(50):
             for count, (sharp, defect, _) in zip(PRECISION_NS, triples):
                 delta_phi = _holevo_spread(sharp, defect)[1]
-                pair, mass = mp_sums(count, loss)
+                pair, mass = mp_sine_sums(count, loss)
                 exact = pair / mass if normalized else pair
                 reference = (exact, 1 - exact, mpmath.sqrt((1 - exact) * (1 + exact)) / exact)
                 for value, ref in zip((sharp, defect, delta_phi), reference):
@@ -506,7 +496,7 @@ class TestSineDensity:
     @pytest.mark.parametrize("loss", PRECISION_LOSSES)
     def test_mass_matches_50_digit_sum(self, loss):
         for n in PRECISION_NS:
-            exact = mp_sums(n, loss)[1]
+            exact = mp_sine_sums(n, loss)[1]
             assert abs(sine_mass(loss, n) - exact) <= 2e-15 * exact, n
 
     @pytest.mark.parametrize("n,samples,message", [
