@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 # the public names of each submodule
 _SUBMODULE_NAMES = {
-    "core": ("MAX_PHOTON_NUMBER", "LossChannel", "channel_from_loss"),
+    "core": ("MAX_PHOTON_NUMBER", "channel_from_loss"),
     "loss": ("PureLossyState", "ReducedDensity", "pure_lossy_state", "reduced_density"),
     "povm": ("PhaseDistribution", "PhaseEstimate", "distribution", "distribution_from_density",
              "holevo", "lossless_reference", "phase_estimate", "sharpness_closed"),

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import loss as loss_mod
 from . import oracle, povm, sweep
-from .core import MAX_PHOTON_NUMBER, channel_from_loss
+from .core import MAX_PHOTON_NUMBER
 from .states import AmplitudeVector, optimal_amplitudes
 
 
@@ -25,31 +25,33 @@ def _lossy_ket_defect(t: int, loss: float) -> float:
     # cos^2(theta/2) = 1 - L, taken by atan2 so theta keeps its digits at small L
     theta = 2.0 * math.atan2(math.sqrt(loss), math.sqrt(1.0 - loss))
     expected = np.conj(oracle.bs_unitary(t, theta)[:, t])
-    state = AmplitudeVector(np.eye(t + 1)[t])
-    branch = loss_mod.pure_lossy_state(state, channel_from_loss(loss)).coeffs[t]
+    branch = loss_mod.pure_lossy_state(AmplitudeVector(np.eye(t + 1)[t]), loss).coeffs[t]
     return float(np.max(np.abs(branch - expected)))
 
 
 def _partial_trace_defect(n: int, loss: float) -> float:
     """Largest entry of rho's blocks minus the explicit trace's, absent blocks as zeros."""
-    state, channel = optimal_amplitudes(n), channel_from_loss(loss)
-    rho = loss_mod.reduced_density(state, channel)
-    explicit = oracle.trace_out_explicit(loss_mod.pure_lossy_state(state, channel))
+    state = optimal_amplitudes(n)
+    rho = loss_mod.reduced_density(state, loss)
+    explicit = oracle.trace_out_explicit(loss_mod.pure_lossy_state(state, loss))
     return max(float(np.max(np.abs(rho.block(ell) - explicit.get(ell, 0.0))))
                for ell in set(rho.factors) | set(explicit))
 
 
 def _dual_path_defect(n: int, loss: float) -> float:
-    state, channel = optimal_amplitudes(n), channel_from_loss(loss)
-    rho = loss_mod.reduced_density(state, channel)
-    return abs(povm.phase_estimate(state, channel).sharpness
-               - povm.distribution_from_density(rho).fourier_sharpness())
+    """Relative gap of the kernel's 1 - S to rho's: the lost blocks' weight plus block 0's spread."""
+    state = optimal_amplitudes(n)
+    kernel = povm._sharpness_kernel(state.psi, *povm._loss_factors(n, loss), False)[1]
+    factors = loss_mod.reduced_density(state, loss).factors
+    g, step = factors[0], np.diff(factors[0])
+    lost = sum(np.add.reduce(w * w) for ell, w in factors.items() if ell > 0)
+    density = lost + 0.5 * (g[0] * g[0] + g[-1] * g[-1] + np.add.reduce(step * step))
+    return float(abs(kernel - density) / density)
 
 
 def _curve_defect(n: int, loss: float) -> float:
     """Larger gap of ``sweep._sine_sharpness``'s S, raw and normalized, to rho's zero-loss block."""
-    dist = povm.distribution_from_density(
-        loss_mod.reduced_density(optimal_amplitudes(n), channel_from_loss(loss)))
+    dist = povm.distribution_from_density(loss_mod.reduced_density(optimal_amplitudes(n), loss))
     sharp = dist.fourier_sharpness()
     raw = sweep._sine_sharpness(loss, False)(n)[0]
     normalized = sweep._sine_sharpness(loss, True)(n)[0]
@@ -57,38 +59,36 @@ def _curve_defect(n: int, loss: float) -> float:
 
 
 def _quadrature_defect(n: int, loss: float) -> float:
-    state, channel = optimal_amplitudes(n), channel_from_loss(loss)
-    quad = oracle.quadrature_sharpness(povm.distribution(state, channel), 4096)
-    return abs(quad - povm.phase_estimate(state, channel).sharpness)
+    state = optimal_amplitudes(n)
+    quad = oracle.quadrature_sharpness(povm.distribution(state, loss), 4096)
+    return abs(quad - povm.phase_estimate(state, loss).sharpness)
 
 
 def _phase_density_defect(n: int, loss: float) -> float:
     """Largest gap of ``dist``'s closed-form P to the FFT on the grid S = 4(N+1), over the peak."""
     samples = 4 * (n + 1)
     closed = np.fromiter(sweep.sine_density(loss, n, samples), float, samples)
-    fft = povm.distribution(optimal_amplitudes(n), channel_from_loss(loss)).evaluate(samples)[1]
+    fft = povm.distribution(optimal_amplitudes(n), loss).evaluate(samples)[1]
     return float(np.abs(closed - fft).max() / fft.max())
 
 
 def _lossless_anchor_defect(n: int, loss: float) -> float:
-    channel = channel_from_loss(loss)
-    variance = povm.phase_estimate(optimal_amplitudes(n), channel).holevo_variance
+    variance = povm.phase_estimate(optimal_amplitudes(n), loss).holevo_variance
     reference = povm.lossless_reference(n)
     return abs(variance - reference) / reference
 
 
 # one row per cross-check: (name, tolerance, defect(n, loss), photon numbers,
 # losses); every grid is fixed, so validate and the tests run the same cases.
-# "kernel" in a name is ``povm.phase_estimate``'s sharpness; "closed form" is
-# ``sweep``'s: the sharpness that ``curve`` and ``nopt`` publish, and the
-# P(phi) that ``dist`` writes.
+# "kernel" in a name is ``povm._sharpness_kernel``; "closed form" is ``sweep``'s:
+# the sharpness that ``curve`` and ``nopt`` publish, and the P(phi) that ``dist`` writes.
 CHECKS = (
     ("lossy ket vs matrix exponential, signed", 1e-14, _lossy_ket_defect,
      range(13), (0.0, 1e-8, 0.1, 0.3, 0.5, 0.9)),
     ("partial trace, blocks vs explicit", 1e-15, _partial_trace_defect,
      range(1, 9), (0.1, 0.3, 0.5)),
-    ("sharpness, kernel vs density path", 1e-15, _dual_path_defect,
-     range(1, 13), (0.0, 0.1, 0.3, 0.5)),
+    ("1 - S, kernel vs density path (relative)", 2e-15, _dual_path_defect,
+     range(1, 13), (0.0, 1e-8, 0.1, 0.3, 0.5, 0.9)),
     ("curve sharpness, closed form vs density", 1e-15, _curve_defect,
      range(1, 13), (0.0, 1e-8, 0.1, 0.3, 0.5)),
     ("sharpness, kernel vs quadrature", 1e-14, _quadrature_defect,

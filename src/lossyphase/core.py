@@ -1,18 +1,18 @@
-"""Input rules, the loss channel and the Holevo spread, on the standard library alone.
+"""Input rules and the Holevo spread, on the standard library alone.
 
 These are the pieces the sine-state scan shares with the numpy layers. Since
 nothing here imports numpy, ``sweep`` and ``cli`` import only this module and
 the standard library, and a ``curve`` or ``nopt`` process never loads numpy.
 This is the one home of each input rule (the photon number with its cap, the
-loss and the loss grid, the Nyquist guard) and of the channel: every entry
-calls these rules, and the package exports the cap and the channel from here.
+loss and the loss grid, the Nyquist guard): every entry calls these rules, and
+the package exports the cap and the loss rule from here. A loss is a plain
+float L, the fraction of the phase-arm photons that the splitter scatters.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import namedtuple
 
 # Hard cap on the photon number accepted anywhere in the library. Beyond this
 # the dense numerics dominate cost long before the indexing does.
@@ -26,11 +26,16 @@ def _check_cap(n_photons: int) -> None:
         )
 
 
+def _check_type(x, name: str, method: str, kind: str):
+    """``x`` itself, once its type has ``method`` and is not bool: the type rule of every input."""
+    if isinstance(x, bool) or not hasattr(type(x), method):
+        raise TypeError(f"{name} must be {kind}, got {type(x).__name__}")
+    return x
+
+
 def _check_integer(n, name: str) -> int:
     """``n`` as an int: any integer type, no bool or float."""
-    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
-        raise TypeError(f"{name} must be an integer, got {type(n).__name__}")
-    return operator.index(n)
+    return operator.index(_check_type(n, name, "__index__", "an integer"))
 
 
 def _check_photon_number(n, name: str = "photon number") -> int:
@@ -51,38 +56,27 @@ def _check_phase_samples(samples, n_photons: int) -> int:
     return samples
 
 
-class LossChannel(namedtuple("LossChannel", "loss")):
-    """Fraction L (a float) of the phase-arm photons that the splitter scatters.
+def channel_from_loss(loss) -> float:
+    """The loss fraction L as a float in [0, 1), the one rule every loss passes.
 
-    A named tuple, not a dataclass: ``collections`` is loaded with ``re``
-    anyway, while ``dataclasses`` would load ``inspect``, ``ast`` and ``dis``
-    into every ``curve`` and ``nopt`` process.
+    Any real type but bool (so no str), then the range. Total loss is excluded:
+    with every photon scattered no fringe is left and every sharpness term vanishes.
     """
-
-    __slots__ = ()
-
-
-def channel_from_loss(loss: float) -> LossChannel:
-    """Build the channel for a loss fraction in [0, 1).
-
-    Total loss is excluded: with every photon scattered there is no fringe
-    left and every sharpness term vanishes identically.
-    """
-    loss = float(loss)
+    loss = float(_check_type(loss, "loss", "__float__", "a real number"))
     if not loss >= 0.0:  # NaN too
         raise ValueError(f"loss must be >= 0, got {loss}")
     if loss >= 1.0:
         raise ValueError(f"loss must be < 1, got {loss}")
-    return LossChannel(loss=loss)
+    return loss
 
 
 def _check_loss_grid(grid) -> list:
-    """The grid's values as floats, once their order and then each value pass the loss rules."""
-    grid = [float(x) for x in grid]
+    """The grid's values as floats, once each type, then their order and then each value pass the loss rules."""
+    grid = [float(_check_type(x, "loss", "__float__", "a real number")) for x in grid]
     for a, b in zip(grid, grid[1:]):
         if b < a:
             raise ValueError(f"loss grid must not descend, got {a!r} then {b!r}")
-    return [channel_from_loss(x).loss for x in grid]
+    return [channel_from_loss(x) for x in grid]
 
 
 def _holevo_spread(sharp: float, defect: float) -> tuple:

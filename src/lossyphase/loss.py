@@ -7,9 +7,9 @@ K[t, ell] = sqrt(C(t, ell)) (1-L)^((t-ell)/2) L^(ell/2), the corner column of
 the splitter's rotation matrix; each branch takes one row of K and each block
 one column, formed from O(N) log tables. The branches are views of one
 buffer and the block factors are frozen once, so neither is held twice,
-and neither keeps the channel it came from.
-Scattered photons are traced out, leaving a mixed state on the inner modes
-that is block diagonal in the number of photons lost.
+and neither keeps the loss L, which both entries take as a float through
+``core.channel_from_loss``. Scattered photons are traced out, leaving a mixed
+state on the inner modes that is block diagonal in the number of photons lost.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LossChannel
+from .core import channel_from_loss
 from .states import AmplitudeVector
 
 # i^n for the kept-photon phase e^{i (pi/2)(m-k)}; exact complex units.
@@ -65,7 +65,7 @@ class PureLossyState:
         return float(sum(np.sum(np.abs(c) ** 2) for c in self.coeffs))
 
 
-def pure_lossy_state(state: AmplitudeVector, channel: LossChannel) -> PureLossyState:
+def pure_lossy_state(state: AmplitudeVector, loss: float) -> PureLossyState:
     """Send the input through the loss splitter, keeping the scattered mode.
 
     The branch with s of the t lossy-arm photons surviving carries amplitude
@@ -73,7 +73,7 @@ def pure_lossy_state(state: AmplitudeVector, channel: LossChannel) -> PureLossyS
     squares of each row of K sum to one, so the total norm is preserved.
     """
     n = state.n_photons
-    log_factorial, log_kept, log_lost = _loss_logs(n, channel.loss)
+    log_factorial, log_kept, log_lost = _loss_logs(n, channel_from_loss(loss))
     lost_phase = np.array(_QUARTER_TURNS)[-np.arange(n + 1) % 4]  # i^(-ell)
     starts = [t * (t + 1) // 2 for t in range(n + 2)]
     buffer = np.empty(starts[-1], dtype=complex)
@@ -169,7 +169,7 @@ class _BlockView(Mapping):
         return ell in self._rho.factors
 
 
-def reduced_density(state: AmplitudeVector, channel: LossChannel) -> ReducedDensity:
+def reduced_density(state: AmplitudeVector, loss: float) -> ReducedDensity:
     """Trace the scattered mode out of the post-splitter pure state.
 
     Tracing forces the two sides of each entry to lose the same number of
@@ -178,7 +178,7 @@ def reduced_density(state: AmplitudeVector, channel: LossChannel) -> ReducedDens
     t = ell..N, K being the binomial loss amplitude, and only w_ell is kept.
     """
     n = state.n_photons
-    log_factorial, log_kept, log_lost = _loss_logs(n, channel.loss)
+    log_factorial, log_kept, log_lost = _loss_logs(n, channel_from_loss(loss))
     factors = {}
     for ell in range(n + 1):
         # column ell of K over t = ell..N

@@ -17,8 +17,9 @@ writes the sine state's P in closed form (``sweep.sine_density``, standard
 library only), which calls the same guard, and ``evaluate`` is the oracle
 that the tests and ``validate`` hold that form to.
 
-With loss the distribution integrates to less than one (the measured sector
-is reached with probability sum_t psi_t^2 (1-L)^t). ``sharpness_closed`` and
+Every entry takes the loss L as a float through ``core.channel_from_loss``.
+With loss the distribution integrates to less than one (the measured sector is
+reached with probability sum_t psi_t^2 (1-L)^t). ``sharpness_closed`` and
 ``phase_estimate`` give that raw quantity. The sharpness divided by the
 integral is the ``normalized`` variant of ``sweep.curve`` and
 ``sweep.nopt_vs_loss``, never switched on silently; the tests hold it to
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LossChannel, _check_phase_samples, _check_photon_number, _holevo_spread
+from .core import _check_phase_samples, _check_photon_number, _holevo_spread, channel_from_loss
 from .loss import ReducedDensity
 from .states import AmplitudeVector
 
@@ -98,13 +99,13 @@ def _loss_factors(n_photons: int, loss: float) -> tuple:
     return np.exp(0.5 * exponent), -np.expm1(exponent)
 
 
-def distribution(state: AmplitudeVector, channel: LossChannel) -> PhaseDistribution:
+def distribution(state: AmplitudeVector, loss: float) -> PhaseDistribution:
     """Closed-form phase distribution of the surviving-photon sector.
 
     The measured sector weights each amplitude psi_t by (1-L)^(t/2), giving
     the factor g = psi * survival.
     """
-    return PhaseDistribution(state.psi * _loss_factors(state.n_photons, channel.loss)[0])
+    return PhaseDistribution(state.psi * _loss_factors(state.n_photons, channel_from_loss(loss))[0])
 
 
 def distribution_from_density(rho: ReducedDensity) -> PhaseDistribution:
@@ -144,14 +145,13 @@ def _sharpness_kernel(
     return sharp, total(psi * psi * lost) + spread
 
 
-def sharpness_closed(state: AmplitudeVector, channel: LossChannel) -> float:
+def sharpness_closed(state: AmplitudeVector, loss: float) -> float:
     """Sharpness |<e^{i phi}>| from the closed-form nearest-neighbor sum.
 
     S = sum_t psi_t psi_{t-1} (1-L)^(t-1/2), the exact first
     Fourier coefficient of the distribution.
     """
-    _check_photon_number(state.n_photons)
-    factors = _loss_factors(state.n_photons, channel.loss)
+    factors = _loss_factors(_check_photon_number(state.n_photons), channel_from_loss(loss))
     return float(_sharpness_kernel(state.psi, *factors, False)[0])
 
 
@@ -180,16 +180,15 @@ def holevo(sharpness: float) -> PhaseEstimate:
     return PhaseEstimate(sharpness, variance, math.sqrt(variance))
 
 
-def phase_estimate(state: AmplitudeVector, channel: LossChannel) -> PhaseEstimate:
+def phase_estimate(state: AmplitudeVector, loss: float) -> PhaseEstimate:
     """Sharpness, Holevo variance and minimum detectable phase of a state.
 
-    The same numbers as ``holevo(sharpness_closed(state, channel))``, but
+    The same numbers as ``holevo(sharpness_closed(state, loss))``, but
     the variance is (1-S)(1+S)/S^2 with 1 - S summed by the sharpness
     kernel, as every curve point has it, so it keeps about 15 digits where
     ``holevo`` forms 1/S^2 - 1 from S alone and cancels them.
     """
-    _check_photon_number(state.n_photons)
-    factors = _loss_factors(state.n_photons, channel.loss)
+    factors = _loss_factors(_check_photon_number(state.n_photons), channel_from_loss(loss))
     sharp, defect = _sharpness_kernel(state.psi, *factors, False)
     if sharp < 0.0:
         raise ValueError(f"sharpness must lie in [0, 1], got {float(sharp)}")

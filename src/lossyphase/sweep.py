@@ -185,7 +185,7 @@ def sine_mass(loss: float, n: int) -> float:
     The closed form of the module docstring, as ``_sine_sharpness`` forms it.
     """
     n = _check_photon_number(n)
-    return _sine_sharpness(channel_from_loss(loss).loss, False)(n)[2]
+    return _sine_sharpness(channel_from_loss(loss), False)(n)[2]
 
 
 def sine_density(loss: float, n: int, samples: int):
@@ -218,9 +218,8 @@ def sine_density(loss: float, n: int, samples: int):
     """
     n = _check_photon_number(n)
     samples = _check_phase_samples(samples, n)
-    loss = channel_from_loss(loss).loss
     m = n + 2
-    log_r = 0.5 * math.log1p(-loss)
+    log_r = 0.5 * math.log1p(-channel_from_loss(loss))
     one_minus_r = -math.expm1(log_r)
     one_minus_rm = -math.expm1(m * log_r)
     near = one_minus_r * one_minus_r
@@ -280,7 +279,7 @@ def curve(
     if n_min < 1 or n_min > n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got {n_min}:{n_max}")
     _check_cap(n_max)
-    loss = channel_from_loss(loss).loss
+    loss = channel_from_loss(loss)
     n = tuple(range(n_min, n_max + 1))
     delta_phi = tuple([_holevo_spread(sharp, defect)[1]
                        for sharp, defect, _ in map(_sine_sharpness(loss, normalized), n)])
@@ -317,19 +316,21 @@ def _locate_subshot_max(delta_phi, shot_noise, n_min: int) -> int | None:
     return None
 
 
-def _bisect_n_opt(delta_phi, n_max: int) -> int | None:
-    """The first k in 1..n_max-1 with delta_phi(k) <= delta_phi(k+1), found by bisection; else None.
+def _bisect_n_opt(rank, n_max: int) -> int | None:
+    """The first k in 1..n_max-1 with rank(k) <= rank(k+1), found by bisection; else None.
 
-    ``delta_phi`` maps N to the curve's delta-phi and is read at about
-    2 log2(n_max) photon numbers. On a row that falls strictly and then never
-    falls again the test is false below the first of the equal minima and true
-    from it on, so this is ``_locate_n_opt`` of the full row from N = 1: ties
-    go to the smaller N, and a minimum at n_max gives None.
+    ``rank`` orders photon numbers as delta-phi does and is read at about
+    2 log2(n_max) of them; the module docstring says when k is the scan's first
+    minimum. ``_n_opt`` ranks by the point's (D, -S), D = 1 - S, with no root or
+    division, as delta-phi^2 = D(2 - D)/(1 - D)^2 rises with D. D decides where
+    it resolves: near S = 1 the float S loses the gaps, and -S alone moved ``n_opt``
+    from 3688 to 3689 (L = 3.9271e-10, n_max 4096). -S breaks D's rounded ties
+    near S = 0: normalized at L = 1 - 2**-53, D alone gave 1567, not None.
     """
     lo, hi = 1, n_max
     while lo < hi:
         mid = (lo + hi) // 2
-        if delta_phi(mid) <= delta_phi(mid + 1):
+        if rank(mid) <= rank(mid + 1):
             hi = mid
         else:
             lo = mid + 1
@@ -339,7 +340,11 @@ def _bisect_n_opt(delta_phi, n_max: int) -> int | None:
 def _n_opt(loss: float, n_max: int, normalized: bool) -> int | None:
     """``n_opt`` of one loss by ``_bisect_n_opt``, each point bitwise the full scan's."""
     point = _sine_sharpness(loss, normalized)
-    return _bisect_n_opt(lambda n: _holevo_spread(*point(n)[:2])[1], n_max)
+
+    def rank(n):
+        sharp, defect, _ = point(n)
+        return defect, -sharp
+    return _bisect_n_opt(rank, n_max)
 
 
 def nopt_vs_loss(loss_grid, n_max: int = DEFAULT_MAX_PHOTONS, normalized: bool = False) -> list:

@@ -24,9 +24,9 @@ from lossyphase import (
     phase_estimate,
     pure_lossy_state,
     reduced_density,
-    sharpness_closed,
 )
 from lossyphase.oracle import bs_unitary, trace_out_explicit
+from lossyphase.sweep import _sine_sharpness
 from lossyphase.wigner import d_element
 
 from conftest import child_env
@@ -59,15 +59,15 @@ def test_criterion_1_lossless_analytic_anchor():
 
 
 def test_criterion_2_dual_path_equivalence():
-    with criterion(2, "closed-form sharpness equals density-matrix path, N<=20", budget=30.0):
+    # the density path against the sharpness curve and nopt publish, which
+    # shares no code with it
+    with criterion(2, "published closed-form sharpness equals density-matrix path, N<=20",
+                   budget=30.0):
         for n in range(1, 21):
             state = optimal_amplitudes(n)
             for loss in (0.0, 0.1, 0.3, 0.5):
-                ch = channel_from_loss(loss)
-                closed = sharpness_closed(state, ch)
-                extracted = distribution_from_density(
-                    reduced_density(state, ch)
-                ).fourier_sharpness()
+                closed = _sine_sharpness(loss, False)(n)[0]
+                extracted = distribution_from_density(reduced_density(state, loss)).fourier_sharpness()
                 assert abs(closed - extracted) <= 1e-10
 
 

@@ -21,7 +21,7 @@ from conftest import child_env
 
 # the public names each submodule gave the package when it imported them eagerly
 SUBMODULE_NAMES = {
-    "core": ("MAX_PHOTON_NUMBER", "LossChannel", "channel_from_loss"),
+    "core": ("MAX_PHOTON_NUMBER", "channel_from_loss"),
     "loss": ("PureLossyState", "ReducedDensity", "pure_lossy_state", "reduced_density"),
     "povm": ("PhaseDistribution", "PhaseEstimate", "distribution", "distribution_from_density",
              "holevo", "lossless_reference", "phase_estimate", "sharpness_closed"),
@@ -80,9 +80,9 @@ def run_python(code, cwd, **env_vars):
 
 class TestLazyPackage:
     def test_import_loads_no_numpy(self, tmp_path):
-        # the cap and the channel live in core, so reading them loads no numpy either
+        # the cap and the loss rule live in core, so reading them loads no numpy either
         code = ("import json, sys, lossyphase as lp\n"
-                "assert lp.channel_from_loss(0.1) == lp.LossChannel(0.1)\n"
+                "assert lp.channel_from_loss(0.1) == 0.1\n"
                 "assert lp.MAX_PHOTON_NUMBER == 4096\n"
                 f"print(json.dumps([m for m in {HEAVY_MODULES!r} if m in sys.modules]))")
         assert run_python(code, tmp_path) == []
@@ -140,24 +140,6 @@ class TestStandardLibraryJobs:
 
 class TestValueTypes:
     """The standard-library value types keep what their dataclasses gave."""
-
-    def test_loss_channel_is_a_value(self):
-        channel = lossyphase.channel_from_loss(0.1)
-        assert channel == lossyphase.LossChannel(0.1) == lossyphase.LossChannel(loss=0.1)
-        assert channel != lossyphase.LossChannel(0.2)
-        assert hash(channel) == hash(lossyphase.LossChannel(0.1))
-        assert len({channel, lossyphase.LossChannel(0.1)}) == 1
-        duplicate = copy.copy(channel)
-        assert duplicate == channel and type(duplicate) is lossyphase.LossChannel
-        assert repr(channel) == "LossChannel(loss=0.1)"
-
-    def test_loss_channel_is_read_only(self):
-        channel = lossyphase.LossChannel(0.1)
-        with pytest.raises(AttributeError):
-            channel.loss = 0.2
-        with pytest.raises(AttributeError):
-            channel.other = 0.2
-        assert channel.loss == 0.1
 
     def test_sweep_result_is_read_only_and_keeps_its_points(self):
         result = lossyphase.curve(0.1, 1, 10)

@@ -1,10 +1,14 @@
 """Each input rule has one home in ``core``, and every entry that takes the input applies it."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from lossyphase import povm, sweep
 from lossyphase.core import channel_from_loss
+from lossyphase.loss import pure_lossy_state, reduced_density
 from lossyphase.states import AmplitudeVector, optimal_amplitudes
 
 # every entry that takes a photon number, and the name its messages give it
@@ -17,9 +21,30 @@ PHOTON_NUMBER_ENTRIES = {
 }
 
 
+# every entry that takes a loss, each reduced to a value that == or np.array_equal compares
+LOSS_STATE = optimal_amplitudes(4)
+LOSS_ENTRIES = {
+    "curve": lambda loss: sweep.curve(loss, 1, 8),
+    "nopt_vs_loss": lambda loss: sweep.nopt_vs_loss([loss], 64),
+    "sine_density": lambda loss: list(sweep.sine_density(loss, 4, 64)),
+    "sine_mass": lambda loss: sweep.sine_mass(loss, 4),
+    "pure_lossy_state": lambda loss: np.concatenate(pure_lossy_state(LOSS_STATE, loss).coeffs),
+    "reduced_density": lambda loss: np.concatenate(
+        list(reduced_density(LOSS_STATE, loss).factors.values())),
+    "distribution": lambda loss: povm.distribution(LOSS_STATE, loss).factor,
+    "sharpness_closed": lambda loss: povm.sharpness_closed(LOSS_STATE, loss),
+    "phase_estimate": lambda loss: povm.phase_estimate(LOSS_STATE, loss),
+}
+
+
 @pytest.fixture(params=sorted(PHOTON_NUMBER_ENTRIES))
 def entry(request):
     return PHOTON_NUMBER_ENTRIES[request.param]
+
+
+@pytest.fixture(params=sorted(LOSS_ENTRIES))
+def loss_entry(request):
+    return LOSS_ENTRIES[request.param]
 
 
 class TestPhotonNumber:
@@ -68,6 +93,44 @@ class TestPhotonNumber:
     def test_sharpness_refuses_no_photons(self, estimate):
         with pytest.raises(ValueError, match="^photon number must be >= 1, got 0$"):
             estimate(AmplitudeVector([1.0]), channel_from_loss(0.1))
+
+
+class TestLoss:
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, 1.0, 1.5, math.inf])
+    def test_refuses_out_of_range_in_the_rule_s_words(self, loss_entry, bad):
+        with pytest.raises(ValueError) as rule:
+            channel_from_loss(bad)
+        with pytest.raises(ValueError) as refused:
+            loss_entry(bad)
+        assert str(refused.value) == str(rule.value)
+
+    @pytest.mark.parametrize("bad", ["0.1", True, None])
+    def test_refuses_a_non_real_type(self, loss_entry, bad):
+        with pytest.raises(TypeError, match=f"^loss must be a real number, got {type(bad).__name__}$"):
+            loss_entry(bad)
+
+    def test_accepts_numpy_float(self, loss_entry):
+        result, expected = loss_entry(np.float64(0.3)), loss_entry(0.3)
+        if isinstance(expected, np.ndarray):
+            assert np.array_equal(result, expected)
+        else:
+            assert result == expected
+
+    @pytest.mark.parametrize("loss", [0.0, 5e-324, 0.3, 1 - 2.0**-53, np.float64(0.3), 0, Fraction(1, 3)])
+    def test_rule_returns_a_float(self, loss):
+        checked = channel_from_loss(loss)
+        assert type(checked) is float and checked == float(loss)
+
+    @pytest.mark.parametrize("grid,error", [
+        (["0.1"], TypeError),
+        ([0.1, False], TypeError),
+        ([0.5, "0.1"], TypeError),  # the type before the order
+        ([0.5, None, 0.1], TypeError),
+        ([0.5, 0.1], ValueError),
+    ])
+    def test_grid_checks_each_type_first(self, grid, error):
+        with pytest.raises(error, match="^loss must be a real number, got |^loss grid must not descend"):
+            sweep.nopt_vs_loss(grid, 8)
 
 
 # every entry that takes a number of phase samples, at N = 2

@@ -68,12 +68,12 @@ def loss_row(t, loss):
 class TestChannelFromLoss:
     def test_no_loss(self):
         # nothing is scattered: exact ones at ell = 0 and exact zeros elsewhere
-        assert channel_from_loss(0.0).loss == 0.0
+        assert channel_from_loss(0.0) == 0.0
         for t in range(9):
             np.testing.assert_array_equal(loss_row(t, 0.0), np.eye(t + 1)[0])
 
     def test_half_loss(self):
-        loss = channel_from_loss(0.5).loss
+        loss = channel_from_loss(0.5)
         for t in range(13):
             row = loss_row(t, loss)
             assert row.shape == (t + 1,)  # no more than t of t photons are lost
@@ -81,17 +81,17 @@ class TestChannelFromLoss:
                 assert row[ell] ** 2 == pytest.approx(math.comb(t, ell) / 2**t, rel=1e-13)
 
     def test_thirty_percent(self):
-        loss = channel_from_loss(0.3).loss
+        loss = channel_from_loss(0.3)
         np.testing.assert_allclose(loss_row(1, loss), [math.sqrt(0.7), math.sqrt(0.3)], rtol=1e-15)
         np.testing.assert_allclose(loss_row(2, loss), [0.7, math.sqrt(2 * 0.7 * 0.3), 0.3], rtol=1e-15)
 
     @pytest.mark.parametrize("loss", [0.0, 1e-6, 0.1, 0.3, 0.9, 0.999])
     def test_round_trip(self, loss):
         # each row is a binomial distribution of lost photons with mean t L
-        ch = channel_from_loss(loss)
-        assert ch.loss == loss
+        checked = channel_from_loss(loss)
+        assert type(checked) is float and checked == loss
         for t in range(1, 21):
-            weights = loss_row(t, ch.loss) ** 2
+            weights = loss_row(t, checked) ** 2
             lost = np.arange(t + 1)
             assert np.sum(weights) == pytest.approx(1.0, abs=1e-13)
             assert np.sum(lost * weights) / t == pytest.approx(loss, rel=1e-12, abs=1e-300)

@@ -120,9 +120,8 @@ class TestDistribution:
 
     def test_coefficients_factorize(self):
         state = optimal_amplitudes(3)
-        ch = channel_from_loss(0.2)
-        dist = distribution(state, ch)
-        g = state.psi * (1 - ch.loss) ** (np.arange(4) / 2)
+        dist = distribution(state, 0.2)
+        g = state.psi * (1 - 0.2) ** (np.arange(4) / 2)
         np.testing.assert_allclose(dist.factor, g, atol=1e-15)
         # P is the trigonometric polynomial of the coefficient matrix g g^T / 2pi
         coeff = np.outer(g, g) / TWO_PI

@@ -280,17 +280,17 @@ class TestBisection:
     @example(losses=[0.0, 5e-324, 1 - 2.0**-53], n_max=4096, normalized=False)
     @example(losses=[0.0, 5e-324, 1 - 2.0**-53], n_max=4096, normalized=True)
     def test_matches_full_scan(self, losses, n_max, normalized):
-        # every point the bisection reads is bitwise the full scan's at that N,
-        # and it lands on the scan's n_opt
+        # the bisection ranks N by the (1 - S, -S) of the point whose delta-phi
+        # is bitwise the full scan's at that N, and it lands on the scan's n_opt
         losses.sort()
         reads = []
 
-        def recording(delta_phi, top):
+        def recording(rank, top):
             seen = {}
             reads.append(seen)
 
             def read(n):
-                seen[n] = delta_phi(n)
+                seen[n] = rank(n)
                 return seen[n]
 
             return _bisect_n_opt(read, top)
@@ -301,7 +301,10 @@ class TestBisection:
         for (loss, n_opt), seen in zip(pairs, reads):
             row = curve(loss, 1, n_max, normalized).delta_phi
             assert n_opt == _locate_n_opt(row, 1), loss
-            assert {n: value.hex() for n, value in seen.items()} == {n: row[n - 1].hex() for n in seen}
+            points = {n: _sine_sharpness(loss, normalized)(n) for n in seen}
+            assert {n: (defect.hex(), negated.hex()) for n, (defect, negated) in seen.items()} == {
+                n: (points[n][1].hex(), (-points[n][0]).hex()) for n in seen}
+            assert all(_holevo_spread(*points[n][:2])[1].hex() == row[n - 1].hex() for n in seen)
 
     @pytest.mark.parametrize("row,n_opt", [
         ((0.9, 0.5, 0.5, 0.7), 2),  # a tie at the minimum goes to the smaller N
