@@ -41,11 +41,10 @@ def _partial_trace_defect(n: int, loss: float) -> float:
 def _dual_path_defect(n: int, loss: float) -> float:
     """Relative gap of the kernel's 1 - S to rho's: the lost blocks' weight plus block 0's spread."""
     state = optimal_amplitudes(n)
-    kernel = povm._sharpness_kernel(state.psi, *povm._loss_factors(n, loss), False)[1]
-    factors = loss_mod.reduced_density(state, loss).factors
-    g, step = factors[0], np.diff(factors[0])
-    lost = sum(np.add.reduce(w * w) for ell, w in factors.items() if ell > 0)
-    density = lost + 0.5 * (g[0] * g[0] + g[-1] * g[-1] + np.add.reduce(step * step))
+    kernel = povm._sharpness_kernel(state, loss)[1]
+    rho = loss_mod.reduced_density(state, loss)
+    lost = sum(np.add.reduce(w * w) for ell, w in rho.factors.items() if ell > 0)
+    density = lost + povm.distribution_from_density(rho).spread()
     return float(abs(kernel - density) / density)
 
 
@@ -80,7 +79,8 @@ def _lossless_anchor_defect(n: int, loss: float) -> float:
 
 # one row per cross-check: (name, tolerance, defect(n, loss), photon numbers,
 # losses); every grid is fixed, so validate and the tests run the same cases.
-# "kernel" in a name is ``povm._sharpness_kernel``; "closed form" is ``sweep``'s:
+# "kernel" in a name is ``povm._sharpness_kernel``, which reads S, M and M - S
+# off ``povm.PhaseDistribution``, as the density path does; "closed form" is ``sweep``'s:
 # the sharpness that ``curve`` and ``nopt`` publish, and the P(phi) that ``dist`` writes.
 CHECKS = (
     ("lossy ket vs matrix exponential, signed", 1e-14, _lossy_ket_defect,

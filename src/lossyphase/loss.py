@@ -5,9 +5,10 @@ transmission 1 - L coupling that arm to a vacuum mode. Of t photons entering
 it, ell are scattered with the binomial amplitude
 K[t, ell] = sqrt(C(t, ell)) (1-L)^((t-ell)/2) L^(ell/2), the corner column of
 the splitter's rotation matrix; each branch takes one row of K and each block
-one column, formed from O(N) log tables. The branches are views of one
-buffer and the block factors are frozen once, so neither is held twice,
-and neither keeps the loss L, which both entries take as a float through
+one column, both read through ``_loss_amplitude``, the one place K's log sum
+over O(N) tables is written. The branches are views of one buffer and the
+block factors are frozen once, so neither is held twice, and neither keeps
+the loss L, which both entries take as a float through
 ``core.channel_from_loss``. Scattered photons are traced out, leaving a mixed
 state on the inner modes that is block diagonal in the number of photons lost.
 """
@@ -20,27 +21,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import channel_from_loss
-from .states import AmplitudeVector
+from .core import _check_integer, channel_from_loss
+from .states import AmplitudeVector, _real_entries
 
 # i^n for the kept-photon phase e^{i (pi/2)(m-k)}; exact complex units.
 _QUARTER_TURNS = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
 
 
-def _loss_logs(n: int, loss: float) -> tuple:
-    """log k!, k log(1-L) and k log L for k = 0..n, the tables K is formed from.
+def _loss_amplitude(n: int, loss: float):
+    """``amplitude(t, ell, kept)`` reads K from log k!, k log(1-L) and k log L, k = 0..n.
 
     2 log K[t, ell] = log t! - log ell! - log (t-ell)! + (t-ell) log(1-L) + ell log L,
-    summed in that order and then halved and exponentiated, so an entry
-    underflows only where its value is below the smallest double. At L = 0
-    the last table is -inf past k = 0, which gives exact ones at ell = 0 and
-    exact zeros elsewhere.
+    summed in that order over int or slice indices (``kept`` is t - ell) and then
+    halved and exponentiated, so an entry underflows only where its value is below
+    the smallest double. At L = 0 the last table is -inf past k = 0, which gives
+    exact ones at ell = 0 and exact zeros elsewhere.
     """
     log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
     log_kept = np.arange(n + 1) * math.log1p(-loss)
     log_lost = np.zeros(n + 1)  # 0 * log(0) stays 0
     log_lost[1:] = np.arange(1, n + 1) * math.log(loss) if loss > 0.0 else -math.inf
-    return log_factorial, log_kept, log_lost
+
+    def amplitude(t, ell, kept) -> np.ndarray:
+        return np.exp(0.5 * (log_factorial[t] - log_factorial[ell] - log_factorial[kept]
+                             + log_kept[kept] + log_lost[ell]))
+    return amplitude
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,15 +78,14 @@ def pure_lossy_state(state: AmplitudeVector, loss: float) -> PureLossyState:
     squares of each row of K sum to one, so the total norm is preserved.
     """
     n = state.n_photons
-    log_factorial, log_kept, log_lost = _loss_logs(n, channel_from_loss(loss))
+    amplitude = _loss_amplitude(n, channel_from_loss(loss))
     lost_phase = np.array(_QUARTER_TURNS)[-np.arange(n + 1) % 4]  # i^(-ell)
     starts = [t * (t + 1) // 2 for t in range(n + 2)]
     buffer = np.empty(starts[-1], dtype=complex)
     for t in range(n + 1):
-        # row t of K over ell = 0..t; reversed, it runs over s = t - ell kept photons
-        row = np.exp(0.5 * (log_factorial[t] - log_factorial[: t + 1] - log_factorial[t::-1]
-                            + log_kept[t::-1] + log_lost[: t + 1]))
-        np.multiply(state.psi[t] * row[::-1], lost_phase[t::-1], out=buffer[starts[t] : starts[t + 1]])
+        # row t of K over s = 0..t kept photons, ell = t - s
+        row = amplitude(t, np.s_[t::-1], np.s_[: t + 1])
+        np.multiply(state.psi[t] * row, lost_phase[t::-1], out=buffer[starts[t] : starts[t + 1]])
     buffer.flags.writeable = False  # so is every view of it
     return PureLossyState(tuple(buffer[a:b] for a, b in zip(starts, starts[1:])))
 
@@ -109,10 +113,11 @@ class ReducedDensity:
     def __post_init__(self):
         n = self.n_photons
         frozen = {}
-        for ell, w in sorted(self.factors.items()):
+        checked = {_check_integer(ell, "lost-photon count"): w for ell, w in self.factors.items()}
+        for ell, w in sorted(checked.items()):
             if not 0 <= ell <= n:
                 raise ValueError(f"lost-photon count {ell} outside 0..{n}")
-            arr = np.asarray(w, dtype=float)
+            arr = _real_entries(w, f"factor {ell}")
             if arr.flags.writeable or arr.base is not None:  # a read-only view still sees its base
                 arr = arr.copy()
             if arr.shape != (n + 1 - ell,):
@@ -132,6 +137,7 @@ class ReducedDensity:
 
     def block(self, ell: int) -> np.ndarray:
         """Dense block for ell lost photons; zeros if that sector is absent."""
+        ell = _check_integer(ell, "lost-photon count")
         if not 0 <= ell <= self.n_photons:
             raise ValueError(f"lost-photon count {ell} outside 0..{self.n_photons}")
         if ell in self.factors:
@@ -178,14 +184,11 @@ def reduced_density(state: AmplitudeVector, loss: float) -> ReducedDensity:
     t = ell..N, K being the binomial loss amplitude, and only w_ell is kept.
     """
     n = state.n_photons
-    log_factorial, log_kept, log_lost = _loss_logs(n, channel_from_loss(loss))
+    amplitude = _loss_amplitude(n, channel_from_loss(loss))
     factors = {}
     for ell in range(n + 1):
         # column ell of K over t = ell..N
-        column = np.exp(0.5 * (log_factorial[ell:] - log_factorial[ell]
-                               - log_factorial[: n + 1 - ell] + log_kept[: n + 1 - ell]
-                               + log_lost[ell]))
-        w = state.psi[ell:] * column
+        w = state.psi[ell:] * amplitude(np.s_[ell:], ell, np.s_[: n + 1 - ell])
         if np.any(w != 0.0):
             w.flags.writeable = False
             factors[ell] = w

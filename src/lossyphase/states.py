@@ -14,6 +14,18 @@ from .core import _check_cap, _check_photon_number
 NORMALIZATION_TOLERANCE = 1e-12
 
 
+def _real_entries(values, name: str) -> np.ndarray:
+    """``values`` as a float array, once its dtype is integer or float.
+
+    numpy would otherwise take a complex entry's real part (with only a
+    warning), a string's number and a bool's 0 or 1 without a word.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise TypeError(f"{name} entries must be integers or floats, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class AmplitudeVector:
     """Real amplitudes psi_t of a pure two-mode state of N = len(psi) - 1 photons.
@@ -26,7 +38,7 @@ class AmplitudeVector:
     psi: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.psi, dtype=float)
+        arr = _real_entries(self.psi, "psi")
         if arr.ndim != 1:
             raise ValueError("psi must be one-dimensional")
         if arr.shape[0] == 0:

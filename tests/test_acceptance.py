@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from lossyphase import (
-    channel_from_loss,
     curve,
     distribution,
     distribution_from_density,
@@ -52,9 +51,8 @@ def criterion(num, description, budget=None):
 
 def test_criterion_1_lossless_analytic_anchor():
     with criterion(1, "lossless pipeline reproduces tan^2(pi/(N+2)), N=1..100", budget=1.0):
-        identity = channel_from_loss(0.0)
         for n in range(1, 101):
-            variance = phase_estimate(optimal_amplitudes(n), identity).holevo_variance
+            variance = phase_estimate(optimal_amplitudes(n), 0.0).holevo_variance
             assert variance == pytest.approx(lossless_reference(n), rel=1e-9)
 
 
@@ -90,10 +88,9 @@ def test_criterion_4_density_matrix_physicality():
         for n in range(1, 11):
             state = optimal_amplitudes(n)
             for loss in (0.1, 0.3, 0.7):
-                ch = channel_from_loss(loss)
-                rho = reduced_density(state, ch)
+                rho = reduced_density(state, loss)
                 assert abs(rho.trace() - 1.0) <= 1e-10
-                explicit = trace_out_explicit(pure_lossy_state(state, ch))
+                explicit = trace_out_explicit(pure_lossy_state(state, loss))
                 assert tuple(sorted(explicit)) == tuple(rho.factors)
                 for ell in rho.factors:
                     block = rho.block(ell)
@@ -107,10 +104,10 @@ def test_criterion_5_subnormalization_identity():
         for n in range(1, 21):
             state = optimal_amplitudes(n)
             for loss in (0.0, 0.1, 0.3, 0.5, 0.7):
-                mass = distribution(state, channel_from_loss(loss)).total_mass()
+                mass = distribution(state, loss).total_mass()
                 expected = float(np.sum(state.psi**2 * (1 - loss) ** np.arange(n + 1)))
                 assert abs(mass - expected) <= 1e-10
-        hand = distribution(optimal_amplitudes(1), channel_from_loss(0.3)).total_mass()
+        hand = distribution(optimal_amplitudes(1), 0.3).total_mass()
         assert abs(hand - 0.85) <= 1e-10
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from lossyphase import channel_from_loss, cli, curve, optimal_amplitudes, reduced_density
+from lossyphase import cli, curve, optimal_amplitudes, reduced_density
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -36,7 +36,7 @@ def test_every_traced_target_exists(bench_module):
 def test_block_counter_reads_reduced_density(bench_module):
     traced = bench_module("traced")
     tracer = traced.Tracer()
-    traced._count_blocks(tracer, reduced_density(optimal_amplitudes(6), channel_from_loss(0.25)))
+    traced._count_blocks(tracer, reduced_density(optimal_amplitudes(6), 0.25))
     assert tracer.counts["loss.blocks_kept"] == 7
     assert tracer.counts["loss.block_bytes"] == 8 * sum(k * k for k in range(1, 8))
 

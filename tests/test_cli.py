@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from lossyphase import checks, cli, sweep
 from lossyphase.cli import _fmt, main, parse_loss_grid, parse_n_range
+from lossyphase.loss import ReducedDensity, reduced_density
 
 from conftest import child_env
 
@@ -378,6 +379,18 @@ class TestPhotonNumberCap:
         assert "photon number 4097 exceeds the supported maximum 4096" in capsys.readouterr().err
 
 
+# faults in rho's factors that the dual-path row must see: they moved its
+# defect to 1.15, 2.0e-9 and 2.0e-12 against a tolerance of 2e-15
+DENSITY_FAULTS = {
+    "last kept block dropped": lambda factors: {
+        ell: w for ell, w in factors.items() if ell == 0 or ell < max(factors)},
+    "block 0 scaled by 1 + 1e-9": lambda factors: {
+        ell: w * (1 + 1e-9) if ell == 0 else w for ell, w in factors.items()},
+    "lost blocks scaled by 1 + 1e-12": lambda factors: {
+        ell: w if ell == 0 else w * (1 + 1e-12) for ell, w in factors.items()},
+}
+
+
 class TestValidateCommand:
     def test_passes(self, capsys):
         assert main(["validate"]) == 0
@@ -413,6 +426,18 @@ class TestValidateCommand:
         assert captured.err == (
             f"validation failed: {name} defect {bad:.3e} exceeds 0.000e+00 at N=5 L=0.3\n"
         )
+
+    @pytest.mark.parametrize("fault", DENSITY_FAULTS.values(), ids=list(DENSITY_FAULTS))
+    def test_dual_path_row_sees_a_faulted_density(self, monkeypatch, fault):
+        # the row reads both of its sides through the library, so a density
+        # path that drifts from the kernel must push it past its tolerance
+        def faulted(state, loss):
+            rho = reduced_density(state, loss)
+            return ReducedDensity(rho.n_photons, fault(rho.factors))
+
+        monkeypatch.setattr("lossyphase.loss.reduced_density", faulted)
+        row = next(check for check in checks.CHECKS if check[0] == "1 - S, kernel vs density path (relative)")
+        assert checks.worst_defect(row)[0] > row[1]
 
 
 def _run_in(directory, monkeypatch, argv):

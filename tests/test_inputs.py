@@ -8,7 +8,7 @@ import pytest
 
 from lossyphase import povm, sweep
 from lossyphase.core import channel_from_loss
-from lossyphase.loss import pure_lossy_state, reduced_density
+from lossyphase.loss import ReducedDensity, pure_lossy_state, reduced_density
 from lossyphase.states import AmplitudeVector, optimal_amplitudes
 
 # every entry that takes a photon number, and the name its messages give it
@@ -92,7 +92,7 @@ class TestPhotonNumber:
     @pytest.mark.parametrize("estimate",[povm.phase_estimate, povm.sharpness_closed])
     def test_sharpness_refuses_no_photons(self, estimate):
         with pytest.raises(ValueError, match="^photon number must be >= 1, got 0$"):
-            estimate(AmplitudeVector([1.0]), channel_from_loss(0.1))
+            estimate(AmplitudeVector([1.0]), 0.1)
 
 
 class TestLoss:
@@ -137,7 +137,7 @@ class TestLoss:
 PHASE_SAMPLE_ENTRIES = {
     "sine_density": lambda samples: list(sweep.sine_density(0.1, 2, samples)),
     "evaluate": lambda samples: povm.distribution(
-        optimal_amplitudes(2), channel_from_loss(0.1)).evaluate(samples)[1],
+        optimal_amplitudes(2), 0.1).evaluate(samples)[1],
 }
 
 
@@ -155,10 +155,44 @@ class TestPhaseSamples:
 @pytest.mark.parametrize("n,samples", [(1, 7), (20, 83), (256, 64)])
 def test_one_nyquist_message(n, samples):
     # the FFT oracle and the closed form that ``dist`` writes refuse a grid in the same words
-    dist = povm.distribution(optimal_amplitudes(n), channel_from_loss(0.1))
+    dist = povm.distribution(optimal_amplitudes(n), 0.1)
     with pytest.raises(ValueError) as fft:
         dist.evaluate(samples)
     with pytest.raises(ValueError) as closed:
         sweep.sine_density(0.1, n, samples)
     assert str(fft.value) == str(closed.value) == (
         f"{samples} phase samples are below the Nyquist guard {4 * (n + 1)} for N = {n}")
+
+
+# every numpy value type, each built from a two-entry array
+VALUE_TYPES = {
+    "AmplitudeVector": AmplitudeVector,
+    "PhaseDistribution": povm.PhaseDistribution,
+    "ReducedDensity": lambda w: ReducedDensity(1, {0: w}),
+}
+
+
+class TestArrayEntries:
+    @pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+    @pytest.mark.parametrize("values,dtype", [
+        (np.array([0.6 + 0.5j, 0.8]), "complex128"),  # numpy keeps [0.6, 0.8] with only a warning
+        (["0.6", "0.8"], "<U3"),
+        ([True, False], "bool"),
+    ], ids=["complex", "str", "bool"])
+    def test_refuses_entries_numpy_would_coerce(self, name, values, dtype):
+        with pytest.raises(TypeError, match=f"entries must be integers or floats, got dtype {dtype}$"):
+            VALUE_TYPES[name](values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_phase_distribution_refuses_non_finite(self, bad):
+        with pytest.raises(ValueError, match="^factor entries must be finite$"):
+            povm.PhaseDistribution([bad, 1.0])
+
+    @pytest.mark.parametrize("ell", [True, 0.5, np.float64(1.0)])
+    def test_lost_photon_count_is_an_integer(self, ell):
+        with pytest.raises(TypeError, match=f"^lost-photon count must be an integer, got {type(ell).__name__}$"):
+            ReducedDensity(1, {ell: [1.0]})
+        rho = ReducedDensity(1, {np.int64(1): [1.0]})
+        assert [type(key) for key in rho.factors] == [int]
+        with pytest.raises(TypeError, match=f"^lost-photon count must be an integer, got {type(ell).__name__}$"):
+            rho.block(ell)

@@ -62,7 +62,7 @@ def loss_row(t, loss):
     its modulus is K[t, ell] to the bit.
     """
     state = AmplitudeVector(np.eye(t + 1)[t])
-    return np.abs(pure_lossy_state(state, channel_from_loss(loss)).coeffs[t])[::-1]
+    return np.abs(pure_lossy_state(state, loss).coeffs[t])[::-1]
 
 
 class TestChannelFromLoss:
@@ -124,14 +124,14 @@ class TestLossColumn:
         theta = 2 * math.atan2(math.sqrt(loss), math.sqrt(1 - loss))
         for t in range(ORACLE_MAX_TWICE_SPIN + 1):
             state = AmplitudeVector(np.eye(t + 1)[t])
-            branch = pure_lossy_state(state, channel_from_loss(loss)).coeffs[t]
+            branch = pure_lossy_state(state, loss).coeffs[t]
             expected = np.conj(bs_unitary(t, theta)[:, t])
             np.testing.assert_allclose(branch, expected, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize("loss", [1e-8, 1e-6, 1e-3, 0.3, 0.9])
     def test_blocks_match_50_digit_reference(self, n, loss):
-        rho = reduced_density(optimal_amplitudes(n), channel_from_loss(loss))
+        rho = reduced_density(optimal_amplitudes(n), loss)
         for ell, w in mp_block_factors(n, loss).items():
             exact = np.outer(w, w)
             resolved = exact > 1e-290
@@ -142,7 +142,7 @@ class TestLossColumn:
 class TestPureLossyState:
     def test_identity_channel_keeps_amplitudes(self):
         state = optimal_amplitudes(3)
-        lossy = pure_lossy_state(state, channel_from_loss(0.0))
+        lossy = pure_lossy_state(state, 0.0)
         for t in range(4):
             np.testing.assert_allclose(lossy.coeffs[t][t], state.psi[t], atol=1e-15)
             assert np.all(lossy.coeffs[t][:t] == 0.0)
@@ -150,7 +150,7 @@ class TestPureLossyState:
     def test_single_photon_split(self):
         # the one-photon branch splits into kept/lost with weights 0.7 / 0.3
         state = optimal_amplitudes(1)
-        lossy = pure_lossy_state(state, channel_from_loss(0.3))
+        lossy = pure_lossy_state(state, 0.3)
         kept = lossy.coeffs[1][1]  # t = 1 photon in the lossy arm, s = 1 kept
         lost = lossy.coeffs[1][0]
         assert abs(kept) ** 2 == pytest.approx(0.5 * 0.7, abs=1e-12)
@@ -159,12 +159,12 @@ class TestPureLossyState:
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     @pytest.mark.parametrize("loss", LOSSES)
     def test_norm_preserved(self, n, loss):
-        lossy = pure_lossy_state(optimal_amplitudes(n), channel_from_loss(loss))
+        lossy = pure_lossy_state(optimal_amplitudes(n), loss)
         assert lossy.norm_squared() == pytest.approx(1.0, abs=1e-10)
 
     def test_quarter_turn_phases(self):
         # branch with ell lost photons carries exactly i^(-ell)
-        lossy = pure_lossy_state(optimal_amplitudes(2), channel_from_loss(0.4))
+        lossy = pure_lossy_state(optimal_amplitudes(2), 0.4)
         for t in range(3):
             for s in range(t + 1):
                 expected = (1j) ** ((s - t) % 4)
@@ -174,7 +174,7 @@ class TestPureLossyState:
 
     def test_photon_bookkeeping(self):
         # kept + lost always equals the lossy-arm occupation j + mu
-        lossy = pure_lossy_state(optimal_amplitudes(4), channel_from_loss(0.2))
+        lossy = pure_lossy_state(optimal_amplitudes(4), 0.2)
         for t, branch in enumerate(lossy.coeffs):
             assert branch.shape == (t + 1,)
 
@@ -182,10 +182,9 @@ class TestPureLossyState:
         # the branches are formed row by row: a dense (N+1)^2 table of K would
         # add another 0.97 times the coefficients' bytes at N = 1024
         state = optimal_amplitudes(1024)
-        channel = channel_from_loss(0.3)
         tracemalloc.start()
         try:
-            lossy = pure_lossy_state(state, channel)
+            lossy = pure_lossy_state(state, 0.3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -202,7 +201,7 @@ class TestPureLossyState:
         assert growth_kb * 1024 < 1.3 * coeff_bytes
 
     def test_branches_are_read_only(self):
-        lossy = pure_lossy_state(optimal_amplitudes(6), channel_from_loss(0.3))
+        lossy = pure_lossy_state(optimal_amplitudes(6), 0.3)
         for branch in lossy.coeffs:
             assert not branch.flags.writeable
             with pytest.raises(ValueError):
@@ -215,10 +214,10 @@ class TestPureLossyState:
 # the bytes of its coefficients
 RSS_GROWTH_OF_BRANCHES = (
     "import resource\n"
-    "from lossyphase import channel_from_loss, optimal_amplitudes, pure_lossy_state\n"
-    "state, channel = optimal_amplitudes(2048), channel_from_loss(1e-6)\n"
+    "from lossyphase import optimal_amplitudes, pure_lossy_state\n"
+    "state, loss = optimal_amplitudes(2048), 1e-6\n"
     "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-    "lossy = pure_lossy_state(state, channel)\n"
+    "lossy = pure_lossy_state(state, loss)\n"
     "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
     "print(after - before, sum(c.nbytes for c in lossy.coeffs))\n"
 )
@@ -227,24 +226,24 @@ RSS_GROWTH_OF_BRANCHES = (
 class TestReducedDensity:
     def test_lossless_is_rank_one_projector(self):
         state = optimal_amplitudes(4)
-        rho = reduced_density(state, channel_from_loss(0.0))
+        rho = reduced_density(state, 0.0)
         assert tuple(rho.factors) == (0,)
         np.testing.assert_allclose(rho.block(0), np.outer(state.psi, state.psi), atol=1e-15)
 
     def test_single_photon_lost_block(self):
-        rho = reduced_density(optimal_amplitudes(1), channel_from_loss(0.3))
+        rho = reduced_density(optimal_amplitudes(1), 0.3)
         np.testing.assert_allclose(rho.block(1), [[0.15]], atol=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 11))
     @pytest.mark.parametrize("loss", LOSSES)
     def test_trace_one(self, n, loss):
-        rho = reduced_density(optimal_amplitudes(n), channel_from_loss(loss))
+        rho = reduced_density(optimal_amplitudes(n), loss)
         assert rho.trace() == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("n", range(1, 11))
     @pytest.mark.parametrize("loss", LOSSES)
     def test_physicality(self, n, loss):
-        rho = reduced_density(optimal_amplitudes(n), channel_from_loss(loss))
+        rho = reduced_density(optimal_amplitudes(n), loss)
         for ell in rho.factors:
             block = rho.block(ell)
             assert np.max(np.abs(block - block.T)) <= 1e-12
@@ -256,16 +255,16 @@ class TestReducedDensity:
         # block of weight 1 is pure, and N + 1 nonzero weights summing to 1
         # give sum p^2 < 1
         state = optimal_amplitudes(n)
-        assert tuple(reduced_density(state, channel_from_loss(0.0)).factors) == (0,)
+        assert tuple(reduced_density(state, 0.0).factors) == (0,)
         for loss in LOSSES:
-            rho = reduced_density(state, channel_from_loss(loss))
+            rho = reduced_density(state, loss)
             assert tuple(rho.factors) == tuple(range(n + 1))
             assert all(np.any(w != 0.0) for w in rho.factors.values())
             assert rho.trace() == pytest.approx(1.0, abs=1e-12)
 
     def test_block_shapes_follow_lost_count(self):
         n = 6
-        rho = reduced_density(optimal_amplitudes(n), channel_from_loss(0.25))
+        rho = reduced_density(optimal_amplitudes(n), 0.25)
         assert tuple(rho.factors) == tuple(range(n + 1))
         for ell in rho.factors:
             assert rho.factors[ell].shape == (n + 1 - ell,)
@@ -274,7 +273,7 @@ class TestReducedDensity:
     @pytest.mark.parametrize("loss", (0.0, 1e-8, 0.25))
     def test_blocks_are_outer_products_of_loss_amplitudes(self, loss):
         n = 12
-        rho = reduced_density(optimal_amplitudes(n), channel_from_loss(loss))
+        rho = reduced_density(optimal_amplitudes(n), loss)
         for ell, exact in mp_block_factors(n, loss).items():
             if ell in rho.factors:
                 w = rho.factors[ell]
@@ -290,10 +289,9 @@ class TestReducedDensity:
 
     def test_stores_factors_not_dense_blocks(self):
         state = optimal_amplitudes(256)
-        channel = channel_from_loss(0.02)
         tracemalloc.start()
         try:
-            reduced_density(state, channel)
+            reduced_density(state, 0.02)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -303,17 +301,16 @@ class TestReducedDensity:
         # the factors are frozen once and kept as they are: a second, copied
         # set peaked at 2.09 times the factor bytes
         state = optimal_amplitudes(1024)
-        channel = channel_from_loss(0.3)
         tracemalloc.start()
         try:
-            rho = reduced_density(state, channel)
+            rho = reduced_density(state, 0.3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * sum(w.nbytes for w in rho.factors.values())
 
     def test_factors_are_read_only(self):
-        rho = reduced_density(optimal_amplitudes(6), channel_from_loss(0.3))
+        rho = reduced_density(optimal_amplitudes(6), 0.3)
         for w in rho.factors.values():
             assert not w.flags.writeable
             with pytest.raises(ValueError):
@@ -335,7 +332,7 @@ class TestReducedDensity:
     def test_block_view_builds_no_block_to_count_or_list(self):
         # every dense block at this size is 43.5 MB under tracemalloc; the
         # view's length, keys and membership read the factors alone (11 KB measured)
-        rho = reduced_density(optimal_amplitudes(256), channel_from_loss(0.02))
+        rho = reduced_density(optimal_amplitudes(256), 0.02)
         tracemalloc.start()
         try:
             count, kept = len(rho.blocks), set(rho.blocks)
@@ -348,7 +345,7 @@ class TestReducedDensity:
 
     def test_block_view_is_read_only_and_keyed_by_kept_sectors(self):
         n = 5
-        rho = reduced_density(optimal_amplitudes(n), channel_from_loss(0.0))
+        rho = reduced_density(optimal_amplitudes(n), 0.0)
         assert list(rho.blocks) == list(rho.blocks.keys()) == [0]
         np.testing.assert_array_equal(rho.blocks[0], rho.block(0))
         for ell in (1, n, n + 1, -1):
@@ -370,17 +367,17 @@ class TestReducedDensity:
     @pytest.mark.parametrize("loss", (1e-6, 0.3))
     def test_runs_to_the_photon_number_cap(self, loss):
         # K is formed a column at a time, so the cap of every path bounds this one too
-        rho = reduced_density(optimal_amplitudes(MAX_PHOTON_NUMBER), channel_from_loss(loss))
+        rho = reduced_density(optimal_amplitudes(MAX_PHOTON_NUMBER), loss)
         assert rho.trace() == pytest.approx(1.0, abs=1e-12)
         closed = _sine_sharpness(loss, False)(MAX_PHOTON_NUMBER)[0]
         assert distribution_from_density(rho).fourier_sharpness() == pytest.approx(closed, rel=2e-15)
 
     def test_refuses_past_the_photon_number_cap(self):
         with pytest.raises(ValueError, match="^photon number 4097 exceeds the supported maximum 4096$"):
-            reduced_density(optimal_amplitudes(MAX_PHOTON_NUMBER + 1), channel_from_loss(0.1))
+            reduced_density(optimal_amplitudes(MAX_PHOTON_NUMBER + 1), 0.1)
 
     def test_external_state_goes_through(self):
         sq = 1 / math.sqrt(2)
         state = AmplitudeVector([sq, 0.0, -sq])
-        rho = reduced_density(state, channel_from_loss(0.2))
+        rho = reduced_density(state, 0.2)
         assert rho.trace() == pytest.approx(1.0, abs=1e-12)

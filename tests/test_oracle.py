@@ -7,7 +7,6 @@ import pytest
 
 from lossyphase import (
     AmplitudeVector,
-    channel_from_loss,
     distribution,
     optimal_amplitudes,
     pure_lossy_state,
@@ -79,9 +78,9 @@ class TestBeamSplitterUnitary:
 class TestTraceOutExplicit:
     def test_lossless_matches_block_path_exactly(self):
         state = optimal_amplitudes(4)
-        ch = channel_from_loss(0.0)
-        explicit = trace_out_explicit(pure_lossy_state(state, ch))
-        direct = reduced_density(state, ch)
+        loss = 0.0
+        explicit = trace_out_explicit(pure_lossy_state(state, loss))
+        direct = reduced_density(state, loss)
         assert tuple(sorted(explicit)) == tuple(direct.factors) == (0,)
         np.testing.assert_allclose(explicit[0], direct.block(0), atol=1e-15)
 
@@ -90,43 +89,42 @@ class TestTraceOutExplicit:
         psi = rng.standard_normal(5)
         psi /= math.sqrt(np.sum(psi**2))
         state = AmplitudeVector(psi)
-        explicit = trace_out_explicit(pure_lossy_state(state, channel_from_loss(0.2)))
+        explicit = trace_out_explicit(pure_lossy_state(state, 0.2))
         assert sum(np.trace(b) for b in explicit.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_oversize(self):
         state = optimal_amplitudes(13)
         with pytest.raises(ValueError, match="cap"):
-            trace_out_explicit(pure_lossy_state(state, channel_from_loss(0.1)))
+            trace_out_explicit(pure_lossy_state(state, 0.1))
 
 
 class TestQuadratureSharpness:
     def test_lossless_two_photons(self):
-        dist = distribution(optimal_amplitudes(2), channel_from_loss(0.0))
+        dist = distribution(optimal_amplitudes(2), 0.0)
         value = quadrature_sharpness(dist, 4096)
         assert value.real == pytest.approx(math.cos(math.pi / 4), abs=1e-10)
         assert abs(value.imag) < 1e-12
 
     def test_one_photon_with_loss(self):
-        dist = distribution(optimal_amplitudes(1), channel_from_loss(0.3))
+        dist = distribution(optimal_amplitudes(1), 0.3)
         value = quadrature_sharpness(dist, 4096)
         assert value.real == pytest.approx(0.41833, abs=1e-5)
         assert value.real == pytest.approx(0.5 * math.sqrt(0.7), abs=1e-8)
 
     def test_flat_distribution_has_no_fringe(self):
         one_hot = AmplitudeVector([0.0, 1.0, 0.0, 0.0])
-        dist = distribution(one_hot, channel_from_loss(0.1))
+        dist = distribution(one_hot, 0.1)
         assert abs(quadrature_sharpness(dist, 256)) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 4, 9, 16])
     @pytest.mark.parametrize("loss", (0.0, 0.2, 0.5))
     def test_trapezoid_exact_above_nyquist(self, n, loss):
         state = optimal_amplitudes(n)
-        ch = channel_from_loss(loss)
-        dist = distribution(state, ch)
+        dist = distribution(state, loss)
         quad = quadrature_sharpness(dist, 4 * (n + 1))
-        assert abs(quad - sharpness_closed(state, ch)) <= 1e-14
+        assert abs(quad - sharpness_closed(state, loss)) <= 1e-14
 
     def test_nyquist_guard(self):
-        dist = distribution(optimal_amplitudes(20), channel_from_loss(0.0))
+        dist = distribution(optimal_amplitudes(20), 0.0)
         with pytest.raises(ValueError, match="Nyquist"):
             quadrature_sharpness(dist, 64)

@@ -14,7 +14,6 @@ from lossyphase import (
     AmplitudeVector,
     PhaseDistribution,
     ReducedDensity,
-    channel_from_loss,
     curve,
     distribution,
     distribution_from_density,
@@ -26,11 +25,7 @@ from lossyphase import (
     sharpness_closed,
 )
 from lossyphase.core import _holevo_spread
-from lossyphase.povm import (
-    TWO_PI,
-    _loss_factors,
-    _sharpness_kernel,
-)
+from lossyphase.povm import TWO_PI, _sharpness_kernel
 
 from conftest import mp_sine_sums
 
@@ -67,7 +62,7 @@ def mp_delta_phi(n, loss, normalized):
 
 def kernel(n, loss, normalized=False):
     """(S, 1 - S) of the N-photon sine state from the shared sharpness kernel."""
-    return _sharpness_kernel(optimal_amplitudes(n).psi, *_loss_factors(n, loss), normalized)
+    return _sharpness_kernel(optimal_amplitudes(n), loss, normalized)
 
 
 def mp_phase_density(g, k, samples):
@@ -84,7 +79,7 @@ def mp_phase_density(g, k, samples):
 
 class TestDistribution:
     def test_lossless_peak_at_zero(self):
-        dist = distribution(optimal_amplitudes(2), channel_from_loss(0.0))
+        dist = distribution(optimal_amplitudes(2), 0.0)
         phi, values = dist.evaluate(400)
         assert phi[0] == 0.0
         assert np.argmax(values) == 0
@@ -92,7 +87,7 @@ class TestDistribution:
 
     def test_lossless_matches_squared_sum(self):
         state = optimal_amplitudes(2)
-        dist = distribution(state, channel_from_loss(0.0))
+        dist = distribution(state, 0.0)
         mu = np.arange(3) - 1.0
         # the direct sum at arbitrary angles is the reference the FFT grid is gated against
         for samples in (64, 1000, 12345):
@@ -102,20 +97,20 @@ class TestDistribution:
             np.testing.assert_allclose(values, direct, atol=1e-14)
 
     def test_hand_integral_n1_l03(self):
-        dist = distribution(optimal_amplitudes(1), channel_from_loss(0.3))
+        dist = distribution(optimal_amplitudes(1), 0.3)
         assert dist.total_mass() == pytest.approx(0.85, abs=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 21))
     @pytest.mark.parametrize("loss", LOSSES + (0.7,))
     def test_subnormalization_identity(self, n, loss):
         state = optimal_amplitudes(n)
-        dist = distribution(state, channel_from_loss(loss))
+        dist = distribution(state, loss)
         expected = float(np.sum(state.psi**2 * survival_weights(n, loss)))
         assert dist.total_mass() == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("n,loss", [(1, 0.0), (5, 0.3), (12, 0.6)])
     def test_nonnegative_on_dense_grid(self, n, loss):
-        dist = distribution(optimal_amplitudes(n), channel_from_loss(loss))
+        dist = distribution(optimal_amplitudes(n), loss)
         assert np.all(dist.evaluate(4096)[1] >= 0.0)
 
     def test_coefficients_factorize(self):
@@ -131,10 +126,9 @@ class TestDistribution:
 
     def test_distribution_stores_no_dense_matrix(self):
         state = optimal_amplitudes(MAX_PHOTON_NUMBER)
-        ch = channel_from_loss(0.01)
         tracemalloc.start()
         try:
-            distribution(state, ch)
+            distribution(state, 0.01)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -142,7 +136,7 @@ class TestDistribution:
 
     def test_evaluate_memory_bounded_by_entries(self):
         # a few arrays of 65536 entries (1 MB complex), nothing of size samples x (N+1)
-        dist = distribution(optimal_amplitudes(MAX_PHOTON_NUMBER), channel_from_loss(0.01))
+        dist = distribution(optimal_amplitudes(MAX_PHOTON_NUMBER), 0.01)
         tracemalloc.start()
         try:
             dist.evaluate(65536)
@@ -153,7 +147,7 @@ class TestDistribution:
 
     @pytest.mark.parametrize("n", [1, 20, MAX_PHOTON_NUMBER])
     def test_nyquist_guard(self, n):
-        dist = distribution(optimal_amplitudes(n), channel_from_loss(0.1))
+        dist = distribution(optimal_amplitudes(n), 0.1)
         guard = 4 * (n + 1)
         assert dist.evaluate(guard)[1].shape == (guard,)
         with pytest.raises(ValueError, match=f"Nyquist guard {guard} for N = {n}"):
@@ -163,7 +157,7 @@ class TestDistribution:
     @pytest.mark.parametrize("n", [1, 256, MAX_PHOTON_NUMBER])
     def test_matches_40_digit_reference(self, n, loss):
         # promises 5e-15 of the peak at the first and last rows and at seeded ones
-        dist = distribution(optimal_amplitudes(n), channel_from_loss(loss))
+        dist = distribution(optimal_amplitudes(n), loss)
         samples = 65536
         values = dist.evaluate(samples)[1]
         rng = np.random.default_rng(n)
@@ -177,7 +171,7 @@ class TestDistribution:
     @given(n=PHOTON_NUMBERS, loss=LOSS_FRACTIONS, extra=st.integers(0, 500))
     def test_total_mass_matches_40_digit_sum_and_parseval(self, n, loss, extra):
         state = optimal_amplitudes(n)
-        dist = distribution(state, channel_from_loss(loss))
+        dist = distribution(state, loss)
         with mpmath.workdps(40):
             keep, weight, exact = 1 - mpmath.mpf(loss), mpmath.mpf(1), mpmath.mpf(0)
             for x in state.psi:
@@ -189,25 +183,35 @@ class TestDistribution:
         values = dist.evaluate(4 * (n + 1) + extra)[1]
         assert abs(TWO_PI * float(np.mean(values)) - exact) <= 1e-14 * exact
 
+    @pytest.mark.parametrize("loss", [0.0, 1e-12, 1e-8, 1e-3, 0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 64, 255, 1024, MAX_PHOTON_NUMBER])
+    def test_spread_matches_50_digit_reference(self, n, loss):
+        # promises 14.7 digits of M - S; total_mass() - fourier_sharpness()
+        # is off by 1.8e-10 relative at N = 4096 without loss
+        spread = distribution(optimal_amplitudes(n), loss).spread()
+        with mpmath.workdps(50):
+            pair, mass = mp_sine_sums(n, loss)
+            reference = mass - pair
+        assert abs(spread - reference) / reference <= 2e-15
+
 
 class TestDistributionFromDensity:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_lossless_matches_closed_form(self, n):
         state = optimal_amplitudes(n)
-        ch = channel_from_loss(0.0)
-        via_rho = distribution_from_density(reduced_density(state, ch))
-        np.testing.assert_allclose(via_rho.factor, distribution(state, ch).factor, atol=1e-12)
+        loss = 0.0
+        via_rho = distribution_from_density(reduced_density(state, loss))
+        np.testing.assert_allclose(via_rho.factor, distribution(state, loss).factor, atol=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 11))
     @pytest.mark.parametrize("loss", LOSSES)
     def test_lossy_matches_closed_form(self, n, loss):
         state = optimal_amplitudes(n)
-        ch = channel_from_loss(loss)
-        via_rho = distribution_from_density(reduced_density(state, ch))
-        np.testing.assert_allclose(via_rho.factor, distribution(state, ch).factor, atol=1e-12)
+        via_rho = distribution_from_density(reduced_density(state, loss))
+        np.testing.assert_allclose(via_rho.factor, distribution(state, loss).factor, atol=1e-12)
 
     def test_density_without_full_sector_gives_null(self):
-        rho = reduced_density(optimal_amplitudes(2), channel_from_loss(0.4))
+        rho = reduced_density(optimal_amplitudes(2), 0.4)
         stripped = ReducedDensity(
             n_photons=rho.n_photons,
             factors={ell: w for ell, w in rho.factors.items() if ell >= 1},
@@ -220,18 +224,18 @@ class TestDistributionFromDensity:
 
 class TestSharpness:
     def test_one_photon_lossless(self):
-        s = sharpness_closed(optimal_amplitudes(1), channel_from_loss(0.0))
+        s = sharpness_closed(optimal_amplitudes(1), 0.0)
         assert s == pytest.approx(0.5, abs=1e-14)
         assert holevo(s).holevo_variance == pytest.approx(3.0, rel=1e-12)
         assert holevo(s).holevo_variance == pytest.approx(math.tan(math.pi / 3) ** 2, rel=1e-12)
 
     def test_two_photons_lossless(self):
-        s = sharpness_closed(optimal_amplitudes(2), channel_from_loss(0.0))
+        s = sharpness_closed(optimal_amplitudes(2), 0.0)
         assert s == pytest.approx(math.cos(math.pi / 4), abs=1e-14)
         assert holevo(s).holevo_variance == pytest.approx(1.0, rel=1e-12)
 
     def test_one_photon_with_loss(self):
-        s = sharpness_closed(optimal_amplitudes(1), channel_from_loss(0.3))
+        s = sharpness_closed(optimal_amplitudes(1), 0.3)
         assert s == pytest.approx(0.5 * math.sqrt(0.7), abs=1e-14)
         est = holevo(s)
         assert est.holevo_variance == pytest.approx(33 / 7, rel=1e-12)
@@ -242,7 +246,7 @@ class TestSharpness:
     def test_matches_50_digit_reference(self, n, loss):
         # promises 14.7 digits; the survival factors come from log1p(-L), so
         # small losses lose nothing to a detour through the splitter angle
-        closed = sharpness_closed(optimal_amplitudes(n), channel_from_loss(loss))
+        closed = sharpness_closed(optimal_amplitudes(n), loss)
         reference = mp_sharpness(n, loss)
         assert abs(closed - reference) / reference <= 2e-15
 
@@ -260,7 +264,7 @@ class TestSharpness:
     def test_strictly_decreasing_in_loss(self, n):
         state = optimal_amplitudes(n)
         values = [
-            sharpness_closed(state, channel_from_loss(loss))
+            sharpness_closed(state, loss)
             for loss in (0.0, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 0.95)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -268,7 +272,7 @@ class TestSharpness:
     def test_rejects_zero_photons(self):
         vacuum = AmplitudeVector([1.0])
         with pytest.raises(ValueError):
-            sharpness_closed(vacuum, channel_from_loss(0.0))
+            sharpness_closed(vacuum, 0.0)
 
 
 class TestSharpnessKernelProperties:
@@ -324,7 +328,7 @@ class TestPhaseEstimate:
     def test_lossless_matches_50_digit_reference(self, n):
         # promises 14 digits where S is within 3e-7 of 1; holevo(S) forms
         # 1/S^2 - 1 there and is off by 2e-11 at N = 4096
-        est = phase_estimate(optimal_amplitudes(n), channel_from_loss(0.0))
+        est = phase_estimate(optimal_amplitudes(n), 0.0)
         reference = mp_delta_phi(n, 0.0, normalized=False)
         assert abs(est.min_detectable_phase - reference) / reference <= 1e-14
         assert abs(est.holevo_variance - reference**2) / reference**2 <= 1e-14
@@ -332,9 +336,9 @@ class TestPhaseEstimate:
     @pytest.mark.parametrize("loss", LOSSES)
     @pytest.mark.parametrize("n", [1, 2, 7, 30])
     def test_agrees_with_holevo_of_closed_sharpness(self, n, loss):
-        state, ch = optimal_amplitudes(n), channel_from_loss(loss)
-        est = phase_estimate(state, ch)
-        old = holevo(sharpness_closed(state, ch))
+        state = optimal_amplitudes(n)
+        est = phase_estimate(state, loss)
+        old = holevo(sharpness_closed(state, loss))
         assert est.sharpness == old.sharpness
         assert est.holevo_variance == pytest.approx(old.holevo_variance, rel=1e-13)
         assert est.min_detectable_phase == pytest.approx(old.min_detectable_phase, rel=1e-13)
@@ -342,7 +346,7 @@ class TestPhaseEstimate:
     def test_agrees_with_curve_point(self):
         # the kernel and the curve's closed form are two algorithms: both hold
         # 14.7 digits, and they stay within the 8-ulp gap of tests/test_sweep.py
-        est = phase_estimate(optimal_amplitudes(500), channel_from_loss(1e-3))
+        est = phase_estimate(optimal_amplitudes(500), 1e-3)
         point = curve(1e-3, 500, 500).delta_phi[0]
         reference = mp_delta_phi(500, 1e-3, normalized=False)
         assert abs(est.min_detectable_phase - reference) / reference <= 2e-15
@@ -351,18 +355,18 @@ class TestPhaseEstimate:
 
     def test_flat_distribution_diverges(self):
         # a Fock state has no neighbouring amplitudes: S = 0 exactly
-        est = phase_estimate(AmplitudeVector([0.0, 1.0, 0.0]), channel_from_loss(0.1))
+        est = phase_estimate(AmplitudeVector([0.0, 1.0, 0.0]), 0.1)
         assert est.sharpness == 0.0
         assert math.isinf(est.holevo_variance)
         assert math.isinf(est.min_detectable_phase)
 
     def test_rejects_negative_sharpness(self):
         with pytest.raises(ValueError, match="sharpness must lie in"):
-            phase_estimate(AmplitudeVector([SQRT_HALF, -SQRT_HALF]), channel_from_loss(0.0))
+            phase_estimate(AmplitudeVector([SQRT_HALF, -SQRT_HALF]), 0.0)
 
     def test_rejects_zero_photons(self):
         with pytest.raises(ValueError):
-            phase_estimate(AmplitudeVector([1.0]), channel_from_loss(0.0))
+            phase_estimate(AmplitudeVector([1.0]), 0.0)
 
 
 class TestHolevoSpread:

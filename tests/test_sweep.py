@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from lossyphase import (
     CurvePoint,
-    channel_from_loss,
     curve,
     distribution,
     lossless_reference,
@@ -22,7 +21,7 @@ from lossyphase import (
     sweep,
 )
 from lossyphase.core import _holevo_spread
-from lossyphase.povm import _loss_factors, _sharpness_kernel
+from lossyphase.povm import _sharpness_kernel
 from lossyphase.sweep import (
     _bisect_n_opt,
     _locate_n_opt,
@@ -64,11 +63,9 @@ UNIT_LOSSES = st.one_of(
 
 def oracle_curve(loss, n_max, normalized):
     """Delta-phi for N = 1..n_max, one (N, L) pair at a time through the 1-D kernel."""
-    survival, lost = _loss_factors(n_max, loss)
     deltas = []
     for n in range(1, n_max + 1):
-        keep = slice(0, n + 1)
-        sharp, defect = _sharpness_kernel(optimal_amplitudes(n).psi, survival[keep], lost[keep], normalized)
+        sharp, defect = _sharpness_kernel(optimal_amplitudes(n), loss, normalized)
         deltas.append(math.sqrt(defect * (1.0 + sharp)) / sharp if sharp > 0.0 else math.inf)
     return deltas
 
@@ -468,7 +465,7 @@ class TestSineDensity:
     @pytest.mark.parametrize("n", DENSITY_NS)
     def test_matches_fft(self, n, loss, samples_of):
         samples = samples_of(n)
-        _, fft = distribution(optimal_amplitudes(n), channel_from_loss(loss)).evaluate(samples)
+        _, fft = distribution(optimal_amplitudes(n), loss).evaluate(samples)
         closed = np.array(self.published(loss, n, samples))
         assert np.max(np.abs(closed - fft)) <= FFT_PEAK_TOLERANCE * np.max(fft)
 
