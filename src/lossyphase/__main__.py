@@ -13,9 +13,9 @@ def main(argv=None) -> int:
     No command makes a BLAS call large enough to use a second thread, yet
     OpenBLAS starts one when numpy is imported and it busy-waits about 0.1
     CPU-s before it sleeps. The count is read when numpy loads, so it is set
-    here, before any command can import numpy (only ``dist`` and
-    ``validate`` do). Importing the package or ``lossyphase.cli`` as a
-    library leaves the environment alone.
+    here, before any command can import numpy (only ``validate`` does).
+    Importing the package or ``lossyphase.cli`` as a library leaves the
+    environment alone.
     """
     if not any(name in os.environ for name in BLAS_THREAD_VARIABLES):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"

@@ -10,7 +10,9 @@ over O(N) tables is written. The branches are views of one buffer and the
 block factors are frozen once, so neither is held twice, and neither keeps
 the loss L, which both entries take as a float through
 ``core.channel_from_loss``. Scattered photons are traced out, leaving a mixed
-state on the inner modes that is block diagonal in the number of photons lost.
+state on the inner modes that is block diagonal in the number of photons lost:
+a ``ReducedDensity``, whose N passes ``core``'s rules and whose factors pass
+``states._frozen_vector``, the rule every numpy value passes.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_integer, channel_from_loss
-from .states import AmplitudeVector, _real_entries
+from .core import _check_cap, _check_integer, channel_from_loss
+from .states import AmplitudeVector, _frozen_vector
 
 # i^n for the kept-photon phase e^{i (pi/2)(m-k)}; exact complex units.
 _QUARTER_TURNS = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
@@ -90,6 +92,14 @@ def pure_lossy_state(state: AmplitudeVector, loss: float) -> PureLossyState:
     return PureLossyState(tuple(buffer[a:b] for a, b in zip(starts, starts[1:])))
 
 
+def _lost_count(ell, n: int) -> int:
+    """``ell`` as an int lost-photon count in 0..n: any integer type, no bool or float."""
+    ell = _check_integer(ell, "lost-photon count")
+    if not 0 <= ell <= n:
+        raise ValueError(f"lost-photon count {ell} outside 0..{n}")
+    return ell
+
+
 @dataclass(frozen=True, eq=False)
 class ReducedDensity:
     """Density matrix of the inner modes, block diagonal in photons lost.
@@ -102,32 +112,23 @@ class ReducedDensity:
     read-only mapping over the kept ell that builds a block only when it is
     indexed. ``reduced_density`` keeps block ell exactly when some w_ell(t)
     is a nonzero double; the loss amplitude K underflows only below the
-    smallest double, and at L = 0 only block 0 is kept. Every factor is
-    read-only: one that ``reduced_density`` froze is kept as it is, and any
-    other array (a caller's) is copied once.
+    smallest double, and at L = 0 only block 0 is kept. ``n_photons`` is an
+    int in 0..4096, and each factor passes ``states._frozen_vector`` at length
+    N + 1 - ell: a factor ``reduced_density`` froze is kept, any other copied.
     """
 
     n_photons: int
     factors: dict
 
     def __post_init__(self):
-        n = self.n_photons
-        frozen = {}
-        checked = {_check_integer(ell, "lost-photon count"): w for ell, w in self.factors.items()}
-        for ell, w in sorted(checked.items()):
-            if not 0 <= ell <= n:
-                raise ValueError(f"lost-photon count {ell} outside 0..{n}")
-            arr = _real_entries(w, f"factor {ell}")
-            if arr.flags.writeable or arr.base is not None:  # a read-only view still sees its base
-                arr = arr.copy()
-            if arr.shape != (n + 1 - ell,):
-                raise ValueError(
-                    f"factor {ell} has shape {arr.shape}, expected {(n + 1 - ell,)}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"factor {ell} has non-finite entries")
-            arr.flags.writeable = False
-            frozen[ell] = arr
+        n = _check_integer(self.n_photons, "photon number")
+        if n < 0:
+            raise ValueError(f"photon number must be >= 0, got {n}")
+        _check_cap(n)
+        counted = {_lost_count(ell, n): w for ell, w in self.factors.items()}
+        frozen = {ell: _frozen_vector(w, f"factor {ell}", n + 1 - ell)
+                  for ell, w in sorted(counted.items())}
+        object.__setattr__(self, "n_photons", n)
         object.__setattr__(self, "factors", frozen)
 
     @property
@@ -137,9 +138,7 @@ class ReducedDensity:
 
     def block(self, ell: int) -> np.ndarray:
         """Dense block for ell lost photons; zeros if that sector is absent."""
-        ell = _check_integer(ell, "lost-photon count")
-        if not 0 <= ell <= self.n_photons:
-            raise ValueError(f"lost-photon count {ell} outside 0..{self.n_photons}")
+        ell = _lost_count(ell, self.n_photons)
         if ell in self.factors:
             return np.outer(self.factors[ell], self.factors[ell])
         dim = self.n_photons + 1 - ell

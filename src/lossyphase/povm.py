@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import _check_phase_samples, _check_photon_number, _holevo_spread, channel_from_loss
 from .loss import ReducedDensity
-from .states import AmplitudeVector, _real_entries
+from .states import AmplitudeVector, _frozen_vector
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,21 +48,16 @@ class PhaseDistribution:
 
     g_t runs over t = 0..N lossy-arm photons, so only integer harmonics
     appear and P is nonnegative by construction. Its coefficient matrix in
-    the photon basis is the rank-one g g^T / 2pi; only g is stored, as
-    finite floats. Its integral M, first Fourier coefficient S and their
-    difference M - S are ``total_mass``, ``fourier_sharpness`` and ``spread``.
+    the photon basis is the rank-one g g^T / 2pi; only g is stored, through
+    ``states._frozen_vector``, the rule every numpy value passes. Its
+    integral M, first Fourier coefficient S and their difference M - S are
+    ``total_mass``, ``fourier_sharpness`` and ``spread``.
     """
 
     factor: np.ndarray
 
     def __post_init__(self):
-        g = np.array(_real_entries(self.factor, "factor"))
-        if g.ndim != 1 or g.size == 0:
-            raise ValueError(f"factor has shape {g.shape}, expected a nonempty vector")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("factor entries must be finite")
-        g.flags.writeable = False
-        object.__setattr__(self, "factor", g)
+        object.__setattr__(self, "factor", _frozen_vector(self.factor, "factor"))
 
     def evaluate(self, samples: int) -> tuple:
         """(phi, P(phi)) on the grid phi_k = 2pi k / samples, k = 0..samples-1.

@@ -1,4 +1,5 @@
-"""Two-mode input states as real amplitude vectors over the photon split."""
+"""Two-mode input states as real amplitude vectors over the photon split, and
+``_frozen_vector``, the one rule that builds psi, each block factor w_ell and g."""
 
 from __future__ import annotations
 
@@ -14,16 +15,29 @@ from .core import _check_cap, _check_photon_number
 NORMALIZATION_TOLERANCE = 1e-12
 
 
-def _real_entries(values, name: str) -> np.ndarray:
-    """``values`` as a float array, once its dtype is integer or float.
+def _frozen_vector(values, name: str, size: int | None = None) -> np.ndarray:
+    """``values`` as a read-only vector of finite floats, by one rule for every numpy value.
 
-    numpy would otherwise take a complex entry's real part (with only a
-    warning), a string's number and a bool's 0 or 1 without a word.
+    In order: an integer or float dtype (numpy would take a complex entry's
+    real part, a string's number or a bool's 0 or 1); one dimension, nonempty
+    and ``size`` long if given; len - 1 photons within the cap, before any
+    copy; finite entries. A read-only array that owns its data is kept, and
+    any other (writable, or a view that still sees its base) is copied.
     """
     arr = np.asarray(values)
     if arr.dtype.kind not in "iuf":
         raise TypeError(f"{name} entries must be integers or floats, got dtype {arr.dtype}")
-    return arr.astype(float, copy=False)
+    if arr.ndim != 1 or arr.size == 0 or (size is not None and arr.size != size):
+        expected = "a nonempty vector" if size is None else (size,)
+        raise ValueError(f"{name} has shape {arr.shape}, expected {expected}")
+    _check_cap(arr.size - 1)
+    arr = arr.astype(float, copy=False)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} entries must be finite")
+    if arr.flags.writeable or arr.base is not None:
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,29 +45,20 @@ class AmplitudeVector:
     """Real amplitudes psi_t of a pure two-mode state of N = len(psi) - 1 photons.
 
     Entry t is the Fock pair |t> in the lossy arm and |N-t> in the reference
-    arm (t = j + mu in spin language). The vector is validated on
-    construction and frozen afterwards.
+    arm (t = j + mu in spin language). It passes ``_frozen_vector`` and then
+    the norm check on construction.
     """
 
     psi: np.ndarray
 
     def __post_init__(self):
-        arr = _real_entries(self.psi, "psi")
-        if arr.ndim != 1:
-            raise ValueError("psi must be one-dimensional")
-        if arr.shape[0] == 0:
-            raise ValueError("photon number must be nonnegative, got psi with no entries")
-        _check_cap(arr.shape[0] - 1)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("psi entries must be finite")
+        arr = _frozen_vector(self.psi, "psi")
         norm_sq = float(np.sum(arr * arr))
         if abs(norm_sq - 1.0) > NORMALIZATION_TOLERANCE:
             raise ValueError(
                 f"psi is not normalized: sum psi^2 = {norm_sq!r} "
                 f"(tolerance {NORMALIZATION_TOLERANCE})"
             )
-        arr = arr.copy()
-        arr.flags.writeable = False
         object.__setattr__(self, "psi", arr)
 
     @property

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from lossyphase import (
+    AmplitudeVector,
     curve,
     distribution,
     distribution_from_density,
@@ -26,7 +27,6 @@ from lossyphase import (
 )
 from lossyphase.oracle import bs_unitary, trace_out_explicit
 from lossyphase.sweep import _sine_sharpness
-from lossyphase.wigner import d_element
 
 from conftest import child_env
 
@@ -69,18 +69,17 @@ def test_criterion_2_dual_path_equivalence():
                 assert abs(closed - extracted) <= 1e-10
 
 
-def test_criterion_3_wigner_oracle():
-    with criterion(3, "rotation elements match matrix exponential, 2j<=12", budget=10.0):
-        for j2 in range(0, 13):
+def test_criterion_3_loss_column_oracle():
+    # the production loss column, signed, against the matrix-exponential
+    # splitter: the branches of |t> are the conjugated last column of
+    # e^{i theta Jx}, with 1 - L = cos^2(theta/2)
+    with criterion(3, "lossy branches match matrix-exponential splitter, t<=12", budget=10.0):
+        for t in range(0, 13):
+            state = AmplitudeVector(np.eye(t + 1)[t])
             for theta in (0.1, 0.7, math.pi / 2, 2.5):
-                u = bs_unitary(j2, theta)
-                for ia, a2 in enumerate(range(-j2, j2 + 1, 2)):
-                    row = 0.0
-                    for ib, b2 in enumerate(range(-j2, j2 + 1, 2)):
-                        d = d_element(j2, a2, b2, theta)
-                        assert abs(abs(d) - abs(u[ia, ib])) <= 1e-8
-                        row += d * d
-                    assert abs(row - 1.0) <= 1e-10
+                branch = pure_lossy_state(state, math.sin(theta / 2) ** 2).coeffs[t]
+                assert np.max(np.abs(branch - np.conj(bs_unitary(t, theta)[:, t]))) <= 1e-14
+                assert abs(np.sum(np.abs(branch) ** 2) - 1.0) <= 1e-10
 
 
 def test_criterion_4_density_matrix_physicality():

@@ -1,12 +1,15 @@
-"""Each input rule has one home in ``core``, and every entry that takes the input applies it."""
+"""Each input rule has one home, in ``core`` or, for array values, ``states._frozen_vector``,
+and every entry that takes the input applies it."""
 
+import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lossyphase import povm, sweep
+from lossyphase import loss, povm, states, sweep
 from lossyphase.core import channel_from_loss
 from lossyphase.loss import ReducedDensity, pure_lossy_state, reduced_density
 from lossyphase.states import AmplitudeVector, optimal_amplitudes
@@ -164,12 +167,21 @@ def test_one_nyquist_message(n, samples):
         f"{samples} phase samples are below the Nyquist guard {4 * (n + 1)} for N = {n}")
 
 
-# every numpy value type, each built from a two-entry array
+# every numpy value type, each built from one vector and read back as the array
+# it stores, and the name its messages give that vector; a density holds the
+# vector as block 0 at the vector's own photon number, or at N = 1 below that
 VALUE_TYPES = {
-    "AmplitudeVector": AmplitudeVector,
-    "PhaseDistribution": povm.PhaseDistribution,
-    "ReducedDensity": lambda w: ReducedDensity(1, {0: w}),
+    "AmplitudeVector": (lambda v: AmplitudeVector(v).psi, "psi"),
+    "PhaseDistribution": (lambda v: povm.PhaseDistribution(v).factor, "factor"),
+    "ReducedDensity": (lambda v: ReducedDensity(max(len(v) - 1, 1), {0: v}).factors[0], "factor 0"),
 }
+
+
+def test_every_value_type_passes_the_one_rule():
+    # a dataclass that checks its fields is a value type, so the table below must cover it
+    checked = {name for module in (states, povm, loss) for name, cls in vars(module).items()
+               if dataclasses.is_dataclass(cls) and "__post_init__" in vars(cls)}
+    assert checked == set(VALUE_TYPES)
 
 
 class TestArrayEntries:
@@ -180,13 +192,61 @@ class TestArrayEntries:
         ([True, False], "bool"),
     ], ids=["complex", "str", "bool"])
     def test_refuses_entries_numpy_would_coerce(self, name, values, dtype):
-        with pytest.raises(TypeError, match=f"entries must be integers or floats, got dtype {dtype}$"):
-            VALUE_TYPES[name](values)
+        build, label = VALUE_TYPES[name]
+        with pytest.raises(TypeError, match=f"^{label} entries must be integers or floats, got dtype {dtype}$"):
+            build(values)
 
+    @pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+    @pytest.mark.parametrize("values", [[[0.6, 0.8]], []], ids=["2d", "empty"])
+    def test_refuses_all_but_a_nonempty_vector(self, name, values):
+        build, label = VALUE_TYPES[name]
+        shape = re.escape(str(np.shape(values)))
+        with pytest.raises(ValueError, match=f"^{label} has shape {shape}, expected "):
+            build(values)
+
+    @pytest.mark.parametrize("name", sorted(VALUE_TYPES))
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_phase_distribution_refuses_non_finite(self, bad):
-        with pytest.raises(ValueError, match="^factor entries must be finite$"):
-            povm.PhaseDistribution([bad, 1.0])
+    def test_refuses_non_finite(self, name, bad):
+        build, label = VALUE_TYPES[name]
+        with pytest.raises(ValueError, match=f"^{label} entries must be finite$"):
+            build([bad, 1.0])
+
+    @pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+    def test_refuses_past_the_photon_number_cap(self, name):
+        build, _ = VALUE_TYPES[name]
+        with pytest.raises(ValueError, match="^photon number 4097 exceeds the supported maximum 4096$"):
+            build(np.ones(4098))
+
+    @pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+    def test_keeps_only_a_read_only_array_that_owns_its_data(self, name):
+        # a writable array, or a read-only view of one, could still change under the value
+        build, _ = VALUE_TYPES[name]
+        mine = np.array([0.6, 0.8])
+        view = mine[:]
+        view.flags.writeable = False
+        for caller in (mine, view):
+            stored = build(caller)
+            assert not stored.flags.writeable and not np.shares_memory(stored, mine)
+        owned = np.array([0.6, 0.8])
+        owned.flags.writeable = False
+        assert build(owned) is owned
+
+    @pytest.mark.parametrize("n", [True, 1.0, 1.5])
+    def test_density_photon_number_is_an_integer(self, n):
+        with pytest.raises(TypeError, match=f"^photon number must be an integer, got {type(n).__name__}$"):
+            ReducedDensity(n, {0: [0.6, 0.8]})
+
+    def test_density_stores_its_photon_number_as_an_int(self):
+        rho = ReducedDensity(np.int64(2), {0: [0.6, 0.8, 0.0]})
+        assert type(rho.n_photons) is int and rho.n_photons == 2
+
+    @pytest.mark.parametrize("n,message", [
+        (-1, "^photon number must be >= 0, got -1$"),
+        (5000, "^photon number 5000 exceeds the supported maximum 4096$"),
+    ], ids=["negative", "past-cap"])
+    def test_density_photon_number_range(self, n, message):
+        with pytest.raises(ValueError, match=message):
+            ReducedDensity(n, {})
 
     @pytest.mark.parametrize("ell", [True, 0.5, np.float64(1.0)])
     def test_lost_photon_count_is_an_integer(self, ell):

@@ -361,7 +361,7 @@ class TestReducedDensity:
             ReducedDensity(n_photons=2, factors={1: np.ones(3)})
         with pytest.raises(ValueError, match="outside"):
             ReducedDensity(n_photons=2, factors={3: np.ones(1)})
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="^factor 0 entries must be finite$"):
             ReducedDensity(n_photons=2, factors={0: [1.0, math.nan, 0.0]})
 
     @pytest.mark.parametrize("loss", (1e-6, 0.3))
