@@ -67,7 +67,8 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 
 # the upper bounds cap what one input can cost: 2**20 phase samples is 64
-# times the Nyquist guard at N = 4096, and a 1024-point grid is 1024 scans
+# times the Nyquist guard at N = 4096, and a 1024-point grid is 1024 rows of
+# the file and 1024 bisections, each reading about 2 log2(n_max) points
 MIN_PHI_SAMPLES = 64
 MAX_PHI_SAMPLES = 2**20
 MAX_LOSS_GRID_POINTS = 1024

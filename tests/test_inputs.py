@@ -2,6 +2,7 @@
 and every entry that takes the input applies it."""
 
 import dataclasses
+import inspect
 import math
 import re
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import lossyphase
 from lossyphase import loss, povm, states, sweep
 from lossyphase.core import channel_from_loss
 from lossyphase.loss import ReducedDensity, pure_lossy_state, reduced_density
@@ -65,10 +67,11 @@ class TestPhotonNumber:
         with pytest.raises(TypeError, match=f"^{name} must be an integer, got {type(bad).__name__}$"):
             call(bad)
 
-    def test_refuses_zero(self, entry):
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_refuses_below_one(self, entry, n):
         call, name = entry
-        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
-            call(0)
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {n}$"):
+            call(n)
 
     def test_refuses_past_the_cap(self, entry):
         call, _ = entry
@@ -78,8 +81,9 @@ class TestPhotonNumber:
     def test_curve_range_then_the_rule(self):
         # both bounds meet the integer rule, then the range keeps its own message,
         # then n_max meets the cap
-        with pytest.raises(ValueError, match="^need 1 <= n_min <= n_max, got 1:0$"):
-            sweep.curve(0.1, 1, 0)
+        for n_min, n_max in [(1, 0), (0, 10), (20, 10)]:
+            with pytest.raises(ValueError, match=f"^need 1 <= n_min <= n_max, got {n_min}:{n_max}$"):
+                sweep.curve(0.1, n_min, n_max)
         with pytest.raises(TypeError, match="^photon number must be an integer, got bool$"):
             sweep.curve(0.1, 1, True)
         with pytest.raises(TypeError, match="^n_min must be an integer, got bool$"):
@@ -106,6 +110,16 @@ class TestLoss:
         with pytest.raises(ValueError) as refused:
             loss_entry(bad)
         assert str(refused.value) == str(rule.value)
+
+    @pytest.mark.parametrize("loss,message", [
+        (1.0, "loss must be < 1, got 1.0"),
+        (math.inf, "loss must be < 1, got inf"),
+        (-math.inf, "loss must be >= 0, got -inf"),
+        (math.nan, "loss must be >= 0, got nan"),
+    ])
+    def test_infinite_and_nan_messages(self, loss, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            channel_from_loss(loss)
 
     @pytest.mark.parametrize("bad", ["0.1", True, None])
     def test_refuses_a_non_real_type(self, loss_entry, bad):
@@ -155,7 +169,7 @@ class TestPhaseSamples:
             call(bad)
 
 
-@pytest.mark.parametrize("n,samples", [(1, 7), (20, 83), (256, 64)])
+@pytest.mark.parametrize("n,samples", [(1, 7), (20, 83), (256, 64), (4096, 16387)])
 def test_one_nyquist_message(n, samples):
     # the FFT oracle and the closed form that ``dist`` writes refuse a grid in the same words
     dist = povm.distribution(optimal_amplitudes(n), 0.1)
@@ -173,7 +187,7 @@ def test_one_nyquist_message(n, samples):
 VALUE_TYPES = {
     "AmplitudeVector": (lambda v: AmplitudeVector(v).psi, "psi"),
     "PhaseDistribution": (lambda v: povm.PhaseDistribution(v).factor, "factor"),
-    "ReducedDensity": (lambda v: ReducedDensity(max(len(v) - 1, 1), {0: v}).factors[0], "factor 0"),
+    "ReducedDensity": (lambda v: ReducedDensity(max(np.size(v) - 1, 1), {0: v}).factors[0], "factor 0"),
 }
 
 
@@ -182,6 +196,20 @@ def test_every_value_type_passes_the_one_rule():
     checked = {name for module in (states, povm, loss) for name, cls in vars(module).items()
                if dataclasses.is_dataclass(cls) and "__post_init__" in vars(cls)}
     assert checked == set(VALUE_TYPES)
+
+
+def test_every_entry_is_in_a_rule_table():
+    # a public function that takes a rule's input must be in that rule's table;
+    # channel_from_loss is the loss rule, and curve's range has its own test
+    tables = {"loss": LOSS_ENTRIES, "loss_grid": LOSS_ENTRIES, "n": PHOTON_NUMBER_ENTRIES,
+              "n_photons": PHOTON_NUMBER_ENTRIES, "n_max": PHOTON_NUMBER_ENTRIES,
+              "samples": PHASE_SAMPLE_ENTRIES}
+    public = {name: getattr(lossyphase, name) for name in lossyphase.__all__} | {
+        name: value for name, value in vars(sweep).items() if not name.startswith("_")}
+    missing = [(name, [p for p in inspect.signature(value).parameters if p in tables and name not in tables[p]])
+               for name, value in sorted(public.items())
+               if inspect.isfunction(value) and name not in ("channel_from_loss", "curve")]
+    assert [(name, params) for name, params in missing if params] == []
 
 
 class TestArrayEntries:
@@ -197,7 +225,7 @@ class TestArrayEntries:
             build(values)
 
     @pytest.mark.parametrize("name", sorted(VALUE_TYPES))
-    @pytest.mark.parametrize("values", [[[0.6, 0.8]], []], ids=["2d", "empty"])
+    @pytest.mark.parametrize("values", [[[0.6, 0.8]], [], 1.0], ids=["2d", "empty", "scalar"])
     def test_refuses_all_but_a_nonempty_vector(self, name, values):
         build, label = VALUE_TYPES[name]
         shape = re.escape(str(np.shape(values)))

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from lossyphase import (
     MAX_PHOTON_NUMBER,
     AmplitudeVector,
-    PhaseDistribution,
     ReducedDensity,
     curve,
     distribution,
@@ -145,14 +144,6 @@ class TestDistribution:
             tracemalloc.stop()
         assert peak < 4e6
 
-    @pytest.mark.parametrize("n", [1, 20, MAX_PHOTON_NUMBER])
-    def test_nyquist_guard(self, n):
-        dist = distribution(optimal_amplitudes(n), 0.1)
-        guard = 4 * (n + 1)
-        assert dist.evaluate(guard)[1].shape == (guard,)
-        with pytest.raises(ValueError, match=f"Nyquist guard {guard} for N = {n}"):
-            dist.evaluate(guard - 1)
-
     @pytest.mark.parametrize("loss", [0.0, 0.01, 0.3])
     @pytest.mark.parametrize("n", [1, 256, MAX_PHOTON_NUMBER])
     def test_matches_40_digit_reference(self, n, loss):
@@ -196,13 +187,6 @@ class TestDistribution:
 
 
 class TestDistributionFromDensity:
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_lossless_matches_closed_form(self, n):
-        state = optimal_amplitudes(n)
-        loss = 0.0
-        via_rho = distribution_from_density(reduced_density(state, loss))
-        np.testing.assert_allclose(via_rho.factor, distribution(state, loss).factor, atol=1e-12)
-
     @pytest.mark.parametrize("n", range(1, 11))
     @pytest.mark.parametrize("loss", LOSSES)
     def test_lossy_matches_closed_form(self, n, loss):
@@ -268,11 +252,6 @@ class TestSharpness:
             for loss in (0.0, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 0.95)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_rejects_zero_photons(self):
-        vacuum = AmplitudeVector([1.0])
-        with pytest.raises(ValueError):
-            sharpness_closed(vacuum, 0.0)
 
 
 class TestSharpnessKernelProperties:
@@ -364,10 +343,6 @@ class TestPhaseEstimate:
         with pytest.raises(ValueError, match="sharpness must lie in"):
             phase_estimate(AmplitudeVector([SQRT_HALF, -SQRT_HALF]), 0.0)
 
-    def test_rejects_zero_photons(self):
-        with pytest.raises(ValueError):
-            phase_estimate(AmplitudeVector([1.0]), 0.0)
-
 
 class TestHolevoSpread:
     def test_nonpositive_sharpness_is_inf_without_warning(self):
@@ -387,22 +362,3 @@ class TestLosslessReference:
     def test_heisenberg_scaling_at_large_n(self):
         n = 1000
         assert lossless_reference(n) == pytest.approx(math.pi**2 / n**2, rel=0.01)
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            lossless_reference(0)
-
-
-class TestPhaseDistributionType:
-    def test_rejects_wrong_shape(self):
-        for factor in ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[0.5, 0.5]], [], 1.0):
-            with pytest.raises(ValueError, match="shape"):
-                PhaseDistribution(factor)
-
-    def test_factor_is_a_read_only_copy(self):
-        g = np.array([0.6, 0.8])
-        dist = PhaseDistribution(g)
-        g[0] = 0.0
-        assert dist.factor[0] == 0.6
-        with pytest.raises(ValueError):
-            dist.factor[0] = 1.0
