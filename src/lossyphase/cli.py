@@ -22,12 +22,13 @@ opens ``rows``; each following line is one row object, exactly
 keys are ``command`` and ``format``, then per command:
 
 - curve: ``normalized``, ``loss``, ``n_range``;
-- nopt: ``normalized``, ``loss_grid``, ``n_max``;
+- nopt: ``normalized`` (always false), ``loss_grid``, ``n_max``;
 - dist: ``loss``, ``n``, ``phi_samples``, then ``integral_p``, the integral
   of P(phi) over the circle.
 
-Only ``curve`` and ``nopt`` take ``--normalized`` (the renormalized sharpness
-variant), so only their headers carry ``normalized``.
+Only ``curve`` takes ``--normalized``: the normalized delta-phi falls strictly
+with N, so it has no ``n_opt`` (see ``sweep``). A header's loss is the value
+the library's rule returned, so ``-0`` is written as ``0.0``.
 
 In CSV a cell is ``none``, an int, or a ``.17g`` decimal (``inf`` for an
 infinity); in JSON ``None`` is ``null`` and ``inf`` the string ``"inf"``.
@@ -282,8 +283,8 @@ def run_curve(args) -> int:
 
 
 def run_nopt(args) -> int:
-    pairs = sweep.nopt_vs_loss(parse_loss_grid(args.loss_grid), args.n_max, args.normalized)
-    config = {"normalized": args.normalized, "loss_grid": args.loss_grid, "n_max": args.n_max}
+    pairs = sweep.nopt_vs_loss(parse_loss_grid(args.loss_grid), args.n_max)
+    config = {"normalized": False, "loss_grid": args.loss_grid, "n_max": args.n_max}
     return _emit(args, config, NOPT_COLUMNS, zip(*pairs), logscale=True, ylabel="n_opt")
 
 
@@ -294,7 +295,7 @@ def run_dist(args) -> int:
     # phi_k = k * (2 pi / samples); float times int is the same double either way round
     phi = map((2.0 * math.pi / samples).__mul__, range(samples))
     p = sweep.sine_density(args.loss, args.n, samples)
-    config = {"loss": args.loss, "n": args.n, "phi_samples": samples}
+    config = {"loss": core.channel_from_loss(args.loss), "n": args.n, "phi_samples": samples}
     return _emit(args, config, DIST_COLUMNS, (phi, p), logscale=False,
                  ylabel="P(phi)", extra={"integral_p": sweep.sine_mass(args.loss, args.n)})
 
@@ -355,8 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (curve_p, nopt_p, dist_p):
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-    for p in (curve_p, nopt_p):
-        p.add_argument("--normalized", action="store_true")
+    curve_p.add_argument("--normalized", action="store_true")
     return parser
 
 

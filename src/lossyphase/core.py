@@ -67,7 +67,7 @@ def channel_from_loss(loss) -> float:
         raise ValueError(f"loss must be >= 0, got {loss}")
     if loss >= 1.0:
         raise ValueError(f"loss must be < 1, got {loss}")
-    return loss
+    return loss + 0.0  # -0.0 passes the range and comes back as 0.0; every other loss as itself
 
 
 def _check_loss_grid(grid) -> list:

@@ -23,9 +23,8 @@ Every entry takes the loss L as a float through ``core.channel_from_loss``.
 With loss the distribution integrates to less than one (the measured sector is
 reached with probability sum_t psi_t^2 (1-L)^t). ``sharpness_closed`` and
 ``phase_estimate`` give that raw quantity. The sharpness divided by the
-integral is the ``normalized`` variant of ``sweep.curve`` and
-``sweep.nopt_vs_loss``, never switched on silently; the tests hold it to
-``_sharpness_kernel``'s ``normalized`` branch.
+integral is the ``normalized`` variant of ``sweep.curve``, never switched on
+silently; the tests hold it to ``_sharpness_kernel``'s ``normalized`` branch.
 """
 
 from __future__ import annotations

@@ -36,15 +36,16 @@ quantity keeps about 15 digits (within 2e-15 of 50-digit mpmath); see
 ``_sine_sharpness`` for 1 - M. The results are deterministic for identical
 inputs.
 
-The bisection returns the first N with delta-phi(N) <= delta-phi(N + 1),
-which is the scan's first minimum (None at n_max) whenever the row falls
-strictly and then never falls again. Normalized, S/M = 2 sqrt(q) cos(pi/m) /
-(2 - L) rises strictly with m, so delta-phi = sqrt(1 - (S/M)^2)/(S/M) falls
-strictly and ``n_opt`` is None at every loss, short of ties between
-neighbouring floats. Raw, delta-phi^2 ~ pi^2/m^2 + L N to first order in L,
-which has a single minimum, but that the closed form turns exactly once is
-not derived: it rests on the tests that hold the bisection to the full scan
-over hypothesis-drawn losses in [0, 1), n_max up to 4096 and both variants.
+``nopt_vs_loss`` bisects the raw curve alone for the first N with
+delta-phi(N) <= delta-phi(N + 1), which is the scan's first minimum (None at
+n_max) whenever the row falls strictly and then never falls again. Normalized,
+S/M = 2 sqrt(q) cos(pi/m) / (2 - L) rises strictly with m, so delta-phi =
+sqrt(1 - (S/M)^2)/(S/M) falls strictly and the scan's ``n_opt`` is None at
+every loss, short of ties between neighbouring floats; a test holds the
+normalized column to never rising. Raw, delta-phi^2 ~ pi^2/m^2 + L N to first
+order in L, which has a single minimum, but that the closed form turns exactly
+once is not derived: it rests on the tests that hold the bisection to the full
+scan over hypothesis-drawn losses in [0, 1) and n_max up to 4096.
 """
 
 from __future__ import annotations
@@ -130,8 +131,10 @@ def _sine_sharpness(loss: float, normalized: bool):
     subtraction 1 - M at most doubles M's rounding and is used as it is.
     Every product and sum is taken in the order the formulas are written; a
     negation moved onto a factor (x = m * -lambda for -(m lambda)) is exact.
-    Each square is a product: ``x ** 2`` calls pow, which differs from
-    ``x * x`` in the last bit at some N.
+    Each square of ``point`` is a product, as ``x ** 2`` calls pow, which
+    differs from ``x * x`` in the last bit at some N. ``near_0`` keeps the pow
+    the published bits were made with: at the 1 loss in 1300 where the two
+    differ, neither is the nearer to 40-digit mpmath on every row.
     """
     rate = -math.log1p(-loss)
     root_q = math.sqrt(1.0 - loss)
@@ -317,45 +320,37 @@ def _locate_subshot_max(delta_phi, shot_noise, n_min: int) -> int | None:
     return None
 
 
-def _bisect_n_opt(rank, n_max: int) -> int | None:
-    """The first k in 1..n_max-1 with rank(k) <= rank(k+1), found by bisection; else None.
+def _n_opt(loss: float, n_max: int) -> int | None:
+    """The first N in 1..n_max-1 whose raw 1 - S is at most that of N + 1, by bisection; else None.
 
-    ``rank`` orders photon numbers as delta-phi does and is read at about
-    2 log2(n_max) of them; the module docstring says when k is the scan's first
-    minimum. ``_n_opt`` ranks by the point's (D, -S), D = 1 - S, with no root or
-    division, as delta-phi^2 = D(2 - D)/(1 - D)^2 rises with D. D decides where
-    it resolves: near S = 1 the float S loses the gaps, and -S alone moved ``n_opt``
-    from 3688 to 3689 (L = 3.9271e-10, n_max 4096). -S breaks D's rounded ties
-    near S = 0: normalized at L = 1 - 2**-53, D alone gave 1567, not None.
+    It reads about 2 log2(n_max) points of ``_sine_sharpness``, each bitwise
+    the full scan's; the module docstring says when N is the scan's first
+    minimum. The defect D = 1 - S ranks photon numbers as delta-phi does, with
+    no root or division, since delta-phi^2 = D(2 - D)/(1 - D)^2 rises with D.
+    S would not: near S = 1 the float S loses the gaps that D keeps, and
+    ranking by -S moved ``n_opt`` from 3688 to 3689 (L = 3.9271255443640523e-10,
+    n_max 4096).
     """
+    point = _sine_sharpness(loss, False)
     lo, hi = 1, n_max
     while lo < hi:
         mid = (lo + hi) // 2
-        if rank(mid) <= rank(mid + 1):
+        if point(mid)[1] <= point(mid + 1)[1]:
             hi = mid
         else:
             lo = mid + 1
     return None if lo == n_max else lo
 
 
-def _n_opt(loss: float, n_max: int, normalized: bool) -> int | None:
-    """``n_opt`` of one loss by ``_bisect_n_opt``, each point bitwise the full scan's."""
-    point = _sine_sharpness(loss, normalized)
-
-    def rank(n):
-        sharp, defect, _ = point(n)
-        return defect, -sharp
-    return _bisect_n_opt(rank, n_max)
-
-
-def nopt_vs_loss(loss_grid, n_max: int = DEFAULT_MAX_PHOTONS, normalized: bool = False) -> list:
+def nopt_vs_loss(loss_grid, n_max: int = DEFAULT_MAX_PHOTONS) -> list:
     """(loss, n_opt) pairs over a non-descending grid of loss values, one per grid value.
 
     A repeated value gets its row each time. ``n_opt`` is ``curve(loss, 1,
-    n_max, normalized).n_opt``, located by bisection (the module docstring
-    says when the two agree); the sub-shot-noise edge is not located.
+    n_max).n_opt``, located by bisection (the module docstring says when the
+    two agree, and why the normalized curve has none); the sub-shot-noise edge
+    is not located.
     ``n_max`` passes the photon-number rule, then the grid's order and every
     loss are checked, all before any point.
     """
     n_max = _check_photon_number(n_max, "n-max")
-    return [(loss, _n_opt(loss, n_max, normalized)) for loss in _check_loss_grid(loss_grid)]
+    return [(loss, _n_opt(loss, n_max)) for loss in _check_loss_grid(loss_grid)]

@@ -419,6 +419,24 @@ class TestValidateCommand:
         assert checks.worst_defect(row)[0] > row[1]
 
 
+# each command's options besides -h, in the order the parser adds them; a knob
+# added or removed is an edit of this table
+COMMAND_OPTIONS = {
+    "curve": ["--loss", "--n-range", "--out", "--format", "--normalized"],
+    "nopt": ["--loss-grid", "--n-max", "--jobs", "--out", "--format"],
+    "dist": ["--loss", "--n", "--phi-samples", "--out", "--format"],
+    "validate": [],
+}
+
+
+def test_option_inventory():
+    parser = cli.build_parser()
+    [commands] = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    assert {name: [option for action in command._actions for option in action.option_strings
+                   if option not in ("-h", "--help")]
+            for name, command in commands.choices.items()} == COMMAND_OPTIONS
+
+
 def _run_in(directory, monkeypatch, argv):
     """Exit code of the CLI run in ``directory``; argparse's own exit counts as one."""
     monkeypatch.chdir(directory)
@@ -455,6 +473,7 @@ class TestDomainEdges:
         (["dist", "--loss", "0.1", "--n", "1", "--phi-samples", "1048577"], 2),
         (["dist", "--loss", "0.1", "--n", "1", "--phi-samples", "1000000000000"], 2),
         (["dist", "--loss", "0.3", "--n", "2", "--phi-samples", "64", "--normalized"], 2),
+        (["nopt", "--loss-grid", "0:0.3:2", "--n-max", "50", "--normalized"], 2),
         (["nopt", "--loss-grid", "0.1:0.2:1024", "--n-max", "2"], 0),
         (["nopt", "--loss-grid", "0.1:0.2:1025", "--n-max", "2"], 2),
         (["nopt", "--loss-grid", "0.1:0.2:1000000000000", "--n-max", "2"], 2),
@@ -475,6 +494,25 @@ class TestDomainEdges:
             errors = [line for line in captured.err.splitlines() if "error:" in line]
             assert len(errors) == 1 and captured.err.splitlines()[-1] == errors[0]
             assert written == []
+
+    @pytest.mark.parametrize("argv", [
+        ["nopt", "--loss-grid", "-0.0:0.3:1", "--n-max", "50"],
+        ["curve", "--loss", "-0", "--n-range", "1:8"],
+        ["curve", "--loss", "-0", "--n-range", "1:8", "--format", "json"],
+        ["dist", "--loss", "-0.0", "--n", "2", "--phi-samples", "64"],
+        ["dist", "--loss", "-0.0", "--n", "2", "--phi-samples", "64", "--format", "json"],
+    ], ids="_".join)
+    def test_negative_zero_loss_is_written_as_zero(self, tmp_path, monkeypatch, argv):
+        # -0 passes the loss rule, and its files are those of +0 but for the
+        # grid nopt's header repeats as typed: no header or row shows -0
+        negative = next(word for word in argv if word.startswith("-0"))
+        data = f"{argv[0]}.{'json' if 'json' in argv else 'csv'}"
+        texts = []
+        for name, word in (("negative", negative), ("positive", negative[1:])):
+            (tmp_path / name).mkdir()
+            assert _run_in(tmp_path / name, monkeypatch, [word if w == negative else w for w in argv]) == 0
+            texts.append((tmp_path / name / data).read_text(encoding="utf-8"))
+        assert texts[0] == texts[1].replace(f"loss_grid = {negative[1:]}", f"loss_grid = {negative}")
 
     @pytest.mark.parametrize("argv,shown", [
         (["curve", "--loss=-1e-300", "--n-range", "1:8"], "loss must be >= 0, got -1e-300"),
@@ -504,6 +542,8 @@ class TestDomainEdges:
         (["nopt", "--loss-grid", "0.1:0.2:3", "--n-max", "0"], "n-max must be >= 1, got 0"),
         (["dist", "--loss", "0", "--n", "20", "--phi-samples", "64"],
          "64 phase samples are below the Nyquist guard 84 for N = 20"),
+        # a bad N and a bad loss: N is checked first, so it is the one reported
+        (["dist", "--loss", "-0.1", "--n", "0"], "photon number must be >= 1, got 0"),
     ], ids=lambda value: "_".join(value) if isinstance(value, list) else None)
     def test_library_message(self, tmp_path, monkeypatch, capsys, argv, message):
         # the whole stderr is the library's message; +inf is at or above 1, not
@@ -515,7 +555,7 @@ class TestDomainEdges:
 
 # The exact header block, column line, JSON key order and plot-script name of
 # each command, written with the default --out into the working directory;
-# only curve and nopt carry ``normalized``.
+# only curve and nopt carry ``normalized``, and nopt's is always false.
 FORMAT_CASES = {
     "curve": (
         ["--loss", "0.25", "--n-range", "1:3"],
@@ -524,8 +564,8 @@ FORMAT_CASES = {
         "n,delta_phi,shot_noise,heisenberg",
     ),
     "nopt": (
-        ["--loss-grid", "0:0.3:2", "--n-max", "50", "--normalized"],
-        [("normalized", True), ("loss_grid", "0:0.3:2"), ("n_max", 50)],
+        ["--loss-grid", "0:0.3:2", "--n-max", "50"],
+        [("normalized", False), ("loss_grid", "0:0.3:2"), ("n_max", 50)],
         {},
         "loss,n_opt",
     ),

@@ -133,10 +133,11 @@ class TestLoss:
         else:
             assert result == expected
 
-    @pytest.mark.parametrize("loss", [0.0, 5e-324, 0.3, 1 - 2.0**-53, np.float64(0.3), 0, Fraction(1, 3)])
+    @pytest.mark.parametrize("loss", [0.0, 5e-324, 0.3, 1 - 2.0**-53, np.float64(0.3), 0, Fraction(1, 3), -0.0])
     def test_rule_returns_a_float(self, loss):
+        # -0.0 passes the range and comes back as +0.0, so no file shows a signed zero
         checked = channel_from_loss(loss)
-        assert type(checked) is float and checked == float(loss)
+        assert type(checked) is float and checked == float(loss) and math.copysign(1.0, checked) == 1.0
 
     @pytest.mark.parametrize("grid,error", [
         (["0.1"], TypeError),

@@ -1,5 +1,6 @@
 """Unit tests for the photon-number sweep and its landmarks."""
 
+import functools
 import math
 import random
 import tracemalloc
@@ -23,7 +24,6 @@ from lossyphase import (
 from lossyphase.core import _holevo_spread
 from lossyphase.povm import _sharpness_kernel
 from lossyphase.sweep import (
-    _bisect_n_opt,
     _locate_n_opt,
     _locate_subshot_max,
     _sine_sharpness,
@@ -82,11 +82,16 @@ def oracle_landmarks(deltas):
     return (None if best == top - 1 else best + 1), (None if end == top else end)
 
 
-@pytest.fixture(scope="module", params=[False, True], ids=["raw", "normalized"])
+@functools.cache
+def engine_oracle_curves(normalized):
+    """{loss: oracle curve} over ENGINE_LOSSES at N = 1..ENGINE_N_MAX."""
+    return {loss: oracle_curve(loss, ENGINE_N_MAX, normalized) for loss in ENGINE_LOSSES}
+
+
+@pytest.fixture(params=[False, True], ids=["raw", "normalized"])
 def engine_oracle(request):
-    """(normalized, {loss: oracle curve}) over ENGINE_LOSSES at N = 1..ENGINE_N_MAX."""
-    normalized = request.param
-    return normalized, {loss: oracle_curve(loss, ENGINE_N_MAX, normalized) for loss in ENGINE_LOSSES}
+    """(normalized, {loss: oracle curve}) of either variant."""
+    return request.param, engine_oracle_curves(request.param)
 
 
 def engine_rows(losses, normalized):
@@ -246,35 +251,35 @@ class TestNOptVsLoss:
 
 class TestBisection:
     @BISECTION_PROPERTY
-    @given(losses=st.lists(UNIT_LOSSES, min_size=1, max_size=6),
-           n_max=st.sampled_from(BISECTION_N_MAX), normalized=st.booleans())
-    @example(losses=[0.0, 5e-324, 1 - 2.0**-53], n_max=4096, normalized=False)
-    @example(losses=[0.0, 5e-324, 1 - 2.0**-53], n_max=4096, normalized=True)
-    def test_matches_full_scan(self, losses, n_max, normalized):
-        # the bisection ranks N by the (1 - S, -S) of the point whose delta-phi
-        # is bitwise the full scan's at that N, and it lands on the scan's n_opt
+    @given(losses=st.lists(UNIT_LOSSES, min_size=1, max_size=6), n_max=st.sampled_from(BISECTION_N_MAX))
+    @example(losses=[0.0, 5e-324, 0.999999, 1 - 2.0**-53], n_max=4096)
+    # ranking by -S, not 1 - S, gave 3689 here
+    @example(losses=[3.9271255443640523e-10], n_max=4096)
+    def test_matches_full_scan(self, losses, n_max):
+        # the bisection reads the 1 - S of the point whose delta-phi is bitwise
+        # the full scan's at that N, and it lands on the scan's n_opt
         losses.sort()
         reads = []
+        sine_sharpness = sweep._sine_sharpness
 
-        def recording(rank, top):
-            seen = {}
+        def recording(loss, normalized):
+            point, seen = sine_sharpness(loss, normalized), {}
             reads.append(seen)
 
             def read(n):
-                seen[n] = rank(n)
+                seen[n] = point(n)
                 return seen[n]
 
-            return _bisect_n_opt(read, top)
+            return read
 
-        with mock.patch.object(sweep, "_bisect_n_opt", recording):
-            pairs = nopt_vs_loss(losses, n_max, normalized)
+        with mock.patch.object(sweep, "_sine_sharpness", recording):
+            pairs = nopt_vs_loss(losses, n_max)
         assert [loss for loss, _ in pairs] == losses
         for (loss, n_opt), seen in zip(pairs, reads):
-            row = curve(loss, 1, n_max, normalized).delta_phi
+            row = curve(loss, 1, n_max).delta_phi
             assert n_opt == _locate_n_opt(row, 1), loss
-            points = {n: _sine_sharpness(loss, normalized)(n) for n in seen}
-            assert {n: (defect.hex(), negated.hex()) for n, (defect, negated) in seen.items()} == {
-                n: (points[n][1].hex(), (-points[n][0]).hex()) for n in seen}
+            points = {n: _sine_sharpness(loss, False)(n) for n in seen}
+            assert {n: read[1].hex() for n, read in seen.items()} == {n: points[n][1].hex() for n in seen}
             assert all(_holevo_spread(*points[n][:2])[1].hex() == row[n - 1].hex() for n in seen)
 
     @pytest.mark.parametrize("row,n_opt", [
@@ -289,9 +294,11 @@ class TestBisection:
         ((0.5, 0.5), 1),
         ((0.5, math.inf, math.inf), 1),
     ])
-    def test_hand_built_rows(self, row, n_opt):
+    def test_hand_built_rows(self, monkeypatch, row, n_opt):
+        # the bisection reads each row value as a point's 1 - S
         assert _locate_n_opt(row, 1) == n_opt
-        assert _bisect_n_opt(lambda n: row[n - 1], len(row)) == n_opt
+        monkeypatch.setattr(sweep, "_sine_sharpness", lambda loss, normalized: lambda n: (None, row[n - 1], None))
+        assert sweep._n_opt(0.0, len(row)) == n_opt
 
 
 class TestFindSubshotBound:
@@ -363,32 +370,26 @@ class TestScanEngine:
     def test_landmarks_match_oracle(self, engine_oracle):
         normalized, oracle = engine_oracle
         expected = [oracle_landmarks(oracle[loss]) for loss in ENGINE_LOSSES]
-        assert nopt_vs_loss(ENGINE_LOSSES, ENGINE_N_MAX, normalized) == [
-            (loss, n_opt) for loss, (n_opt, _) in zip(ENGINE_LOSSES, expected)
-        ]
         assert curve_landmarks(ENGINE_LOSSES, normalized) == expected
 
-    def test_shuffled_grid_rows_match_single_loss(self, engine_oracle):
-        # a loss gets the n_opt it gets on its own, wherever it sits in the
-        # grid; a grid that repeats values, as a parsed grid may, gets the
-        # oracle's n_opt on every row
-        normalized, oracle = engine_oracle
+    def test_shuffled_grid_rows_match_single_loss(self):
+        # every loss's n_opt is the raw oracle's; a loss gets the n_opt it gets
+        # on its own, wherever it sits in the grid, and a grid that repeats
+        # values, as a parsed grid may, gets it on every row
+        oracle = engine_oracle_curves(False)
         grid = list(ENGINE_LOSSES)
         random.Random(5).shuffle(grid)
         repeated = sorted(grid + grid[:20])
         expected = [(loss, oracle_landmarks(oracle[loss])[0]) for loss in repeated]
-        assert nopt_vs_loss(repeated, ENGINE_N_MAX, normalized) == expected
-        assert [pair for loss in repeated for pair in nopt_vs_loss([loss], ENGINE_N_MAX, normalized)] == expected
+        assert nopt_vs_loss(repeated, ENGINE_N_MAX) == expected
+        assert [pair for loss in repeated for pair in nopt_vs_loss([loss], ENGINE_N_MAX)] == expected
 
-    def test_public_finders_match_oracle(self, engine_oracle):
-        normalized, oracle = engine_oracle
+    @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "normalized"])
+    def test_public_finders_match_oracle(self, normalized):
         for loss in (1e-5, 2e-3, 0.3):
             n_opt, n_subshot_max = oracle_landmarks(oracle_curve(loss, ENGINE_N_MAX, normalized))
             result = curve(loss, 1, ENGINE_N_MAX, normalized)
             assert (result.n_opt, result.n_subshot_max) == (n_opt, n_subshot_max)
-        assert nopt_vs_loss(ENGINE_LOSSES, ENGINE_N_MAX, normalized) == [
-            (loss, oracle_landmarks(oracle[loss])[0]) for loss in ENGINE_LOSSES
-        ]
 
     @pytest.mark.parametrize("normalized,n_opt", [(False, 1), (True, None)])
     def test_losses_near_one_without_warning(self, normalized, n_opt):
@@ -399,8 +400,19 @@ class TestScanEngine:
         grid = [0.999999, 1 - 2.0**-53]
         rows = engine_rows(grid, normalized)
         assert all(np.all(np.isfinite(row)) and row.min() > 100.0 for row in rows)
-        assert nopt_vs_loss(grid, ENGINE_N_MAX, normalized) == [(loss, n_opt) for loss in grid]
         assert curve_landmarks(grid, normalized) == [(n_opt, None)] * 2
+
+    def test_normalized_delta_phi_never_rises(self):
+        # S/M = 2 sqrt(q) cos(pi/m)/(2 - L) rises strictly with m, so the
+        # normalized curve has no n_opt to search for; its floats may tie
+        rng = random.Random(32)
+        losses = [0.0, 5e-324, 1 - 2.0**-53]
+        losses += [rng.random() for _ in range(66)]
+        losses += [10.0 ** rng.uniform(-16.0, 0.0) for _ in range(66)]
+        losses += [min(1.0 - 10.0 ** rng.uniform(-16.0, -1.0), 1 - 2.0**-53) for _ in range(66)]
+        for loss in losses:
+            row = curve(loss, 1, 4096, True).delta_phi
+            assert all(b <= a for a, b in zip(row, row[1:])), loss
 
     def test_checks_every_loss_before_any_point(self, monkeypatch):
         def no_point(*_):
