@@ -4,8 +4,8 @@ Every curve point is the sharpness S and its defect 1 - S of the sine state
 in closed form, a few dozen floating-point operations with ``math`` over
 Python floats: no amplitudes, no sum over the photon split. ``curve``
 evaluates delta-phi = sqrt((1-S)(1+S))/S at every N of its range, in memory
-O(n_max); ``nopt_vs_loss`` reads only the about 2 log2(n_max) points per
-loss that its bisection for ``n_opt`` needs (below). ``_sine_sharpness``
+O(n_max); ``nopt_vs_loss`` reads only the at most 2 ceil(log2(n_max)) points
+per loss that its bisection for ``n_opt`` needs (below). ``_sine_sharpness``
 treats every point on its own, so a point has the same bits either way.
 ``povm._sharpness_kernel`` reads the same S, M and M - S off the
 ``PhaseDistribution`` of any amplitudes and stays the reference the tests
@@ -36,16 +36,21 @@ quantity keeps about 15 digits (within 2e-15 of 50-digit mpmath); see
 ``_sine_sharpness`` for 1 - M. The results are deterministic for identical
 inputs.
 
-``nopt_vs_loss`` bisects the raw curve alone for the first N with
-delta-phi(N) <= delta-phi(N + 1), which is the scan's first minimum (None at
-n_max) whenever the row falls strictly and then never falls again. Normalized,
+``curve`` and ``nopt_vs_loss`` locate ``n_opt`` by one search,
+``_first_minimum``: ``curve`` on the delta-phi column it publishes,
+``nopt_vs_loss`` on the raw delta-phi of only the points it reads, bitwise the
+column's. It finds the row's first minimum (None at n_max) whenever the row
+falls strictly and then never falls again. Ranking by 1 - S instead fails near
+total loss: once S drops below about 1e-13 the rounding of 1 - S outranks S
+(903 for 1 at L = 0.9999999999999992, n_max 3318). Normalized,
 S/M = 2 sqrt(q) cos(pi/m) / (2 - L) rises strictly with m, so delta-phi =
-sqrt(1 - (S/M)^2)/(S/M) falls strictly and the scan's ``n_opt`` is None at
-every loss, short of ties between neighbouring floats; a test holds the
-normalized column to never rising. Raw, delta-phi^2 ~ pi^2/m^2 + L N to first
-order in L, which has a single minimum, but that the closed form turns exactly
-once is not derived: it rests on the tests that hold the bisection to the full
-scan over hypothesis-drawn losses in [0, 1) and n_max up to 4096.
+sqrt(1 - (S/M)^2)/(S/M) falls strictly and ``n_opt`` is None at every loss,
+short of ties between neighbouring floats; a test holds the normalized column
+to never rising. Raw, delta-phi^2 ~ pi^2/m^2 + L N to first order in L, which
+has a single minimum, but that the closed form turns exactly once is not
+derived: it rests on the tests that hold the search to an independent full
+scan over hypothesis-drawn losses in [0, 1), near one included, and n_max up
+to 4096.
 """
 
 from __future__ import annotations
@@ -278,6 +283,9 @@ def curve(
     number is ever dropped from the scan. Both bounds' integer type, then the
     range, then the cap on n_max, and the loss are checked before any point. The
     result holds one tuple per column; ``heisenberg`` is ``math.tan(pi/(N+2))``.
+    ``n_opt`` is ``_first_minimum`` of the delta-phi column: its first minimum
+    wherever the row falls and then never falls again, which is tested, not
+    derived (module docstring). ``n_subshot_max`` is read off the whole columns.
     """
     n_min, n_max = _check_integer(n_min, "n_min"), _check_integer(n_max, "photon number")
     if n_min < 1 or n_min > n_max:
@@ -294,22 +302,32 @@ def curve(
         delta_phi=delta_phi,
         shot_noise=shot_noise,
         heisenberg=tuple([math.tan(math.pi / (k + 2.0)) for k in n]),
-        n_opt=_locate_n_opt(delta_phi, n_min),
+        n_opt=_first_minimum(lambda k: delta_phi[k - n_min], n_min, n_max),
         n_subshot_max=_locate_subshot_max(delta_phi, shot_noise, n_min),
     )
 
 
-def _locate_n_opt(delta_phi, n_min: int) -> int | None:
-    # A minimum sitting at the top of the scan means the curve is still
-    # falling there; report that as not-in-range rather than as an optimum.
-    # index() finds the first of equal minima, so ties go to the smaller N.
-    best = delta_phi.index(min(delta_phi))
-    return None if best == len(delta_phi) - 1 else n_min + best
+def _first_minimum(value, n_min: int, n_max: int) -> int | None:
+    """The first N in n_min..n_max with value(N) <= value(N + 1), by bisection; None when it is n_max.
+
+    It reads at most 2 ceil(log2(n_max - n_min + 1)) values. On a row that
+    falls strictly and then never falls again, N is the first minimum; on any
+    other row, the local minimum the halving brackets.
+    """
+    lo, hi = n_min, n_max
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if value(mid) <= value(mid + 1):
+            hi = mid
+        else:
+            lo = mid + 1
+    return None if lo == n_max else lo
 
 
 def _locate_subshot_max(delta_phi, shot_noise, n_min: int) -> int | None:
-    # The stretch runs right from the lowest sub-shot-noise point, which is
-    # the curve's minimum whenever that minimum beats shot noise.
+    # Reads the columns whole, assuming no unimodality. The stretch runs right
+    # from the lowest sub-shot-noise point, which is the curve's minimum
+    # whenever that minimum beats shot noise.
     below = [i for i, (d, s) in enumerate(zip(delta_phi, shot_noise)) if d < s]
     if not below:
         return None
@@ -320,37 +338,18 @@ def _locate_subshot_max(delta_phi, shot_noise, n_min: int) -> int | None:
     return None
 
 
-def _n_opt(loss: float, n_max: int) -> int | None:
-    """The first N in 1..n_max-1 whose raw 1 - S is at most that of N + 1, by bisection; else None.
-
-    It reads about 2 log2(n_max) points of ``_sine_sharpness``, each bitwise
-    the full scan's; the module docstring says when N is the scan's first
-    minimum. The defect D = 1 - S ranks photon numbers as delta-phi does, with
-    no root or division, since delta-phi^2 = D(2 - D)/(1 - D)^2 rises with D.
-    S would not: near S = 1 the float S loses the gaps that D keeps, and
-    ranking by -S moved ``n_opt`` from 3688 to 3689 (L = 3.9271255443640523e-10,
-    n_max 4096).
-    """
-    point = _sine_sharpness(loss, False)
-    lo, hi = 1, n_max
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if point(mid)[1] <= point(mid + 1)[1]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return None if lo == n_max else lo
-
-
 def nopt_vs_loss(loss_grid, n_max: int = DEFAULT_MAX_PHOTONS) -> list:
     """(loss, n_opt) pairs over a non-descending grid of loss values, one per grid value.
 
     A repeated value gets its row each time. ``n_opt`` is ``curve(loss, 1,
-    n_max).n_opt``, located by bisection (the module docstring says when the
-    two agree, and why the normalized curve has none); the sub-shot-noise edge
-    is not located.
+    n_max).n_opt``, by the same search over the points it reads (module
+    docstring); the sub-shot-noise edge is not located.
     ``n_max`` passes the photon-number rule, then the grid's order and every
     loss are checked, all before any point.
     """
     n_max = _check_photon_number(n_max, "n-max")
-    return [(loss, _n_opt(loss, n_max)) for loss in _check_loss_grid(loss_grid)]
+    pairs = []
+    for loss in _check_loss_grid(loss_grid):
+        point = _sine_sharpness(loss, False)
+        pairs.append((loss, _first_minimum(lambda n: _holevo_spread(*point(n)[:2])[1], 1, n_max)))
+    return pairs

@@ -234,6 +234,13 @@ class TestNOptCommand:
         assert len(pairs) == int(grid.split(":")[2])
         assert len(set(pairs)) == 1
 
+    def test_near_total_loss_row(self, tmp_path):
+        # S is below 1e-13 here, and ranking by 1 - S, which rounds to 1, gave 903
+        out = tmp_path / "nopt.csv"
+        argv = ["nopt", "--loss-grid", "0.9999999999999992:0.9999999999999992:1", "--n-max", "3318"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text().splitlines()[-1] == "0.99999999999999922,1"
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_header_records_n_max(self, tmp_path, fmt):
         # whether n_opt is none depends on --n-max, so the header must say which

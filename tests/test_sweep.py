@@ -24,7 +24,7 @@ from lossyphase import (
 from lossyphase.core import _holevo_spread
 from lossyphase.povm import _sharpness_kernel
 from lossyphase.sweep import (
-    _locate_n_opt,
+    _first_minimum,
     _locate_subshot_max,
     _sine_sharpness,
     sine_density,
@@ -51,13 +51,15 @@ DENSITY_SAMPLES = 2**16
 # the FFT strays up to 4.0e-15 of the peak from 40-digit mpmath (N = 4096,
 # L = 0.999999, 16388 samples), where the closed form stays within 3.1e-16
 FFT_PEAK_TOLERANCE = 5e-15
-BISECTION_N_MAX = (1, 2, 3, 17, 64, 300, 1000, 4096)
+BISECTION_N_MAX = (1, 2, 3, 17, 64, 300, 1000, 3318, 4096)
 BISECTION_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
-# uniform over [0, 1) and log-uniform over [1e-12, 1), so that small losses,
-# where n_opt moves fastest, are drawn as often as large ones
+# uniform over [0, 1), log-uniform over [1e-12, 1), so that small losses, where
+# n_opt moves fastest, are drawn as often as large ones, and 1 - 10^u for u in
+# [-16, -1], where S falls below 1e-13 and 1 - S rounds to 1
 UNIT_LOSSES = st.one_of(
     st.floats(0.0, 1.0, exclude_max=True),
     st.floats(-12.0, 0.0).map(lambda e: 10.0**e).filter(lambda x: x < 1.0),
+    st.floats(-16.0, -1.0).map(lambda u: 1.0 - 10.0**u).filter(lambda x: x < 1.0),
 )
 
 
@@ -131,6 +133,16 @@ def n_opt_at(loss, n_max):
     """``n_opt`` of one loss through the grid entry."""
     [(_, n_opt)] = nopt_vs_loss([loss], n_max)
     return n_opt
+
+
+def drawn_losses(seed, floor):
+    """0, 5e-324, 1 - 2^-53, then 66 losses each uniform, log-uniform down to 10^floor, and near one."""
+    rng = random.Random(seed)
+    losses = [0.0, 5e-324, 1 - 2.0**-53]
+    losses += [rng.random() for _ in range(66)]
+    losses += [10.0 ** rng.uniform(floor, 0.0) for _ in range(66)]
+    losses += [min(1.0 - 10.0 ** rng.uniform(-16.0, -1.0), 1 - 2.0**-53) for _ in range(66)]
+    return losses
 
 
 def curve_landmarks(losses, normalized):
@@ -249,38 +261,55 @@ class TestNOptVsLoss:
         assert nopt_vs_loss([0.3], np.int64(10)) == nopt_vs_loss([0.3], 10) == [(0.3, 2)]
 
 
+def recorded_reads(call):
+    """(call's result, [[N of each point read] per ``_sine_sharpness`` built]) of ``call()``."""
+    reads = []
+    sine_sharpness = sweep._sine_sharpness
+
+    def recording(loss, normalized):
+        point, seen = sine_sharpness(loss, normalized), []
+        reads.append(seen)
+
+        def read(n):
+            seen.append(n)
+            return point(n)
+
+        return read
+
+    with mock.patch.object(sweep, "_sine_sharpness", recording):
+        return call(), reads
+
+
 class TestBisection:
     @BISECTION_PROPERTY
     @given(losses=st.lists(UNIT_LOSSES, min_size=1, max_size=6), n_max=st.sampled_from(BISECTION_N_MAX))
     @example(losses=[0.0, 5e-324, 0.999999, 1 - 2.0**-53], n_max=4096)
     # ranking by -S, not 1 - S, gave 3689 here
     @example(losses=[3.9271255443640523e-10], n_max=4096)
+    # ranking by 1 - S gave 903: S is below 1e-13, and 1 - S rounds to 1
+    @example(losses=[0.9999999999999992], n_max=3318)
     def test_matches_full_scan(self, losses, n_max):
-        # the bisection reads the 1 - S of the point whose delta-phi is bitwise
-        # the full scan's at that N, and it lands on the scan's n_opt
+        # nopt reads the points whose delta-phi is bitwise the full scan's at
+        # that N, at most 2 ceil(log2(n_max)) of them, and lands on the scan's
+        # first minimum, as curve does
         losses.sort()
-        reads = []
-        sine_sharpness = sweep._sine_sharpness
-
-        def recording(loss, normalized):
-            point, seen = sine_sharpness(loss, normalized), {}
-            reads.append(seen)
-
-            def read(n):
-                seen[n] = point(n)
-                return seen[n]
-
-            return read
-
-        with mock.patch.object(sweep, "_sine_sharpness", recording):
-            pairs = nopt_vs_loss(losses, n_max)
+        pairs, reads = recorded_reads(lambda: nopt_vs_loss(losses, n_max))
         assert [loss for loss, _ in pairs] == losses
         for (loss, n_opt), seen in zip(pairs, reads):
-            row = curve(loss, 1, n_max).delta_phi
-            assert n_opt == _locate_n_opt(row, 1), loss
-            points = {n: _sine_sharpness(loss, False)(n) for n in seen}
-            assert {n: read[1].hex() for n, read in seen.items()} == {n: points[n][1].hex() for n in seen}
-            assert all(_holevo_spread(*points[n][:2])[1].hex() == row[n - 1].hex() for n in seen)
+            result = curve(loss, 1, n_max)
+            assert n_opt == result.n_opt == oracle_landmarks(result.delta_phi)[0], loss
+            assert len(seen) <= 2 * math.ceil(math.log2(n_max))
+            point = _sine_sharpness(loss, False)
+            assert all(_holevo_spread(*point(n)[:2])[1].hex() == result.delta_phi[n - 1].hex() for n in seen)
+
+    @pytest.mark.parametrize("loss", [0.0, 3.9271255443640523e-10, 1e-3, 0.3, 0.9999999999999992])
+    def test_point_reads(self, loss):
+        # curve forms each N once and searches its own column; nopt reads at
+        # most 24 points of 4096
+        result, [seen] = recorded_reads(lambda: curve(loss, 1, 4096))
+        assert seen == list(range(1, 4097))
+        [(_, n_opt)], [seen] = recorded_reads(lambda: nopt_vs_loss([loss], 4096))
+        assert n_opt == result.n_opt and len(seen) <= 24
 
     @pytest.mark.parametrize("row,n_opt", [
         ((0.9, 0.5, 0.5, 0.7), 2),  # a tie at the minimum goes to the smaller N
@@ -295,10 +324,11 @@ class TestBisection:
         ((0.5, math.inf, math.inf), 1),
     ])
     def test_hand_built_rows(self, monkeypatch, row, n_opt):
-        # the bisection reads each row value as a point's 1 - S
-        assert _locate_n_opt(row, 1) == n_opt
-        monkeypatch.setattr(sweep, "_sine_sharpness", lambda loss, normalized: lambda n: (None, row[n - 1], None))
-        assert sweep._n_opt(0.0, len(row)) == n_opt
+        # both entries search the row's values as each N's delta-phi
+        assert _first_minimum(lambda n: row[n - 1], 1, len(row)) == n_opt
+        monkeypatch.setattr(sweep, "_sine_sharpness", lambda loss, normalized: lambda n: (n, None, None))
+        monkeypatch.setattr(sweep, "_holevo_spread", lambda n, _: (None, row[n - 1]))
+        assert curve(0.0, 1, len(row)).n_opt == n_opt_at(0.0, len(row)) == n_opt
 
 
 class TestFindSubshotBound:
@@ -321,6 +351,21 @@ class TestFindSubshotBound:
         assert low is not None and high is not None
         assert low >= high
 
+    def test_window_is_one_interval(self):
+        # {N : delta-phi < 1/sqrt(N)} is contiguous, and n_subshot_max is its
+        # right end, None when the window is empty or reaches n_max; 55 of the
+        # 201 losses have a window, and 30 close it inside the scan
+        closed = 0
+        for loss in drawn_losses(3, -12.0):
+            result = curve(loss, 1, 4096)
+            window = [n for n, d, s in zip(result.n, result.delta_phi, result.shot_noise) if d < s]
+            if window:
+                assert window == list(range(window[0], window[-1] + 1)), loss
+            end = window[-1] if window and window[-1] < 4096 else None
+            assert result.n_subshot_max == end, loss
+            closed += end is not None
+        assert closed == 30
+
     def test_none_when_nothing_subshot(self):
         result = curve(0.3, 1, 500)
         assert np.all(np.asarray(result.delta_phi) >= np.asarray(result.shot_noise))
@@ -329,14 +374,18 @@ class TestFindSubshotBound:
 
 class TestLandmarkSearch:
     def test_tie_goes_to_smaller_n(self):
-        deltas = (0.9, 0.5, 0.7, 0.5, 0.8)
-        assert _locate_n_opt(deltas, 1) == 2
+        # on the longer row the halving lands inside the flat bottom and still
+        # walks to its left end
+        for deltas in ((0.9, 0.5, 0.5, 0.7), (0.9, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.7)):
+            assert _first_minimum(lambda n: deltas[n - 1], 1, len(deltas)) == 2
 
     def test_subshot_stretch_starts_at_lowest_subshot_point(self):
         # the global minimum (N = 5) is above shot noise, so the stretch runs
-        # right from N = 2, the lowest point below it, and ends at N = 3
+        # right from N = 2, the lowest point below it, and ends at N = 3. The
+        # row is not unimodal: n_opt is the local minimum the halving brackets
+        # (N = 2), where a full scan would put it at the top (None)
         deltas, shots = (0.8, 0.4, 0.5, 0.6, 0.3), (0.9, 0.5, 0.6, 0.5, 0.2)
-        assert _locate_n_opt(deltas, 1) is None
+        assert _first_minimum(lambda n: deltas[n - 1], 1, len(deltas)) == 2
         assert _locate_subshot_max(deltas, shots, 1) == 3
 
     def test_subshot_stretch_reaching_scan_top_is_none(self):
@@ -405,12 +454,7 @@ class TestScanEngine:
     def test_normalized_delta_phi_never_rises(self):
         # S/M = 2 sqrt(q) cos(pi/m)/(2 - L) rises strictly with m, so the
         # normalized curve has no n_opt to search for; its floats may tie
-        rng = random.Random(32)
-        losses = [0.0, 5e-324, 1 - 2.0**-53]
-        losses += [rng.random() for _ in range(66)]
-        losses += [10.0 ** rng.uniform(-16.0, 0.0) for _ in range(66)]
-        losses += [min(1.0 - 10.0 ** rng.uniform(-16.0, -1.0), 1 - 2.0**-53) for _ in range(66)]
-        for loss in losses:
+        for loss in drawn_losses(32, -16.0):
             row = curve(loss, 1, 4096, True).delta_phi
             assert all(b <= a for a, b in zip(row, row[1:])), loss
 
