@@ -39,13 +39,20 @@ def _partial_trace_defect(n: int, loss: float) -> float:
 
 
 def _dual_path_defect(n: int, loss: float) -> float:
-    """Relative gap of the kernel's 1 - S to rho's: the lost blocks' weight plus block 0's spread."""
-    state = optimal_amplitudes(n)
-    kernel = povm._sharpness_kernel(state, loss)[1]
-    rho = loss_mod.reduced_density(state, loss)
-    lost = sum(np.add.reduce(w * w) for ell, w in rho.factors.items() if ell > 0)
-    density = lost + povm.distribution_from_density(rho).spread()
-    return float(abs(kernel - density) / density)
+    """Larger relative gap of the closed form's 1 - S, raw and normalized, to rho's.
+
+    Raw, rho's 1 - S is the lost blocks' weight plus block 0's spread M - S;
+    normalized, it is that spread over block 0's mass M.
+    """
+    rho = loss_mod.reduced_density(optimal_amplitudes(n), loss)
+    dist = povm.distribution_from_density(rho)
+    spread = dist.spread()
+    density = sum(np.add.reduce(w * w) for ell, w in rho.factors.items() if ell > 0) + spread
+    density_normalized = spread / dist.total_mass()
+    raw = sweep._sine_sharpness(loss, False)(n)[1]
+    normalized = sweep._sine_sharpness(loss, True)(n)[1]
+    return float(max(abs(raw - density) / density,
+                     abs(normalized - density_normalized) / density_normalized))
 
 
 def _curve_defect(n: int, loss: float) -> float:
@@ -79,15 +86,15 @@ def _lossless_anchor_defect(n: int, loss: float) -> float:
 
 # one row per cross-check: (name, tolerance, defect(n, loss), photon numbers,
 # losses); every grid is fixed, so validate and the tests run the same cases.
-# "kernel" in a name is ``povm._sharpness_kernel``, which reads S, M and M - S
-# off ``povm.PhaseDistribution``, as the density path does; "closed form" is ``sweep``'s:
-# the sharpness that ``curve`` and ``nopt`` publish, and the P(phi) that ``dist`` writes.
+# "kernel" in a name is ``povm.phase_estimate``, which reads S and M - S off
+# ``povm.PhaseDistribution``, as the density path does; "closed form" is ``sweep``'s:
+# the S and 1 - S that ``curve`` and ``nopt`` publish, and the P(phi) that ``dist`` writes.
 CHECKS = (
     ("lossy ket vs matrix exponential, signed", 1e-14, _lossy_ket_defect,
      range(13), (0.0, 1e-8, 0.1, 0.3, 0.5, 0.9)),
     ("partial trace, blocks vs explicit", 1e-15, _partial_trace_defect,
      range(1, 9), (0.1, 0.3, 0.5)),
-    ("1 - S, kernel vs density path (relative)", 2e-15, _dual_path_defect,
+    ("1 - S, closed form vs density path (relative)", 2e-15, _dual_path_defect,
      range(1, 13), (0.0, 1e-8, 0.1, 0.3, 0.5, 0.9)),
     ("curve sharpness, closed form vs density", 1e-15, _curve_defect,
      range(1, 13), (0.0, 1e-8, 0.1, 0.3, 0.5)),

@@ -82,7 +82,7 @@ def _check_loss_grid(grid) -> list:
 def _holevo_spread(sharp: float, defect: float) -> tuple:
     """Holevo variance (1-S)(1+S)/S^2 and its root delta-phi, from S and 1 - S.
 
-    Taking 1 - S as the sharpness kernel or the sweep's closed form gives it,
+    Taking 1 - S as ``povm.phase_estimate`` or the sweep's closed form gives it,
     rather than forming 1/S^2 - 1, keeps the digits near the Heisenberg line
     where S is within 1e-7 of 1. Where S <= 0 both are inf, and nothing is
     divided.

@@ -7,7 +7,7 @@ its factor g alone: P(phi) = |sum_t g_t e^{i t phi}|^2 / 2pi. Two routes give
 the factor: the closed form built directly from the input amplitudes, and
 block 0 of a reduced density matrix; their agreement is a standing
 cross-check. ``PhaseDistribution`` is the one home of the sums S, M and
-M - S; the sharpness kernel and ``validate``'s density path both read them
+M - S; ``phase_estimate`` and ``validate``'s density path both read them
 off it.
 
 P is a trigonometric polynomial in the N + 1 harmonics of g, so its values on
@@ -24,7 +24,7 @@ With loss the distribution integrates to less than one (the measured sector is
 reached with probability sum_t psi_t^2 (1-L)^t). ``sharpness_closed`` and
 ``phase_estimate`` give that raw quantity. The sharpness divided by the
 integral is the ``normalized`` variant of ``sweep.curve``, never switched on
-silently; the tests hold it to ``_sharpness_kernel``'s ``normalized`` branch.
+silently; the tests hold it to S/M and (M - S)/M of ``distribution``.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class PhaseDistribution:
 
         Real by construction: the factor is real and the mean phase of every
         state built here is zero, so no centering is needed. Summed pairwise,
-        as the sharpness kernel sums it.
+        as every numpy sum here is.
         """
         g = self.factor
         return float(np.add.reduce(g[1:] * g[:-1]))
@@ -129,31 +129,17 @@ def distribution_from_density(rho: ReducedDensity) -> PhaseDistribution:
     return PhaseDistribution(rho.factors.get(0, np.zeros(rho.n_photons + 1)))
 
 
-def _sharpness_kernel(state: AmplitudeVector, loss: float, normalized: bool = False) -> tuple:
-    """S and its defect 1 - S, read off the ``PhaseDistribution`` of g = psi (1-L)^(t/2).
-
-    S is its ``fourier_sharpness``. The defect is not formed as 1 - S but
-    summed from nonnegative terms: with sum psi^2 = 1 it is the distribution's
-    ``spread`` M - S plus sum psi_t^2 (1 - (1-L)^t), so it keeps its digits
-    where S is within rounding of 1. With ``normalized`` both S and M - S are
-    divided by the integral M = sum g^2. Every sum is numpy's pairwise summation.
-    """
-    survival, lost = _loss_factors(_check_photon_number(state.n_photons), channel_from_loss(loss))
-    dist = PhaseDistribution(state.psi * survival)
-    sharp, spread = dist.fourier_sharpness(), dist.spread()
-    if normalized:
-        mass = dist.total_mass()
-        return sharp / mass, spread / mass
-    return sharp, np.add.reduce(state.psi * state.psi * lost) + spread
-
-
 def sharpness_closed(state: AmplitudeVector, loss: float) -> float:
-    """Sharpness |<e^{i phi}>| from the closed-form nearest-neighbor sum.
+    """The signed sum S = sum_t psi_t psi_{t-1} (1-L)^(t-1/2), not its modulus.
 
-    S = sum_t psi_t psi_{t-1} (1-L)^(t-1/2), the exact first
-    Fourier coefficient of the distribution.
+    The photon rule, then ``fourier_sharpness`` of ``distribution(state,
+    loss)``: numpy's pairwise sum, which is negative when neighbouring
+    amplitudes differ in sign (-0.4999999999999999 for psi = (1/sqrt2,
+    -1/sqrt2) at L = 0). Nothing in the package calls it; it stays because
+    ``bench/`` does.
     """
-    return _sharpness_kernel(state, loss)[0]
+    _check_photon_number(state.n_photons)
+    return distribution(state, loss).fourier_sharpness()
 
 
 @dataclass(frozen=True)
@@ -184,15 +170,20 @@ def holevo(sharpness: float) -> PhaseEstimate:
 def phase_estimate(state: AmplitudeVector, loss: float) -> PhaseEstimate:
     """Sharpness, Holevo variance and minimum detectable phase of a state.
 
-    The same numbers as ``holevo(sharpness_closed(state, loss))``, but
-    the variance is (1-S)(1+S)/S^2 with 1 - S summed by the sharpness
-    kernel (the lost weight plus the distribution's ``spread``), as every
-    curve point has it, so it keeps about 15 digits where
-    ``holevo`` forms 1/S^2 - 1 from S alone and cancels them.
+    S is ``fourier_sharpness`` of the distribution of g = psi (1-L)^(t/2),
+    the same number as ``sharpness_closed``. The variance is
+    (1-S)(1+S)/S^2 with 1 - S not formed as such but summed from nonnegative
+    terms: with sum psi^2 = 1 it is sum psi_t^2 (1 - (1-L)^t), the lost
+    weight, plus the distribution's ``spread`` M - S. So it keeps about 15
+    digits where ``holevo`` forms 1/S^2 - 1 from S alone and cancels them.
+    Every sum is numpy's pairwise summation.
     """
-    sharp, defect = _sharpness_kernel(state, loss)
+    survival, lost = _loss_factors(_check_photon_number(state.n_photons), channel_from_loss(loss))
+    dist = PhaseDistribution(state.psi * survival)
+    sharp = dist.fourier_sharpness()
     if sharp < 0.0:
         raise ValueError(f"sharpness must lie in [0, 1], got {sharp}")
+    defect = np.add.reduce(state.psi * state.psi * lost) + dist.spread()
     variance, delta_phi = _holevo_spread(sharp, defect)
     return PhaseEstimate(sharp, float(variance), float(delta_phi))
 

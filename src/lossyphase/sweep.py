@@ -7,11 +7,12 @@ evaluates delta-phi = sqrt((1-S)(1+S))/S at every N of its range, in memory
 O(n_max); ``nopt_vs_loss`` reads only the at most 2 ceil(log2(n_max)) points
 per loss that its bisection for ``n_opt`` needs (below). ``_sine_sharpness``
 treats every point on its own, so a point has the same bits either way.
-``povm._sharpness_kernel`` reads the same S, M and M - S off the
-``PhaseDistribution`` of any amplitudes and stays the reference the tests
-hold this form to. ``curve`` returns its scan column by
-column, one tuple each for N, delta-phi and the two reference lines, in a
-named tuple (``SweepResult``), so no object is built per point.
+``povm.phase_estimate`` and ``povm.distribution`` read the same S, M and
+M - S off the ``PhaseDistribution`` of any amplitudes, the reference the
+tests hold this form to; ``validate`` holds its 1 - S to the density path.
+``curve`` returns its scan column by column, one tuple each for N, delta-phi
+and the two reference lines, in a named tuple (``SweepResult``), so no object
+is built per point.
 ``sine_density`` and ``sine_mass`` give the ``dist`` command the phase
 distribution P(phi) of one sine state, an iterator over the whole turn that
 holds only the half turn, and its integral M in closed form too. The module

@@ -365,6 +365,9 @@ class TestPhotonNumberCap:
         assert "photon number 4097 exceeds the supported maximum 4096" in capsys.readouterr().err
 
 
+DUAL_PATH_ROW = next(check for check in checks.CHECKS
+                     if check[0] == "1 - S, closed form vs density path (relative)")
+
 # faults in rho's factors that the dual-path row must see: they moved its
 # defect to 1.15, 2.0e-9 and 2.0e-12 against a tolerance of 2e-15
 DENSITY_FAULTS = {
@@ -406,7 +409,9 @@ class TestValidateCommand:
         assert main(["validate"]) == 3
         captured = capsys.readouterr()
         rows = captured.out.splitlines()[1:]
-        assert [row[:40].rstrip() for row in rows] == [check[0] for check in rows_in]
+        # a name longer than the 40-character column pushes its row's numbers right
+        assert len(rows) == len(rows_in)
+        assert all(row.startswith(f"{check[0]} ") for row, check in zip(rows, rows_in))
         assert rows[2].endswith(" FAIL at N=5 L=0.3")
         assert all(row.endswith(" PASS") for i, row in enumerate(rows) if i != 2)
         assert captured.err == (
@@ -416,14 +421,33 @@ class TestValidateCommand:
     @pytest.mark.parametrize("fault", DENSITY_FAULTS.values(), ids=list(DENSITY_FAULTS))
     def test_dual_path_row_sees_a_faulted_density(self, monkeypatch, fault):
         # the row reads both of its sides through the library, so a density
-        # path that drifts from the kernel must push it past its tolerance
+        # path that drifts from the closed form must push it past its tolerance
         def faulted(state, loss):
             rho = reduced_density(state, loss)
             return ReducedDensity(rho.n_photons, fault(rho.factors))
 
         monkeypatch.setattr("lossyphase.loss.reduced_density", faulted)
-        row = next(check for check in checks.CHECKS if check[0] == "1 - S, kernel vs density path (relative)")
-        assert checks.worst_defect(row)[0] > row[1]
+        assert checks.worst_defect(DUAL_PATH_ROW)[0] > DUAL_PATH_ROW[1]
+
+    @pytest.mark.parametrize("variant", [False, True], ids=["raw", "normalized"])
+    def test_dual_path_row_sees_a_faulted_closed_form(self, monkeypatch, variant):
+        # 1 - S that curve publishes, scaled by 1 + 1e-12 in one variant only,
+        # moves the row's defect to 1.0e-12 against a tolerance of 2e-15
+        published = sweep._sine_sharpness
+
+        def faulted(loss, normalized):
+            point = published(loss, normalized)
+            if normalized != variant:
+                return point
+
+            def scaled(n):
+                sharp, defect, mass = point(n)
+                return sharp, defect * (1 + 1e-12), mass
+
+            return scaled
+
+        monkeypatch.setattr(sweep, "_sine_sharpness", faulted)
+        assert checks.worst_defect(DUAL_PATH_ROW)[0] > DUAL_PATH_ROW[1]
 
 
 # each command's options besides -h, in the order the parser adds them; a knob

@@ -7,6 +7,7 @@ process imported numpy long ago.
 
 import copy
 import importlib
+import inspect
 import json
 import pickle
 import subprocess
@@ -27,6 +28,23 @@ SUBMODULE_NAMES = {
              "holevo", "lossless_reference", "phase_estimate", "sharpness_closed"),
     "states": ("AmplitudeVector", "optimal_amplitudes"),
     "sweep": ("DEFAULT_MAX_PHOTONS", "CurvePoint", "SweepResult", "curve", "nopt_vs_loss"),
+}
+
+# each public function's parameters as inspect prints them, annotations left
+# out; a keyword added or removed is an edit of this table
+SIGNATURES = {
+    "channel_from_loss": "(loss)",
+    "curve": "(loss, n_min=1, n_max=1000, normalized=False)",
+    "distribution": "(state, loss)",
+    "distribution_from_density": "(rho)",
+    "holevo": "(sharpness)",
+    "lossless_reference": "(n_photons)",
+    "nopt_vs_loss": "(loss_grid, n_max=1000)",
+    "optimal_amplitudes": "(n_photons)",
+    "phase_estimate": "(state, loss)",
+    "pure_lossy_state": "(state, loss)",
+    "reduced_density": "(state, loss)",
+    "sharpness_closed": "(state, loss)",
 }
 
 # runs the entry on a small curve, then reports what the process looks like
@@ -100,6 +118,16 @@ class TestLazyPackage:
     def test_unknown_attribute(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             lossyphase.no_such_name  # noqa: B018
+
+
+def test_signature_inventory():
+    signatures = {}
+    for name in lossyphase.__all__:
+        if inspect.isfunction(value := getattr(lossyphase, name)):
+            signature = inspect.signature(value)
+            bare = [p.replace(annotation=p.empty) for p in signature.parameters.values()]
+            signatures[name] = str(signature.replace(parameters=bare, return_annotation=signature.empty))
+    assert signatures == SIGNATURES
 
 
 class TestEntryDefault:

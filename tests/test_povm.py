@@ -24,7 +24,8 @@ from lossyphase import (
     sharpness_closed,
 )
 from lossyphase.core import _holevo_spread
-from lossyphase.povm import TWO_PI, _sharpness_kernel
+from lossyphase.povm import TWO_PI
+from lossyphase.sweep import _sine_sharpness
 
 from conftest import mp_sine_sums
 
@@ -57,11 +58,6 @@ def mp_delta_phi(n, loss, normalized):
     with mpmath.workdps(50):
         sharp = mp_sharpness(n, loss, normalized)
         return float(mpmath.sqrt(1 / sharp**2 - 1))
-
-
-def kernel(n, loss, normalized=False):
-    """(S, 1 - S) of the N-photon sine state from the shared sharpness kernel."""
-    return _sharpness_kernel(optimal_amplitudes(n), loss, normalized)
 
 
 def mp_phase_density(g, k, samples):
@@ -258,7 +254,8 @@ class TestSharpnessKernelProperties:
     @KERNEL_PROPERTY
     @given(n=PHOTON_NUMBERS, loss=LOSS_FRACTIONS, normalized=st.booleans())
     def test_sharpness_and_defect_are_complementary(self, n, loss, normalized):
-        sharp, defect = kernel(n, loss, normalized)
+        # the closed form that curve publishes; numpy's sums return no defect
+        sharp, defect, _ = _sine_sharpness(loss, normalized)(n)
         assert 0.0 < sharp <= 1.0
         assert defect >= 0.0
         assert abs(sharp + defect - 1.0) <= 8 * EPS
@@ -267,13 +264,16 @@ class TestSharpnessKernelProperties:
     @given(n=PHOTON_NUMBERS, a=LOSS_FRACTIONS, b=LOSS_FRACTIONS)
     def test_non_increasing_in_loss(self, n, a, b):
         low, high = sorted((a, b))
-        assert kernel(n, high)[0] <= kernel(n, low)[0]
+        state = optimal_amplitudes(n)
+        assert sharpness_closed(state, high) <= sharpness_closed(state, low)
 
     @KERNEL_PROPERTY
     @given(n=PHOTON_NUMBERS, loss=LOSS_FRACTIONS)
     def test_normalized_at_least_raw(self, n, loss):
-        # equal at L = 0 up to the rounding of sum psi^2 = 1
-        assert kernel(n, loss, normalized=True)[0] >= kernel(n, loss)[0] * (1 - 4 * EPS)
+        # S/M against S, equal at L = 0 up to the rounding of sum psi^2 = 1
+        dist = distribution(optimal_amplitudes(n), loss)
+        sharp = dist.fourier_sharpness()
+        assert sharp / dist.total_mass() >= sharp * (1 - 4 * EPS)
 
 
 class TestHolevo:
@@ -323,7 +323,7 @@ class TestPhaseEstimate:
         assert est.min_detectable_phase == pytest.approx(old.min_detectable_phase, rel=1e-13)
 
     def test_agrees_with_curve_point(self):
-        # the kernel and the curve's closed form are two algorithms: both hold
+        # numpy's sums and the curve's closed form are two algorithms: both hold
         # 14.7 digits, and they stay within the 8-ulp gap of tests/test_sweep.py
         est = phase_estimate(optimal_amplitudes(500), 1e-3)
         point = curve(1e-3, 500, 500).delta_phi[0]
