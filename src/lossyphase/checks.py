@@ -84,17 +84,17 @@ def _lossless_anchor_defect(n: int, loss: float) -> float:
     return abs(variance - reference) / reference
 
 
-# one row per cross-check: (name, tolerance, defect(n, loss), photon numbers,
-# losses); every grid is fixed, so validate and the tests run the same cases.
-# "kernel" in a name is ``povm.phase_estimate``, which reads S and M - S off
-# ``povm.PhaseDistribution``, as the density path does; "closed form" is ``sweep``'s:
-# the S and 1 - S that ``curve`` and ``nopt`` publish, and the P(phi) that ``dist`` writes.
+# Every grid is fixed, so validate and the tests run the same cases. "kernel" in a name
+# is ``povm.phase_estimate``, which reads S and M - S off ``povm.PhaseDistribution``, as
+# the density path does; "closed form" is ``sweep``'s: the S and 1 - S that ``curve`` and
+# ``nopt`` publish, and the P(phi) that ``dist`` writes. Rows 3 and 4 check one point's
+# 1 - S (relative: delta-phi and N_opt come off it) and S.
 CHECKS = (
     ("lossy ket vs matrix exponential, signed", 1e-14, _lossy_ket_defect,
      range(13), (0.0, 1e-8, 0.1, 0.3, 0.5, 0.9)),
     ("partial trace, blocks vs explicit", 1e-15, _partial_trace_defect,
      range(1, 9), (0.1, 0.3, 0.5)),
-    ("1 - S, closed form vs density path (relative)", 2e-15, _dual_path_defect,
+    ("1 - S, closed form vs density (relative)", 2e-15, _dual_path_defect,
      range(1, 13), (0.0, 1e-8, 0.1, 0.3, 0.5, 0.9)),
     ("curve sharpness, closed form vs density", 1e-15, _curve_defect,
      range(1, 13), (0.0, 1e-8, 0.1, 0.3, 0.5)),
