@@ -85,9 +85,9 @@ def _holevo_spread(sharp: float, defect: float) -> tuple:
     Taking 1 - S as ``povm.phase_estimate`` or the sweep's closed form gives it,
     rather than forming 1/S^2 - 1, keeps the digits near the Heisenberg line
     where S is within 1e-7 of 1. Where S <= 0 both are inf, and nothing is
-    divided.
+    divided. Where S^2 rounds to 0 (S below about 1.6e-162), the variance is inf.
     """
     if not sharp > 0.0:
         return math.inf, math.inf
-    spread = defect * (1.0 + sharp)
-    return spread / (sharp * sharp), math.sqrt(spread) / sharp
+    spread, square = defect * (1.0 + sharp), sharp * sharp
+    return (spread / square if square else math.inf), math.sqrt(spread) / sharp

@@ -152,19 +152,16 @@ class PhaseEstimate:
 
 
 def holevo(sharpness: float) -> PhaseEstimate:
-    """Holevo variance -1 + S^-2 of a sharpness S in [0, 1].
+    """Holevo variance and spread of a bare sharpness S in [0, 1]: ``_holevo_spread(S, 1 - S)``.
 
-    S = 0 is a flat distribution: the variance diverges and is reported as
-    infinity rather than raised as an error. Near S = 1 the difference
-    1/S^2 - 1 cancels digits; ``phase_estimate`` keeps them.
+    inf at S = 0, a flat distribution, and 0 at S = 1. Formed from S alone,
+    1 - S keeps only its rounding; ``phase_estimate`` sums the defect and keeps
+    the digits near S = 1. Nothing in the package calls it; ``bench/`` does.
     """
     sharpness = float(sharpness)
     if not 0.0 <= sharpness <= 1.0:
         raise ValueError(f"sharpness must lie in [0, 1], got {sharpness}")
-    if sharpness == 0.0:
-        return PhaseEstimate(0.0, math.inf, math.inf)
-    variance = 1.0 / (sharpness * sharpness) - 1.0
-    return PhaseEstimate(sharpness, variance, math.sqrt(variance))
+    return PhaseEstimate(sharpness, *_holevo_spread(sharpness, 1.0 - sharpness))
 
 
 def phase_estimate(state: AmplitudeVector, loss: float) -> PhaseEstimate:
@@ -175,7 +172,7 @@ def phase_estimate(state: AmplitudeVector, loss: float) -> PhaseEstimate:
     (1-S)(1+S)/S^2 with 1 - S not formed as such but summed from nonnegative
     terms: with sum psi^2 = 1 it is sum psi_t^2 (1 - (1-L)^t), the lost
     weight, plus the distribution's ``spread`` M - S. So it keeps about 15
-    digits where ``holevo`` forms 1/S^2 - 1 from S alone and cancels them.
+    digits where ``holevo``, which forms 1 - S from S alone, cancels them.
     Every sum is numpy's pairwise summation.
     """
     survival, lost = _loss_factors(_check_photon_number(state.n_photons), channel_from_loss(loss))
@@ -183,9 +180,8 @@ def phase_estimate(state: AmplitudeVector, loss: float) -> PhaseEstimate:
     sharp = dist.fourier_sharpness()
     if sharp < 0.0:
         raise ValueError(f"sharpness must lie in [0, 1], got {sharp}")
-    defect = np.add.reduce(state.psi * state.psi * lost) + dist.spread()
-    variance, delta_phi = _holevo_spread(sharp, defect)
-    return PhaseEstimate(sharp, float(variance), float(delta_phi))
+    defect = float(np.add.reduce(state.psi * state.psi * lost)) + dist.spread()
+    return PhaseEstimate(sharp, *_holevo_spread(sharp, defect))
 
 
 def lossless_reference(n_photons: int) -> float:

@@ -1,14 +1,14 @@
 """Rotation (Wigner small-d) matrix elements, stable at large spin.
 
-This is an independent oracle for the tests and acceptance criterion 3; no
-production path calls it (the loss channel builds its binomial column
-directly in the loss module).
+No production path calls it (the loss channel builds its binomial column
+directly in the loss module), and acceptance criterion 3 checks against
+``oracle.bs_unitary``; it stays because ``bench/`` traces ``d_element``.
 
 Elements d^j_{a,b}(theta) are evaluated through the Jacobi-polynomial form,
 with the four index symmetries used to push the polynomial parameters into
 the nonnegative range and the factorial prefactor taken in the log domain.
 The convention is the standard one, d^j_{a,b}(theta) = <j,a| e^{-i theta Jy} |j,b>,
-and is pinned by the matrix-exponential cross-checks in the oracle module.
+and is pinned, sign included, to the oracle module's matrix exponential.
 
 Spin labels are passed doubled (2j, 2a, 2b) as plain ints, so half-integer
 spins stay exact and no label ever touches floating point. All functions are

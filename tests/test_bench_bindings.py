@@ -7,6 +7,7 @@ command line the CLI no longer accepts only as a fall in ``ok_frac``. These
 tests import the scripts and run their library-facing parts on small inputs.
 """
 
+import ast
 import importlib
 import json
 from pathlib import Path
@@ -16,7 +17,15 @@ import pytest
 
 from lossyphase import cli, curve, optimal_amplitudes, reduced_density
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
+SRC = TESTS.parent / "src" / "lossyphase"
+
+# names kept only because bench/ reads them, each with the module defining it;
+# outside bench/ only these test files, and these scopes of test_povm, read them
+BENCH_ONLY = {"holevo": "povm.py", "sharpness_closed": "povm.py", "d_element": "wigner.py"}
+PINNING_FILES = {"test_inputs.py", "test_entry.py", "test_wigner.py", "test_bench_bindings.py"}
+PINNING_SCOPES = {"test_povm.py": {"TestHolevo", "test_agrees_with_holevo_of_closed_sharpness"}}
 
 
 @pytest.fixture
@@ -31,6 +40,37 @@ def test_every_traced_target_exists(bench_module):
     assert targets
     for name, owner, attr, _ in targets:
         assert attr in vars(owner), name
+
+
+def _bench_only_reads(node, scopes=()):
+    """(name, enclosing class and function names) of each Name, Attribute or import of a bench-only name."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        scopes += (node.name,)
+    if isinstance(node, ast.Name):
+        names = (node.id,)
+    elif isinstance(node, ast.Attribute):
+        names = (node.attr,)
+    elif isinstance(node, ast.ImportFrom):
+        names = tuple(alias.name for alias in node.names)
+    else:
+        names = ()
+    yield from ((name, scopes) for name in names if name in BENCH_ONLY)
+    for child in ast.iter_child_nodes(node):
+        yield from _bench_only_reads(child, scopes)
+
+
+def test_bench_only_names_have_no_other_readers():
+    # a new reader would have to be rewritten when the benchmark lets these names go
+    stray = []
+    for path in [*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py"))]:
+        in_src = path.parent == SRC
+        if not in_src and path.name in PINNING_FILES:
+            continue
+        allowed = set() if in_src else PINNING_SCOPES.get(path.name, set())
+        for name, scopes in _bench_only_reads(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (in_src and path.name == BENCH_ONLY[name]) and not allowed & set(scopes):
+                stray.append(f"{path.name}: {name} in {'.'.join(scopes) or 'module scope'}")
+    assert not stray
 
 
 def test_block_counter_reads_reduced_density(bench_module):

@@ -250,11 +250,9 @@ class TestReducedDensity:
                 w = rho.factors[ell]
                 np.testing.assert_allclose(w, exact, rtol=1e-13, atol=0)
                 np.testing.assert_array_equal(rho.block(ell), np.outer(w, w))
-                np.testing.assert_array_equal(rho.blocks[ell], np.outer(w, w))
             else:
                 assert not np.any(exact)
                 np.testing.assert_array_equal(rho.block(ell), np.zeros((n + 1 - ell,) * 2))
-        assert set(rho.blocks) == set(rho.factors)
         with pytest.raises(ValueError, match="outside"):
             rho.block(n + 1)
 

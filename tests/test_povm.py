@@ -16,12 +16,11 @@ from lossyphase import (
     curve,
     distribution,
     distribution_from_density,
-    holevo,
     lossless_reference,
     optimal_amplitudes,
     phase_estimate,
+    povm,
     reduced_density,
-    sharpness_closed,
 )
 from lossyphase.core import _holevo_spread
 from lossyphase.povm import TWO_PI
@@ -43,20 +42,16 @@ def survival_weights(n, loss):
     return (1 - loss) ** np.arange(n + 1)
 
 
-def mp_sharpness(n, loss, normalized=False):
-    """sum_t psi_t psi_{t-1} (1-L)^(t-1/2) of the sine state at 50 digits.
-
-    With ``normalized`` it is divided by the integral sum_t psi_t^2 (1-L)^t.
-    """
+def mp_sharpness(n, loss):
+    """sum_t psi_t psi_{t-1} (1-L)^(t-1/2) of the sine state at 50 digits."""
     with mpmath.workdps(50):
-        pair, mass = mp_sine_sums(n, loss)
-        return pair / mass if normalized else pair
+        return mp_sine_sums(n, loss)[0]
 
 
-def mp_delta_phi(n, loss, normalized):
+def mp_delta_phi(n, loss):
     """sqrt(1/S^2 - 1) of the 50-digit sharpness, rounded to a float."""
     with mpmath.workdps(50):
-        sharp = mp_sharpness(n, loss, normalized)
+        sharp = mp_sharpness(n, loss)
         return float(mpmath.sqrt(1 / sharp**2 - 1))
 
 
@@ -204,20 +199,21 @@ class TestDistributionFromDensity:
 
 class TestSharpness:
     def test_one_photon_lossless(self):
-        s = sharpness_closed(optimal_amplitudes(1), 0.0)
-        assert s == pytest.approx(0.5, abs=1e-14)
-        assert holevo(s).holevo_variance == pytest.approx(3.0, rel=1e-12)
-        assert holevo(s).holevo_variance == pytest.approx(math.tan(math.pi / 3) ** 2, rel=1e-12)
+        state = optimal_amplitudes(1)
+        assert distribution(state, 0.0).fourier_sharpness() == pytest.approx(0.5, abs=1e-14)
+        variance = phase_estimate(state, 0.0).holevo_variance
+        assert variance == pytest.approx(3.0, rel=1e-12)
+        assert variance == pytest.approx(math.tan(math.pi / 3) ** 2, rel=1e-12)
 
     def test_two_photons_lossless(self):
-        s = sharpness_closed(optimal_amplitudes(2), 0.0)
-        assert s == pytest.approx(math.cos(math.pi / 4), abs=1e-14)
-        assert holevo(s).holevo_variance == pytest.approx(1.0, rel=1e-12)
+        state = optimal_amplitudes(2)
+        assert distribution(state, 0.0).fourier_sharpness() == pytest.approx(math.cos(math.pi / 4), abs=1e-14)
+        assert phase_estimate(state, 0.0).holevo_variance == pytest.approx(1.0, rel=1e-12)
 
     def test_one_photon_with_loss(self):
-        s = sharpness_closed(optimal_amplitudes(1), 0.3)
-        assert s == pytest.approx(0.5 * math.sqrt(0.7), abs=1e-14)
-        est = holevo(s)
+        state = optimal_amplitudes(1)
+        assert distribution(state, 0.3).fourier_sharpness() == pytest.approx(0.5 * math.sqrt(0.7), abs=1e-14)
+        est = phase_estimate(state, 0.3)
         assert est.holevo_variance == pytest.approx(33 / 7, rel=1e-12)
         assert est.min_detectable_phase == pytest.approx(math.sqrt(33 / 7), rel=1e-12)
 
@@ -226,25 +222,15 @@ class TestSharpness:
     def test_matches_50_digit_reference(self, n, loss):
         # promises 14.7 digits; the survival factors come from log1p(-L), so
         # small losses lose nothing to a detour through the splitter angle
-        closed = sharpness_closed(optimal_amplitudes(n), loss)
+        closed = distribution(optimal_amplitudes(n), loss).fourier_sharpness()
         reference = mp_sharpness(n, loss)
         assert abs(closed - reference) / reference <= 2e-15
-
-    @pytest.mark.parametrize("normalized", [False, True])
-    @pytest.mark.parametrize("loss", [0.0, 1e-8, 1e-5, 0.9, 0.999])
-    @pytest.mark.parametrize("n", [1, 2, 10, 1000, 4096])
-    def test_curve_delta_phi_matches_50_digit_reference(self, n, loss, normalized):
-        # promises 14.7 digits, also near the Heisenberg line, where S is
-        # within 5e-6 of 1 and sqrt(1/S^2 - 1) kept only 9 to 10
-        value = curve(loss, n, n, normalized=normalized).delta_phi[0]
-        reference = mp_delta_phi(n, loss, normalized)
-        assert abs(value - reference) / reference <= 2e-15
 
     @pytest.mark.parametrize("n", [1, 3, 8, 15])
     def test_strictly_decreasing_in_loss(self, n):
         state = optimal_amplitudes(n)
         values = [
-            sharpness_closed(state, loss)
+            distribution(state, loss).fourier_sharpness()
             for loss in (0.0, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 0.95)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -265,7 +251,7 @@ class TestSharpnessKernelProperties:
     def test_non_increasing_in_loss(self, n, a, b):
         low, high = sorted((a, b))
         state = optimal_amplitudes(n)
-        assert sharpness_closed(state, high) <= sharpness_closed(state, low)
+        assert distribution(state, high).fourier_sharpness() <= distribution(state, low).fourier_sharpness()
 
     @KERNEL_PROPERTY
     @given(n=PHOTON_NUMBERS, loss=LOSS_FRACTIONS)
@@ -278,37 +264,38 @@ class TestSharpnessKernelProperties:
 
 class TestHolevo:
     def test_perfectly_sharp(self):
-        est = holevo(1.0)
+        est = povm.holevo(1.0)
         assert est.holevo_variance == 0.0
         assert est.min_detectable_phase == 0.0
 
     def test_half_sharp(self):
-        assert holevo(0.5).holevo_variance == pytest.approx(3.0, rel=1e-12)
+        assert povm.holevo(0.5).holevo_variance == pytest.approx(3.0, rel=1e-12)
 
     def test_flat_distribution_diverges(self):
-        est = holevo(0.0)
+        est = povm.holevo(0.0)
         assert math.isinf(est.holevo_variance)
         assert math.isinf(est.min_detectable_phase)
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.1, 2.0])
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, 2.0, math.nan])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
-            holevo(bad)
+            povm.holevo(bad)
 
     def test_variance_consistency(self):
-        for s in (0.1, 0.35, 0.82, 0.999):
-            est = holevo(s)
-            assert est.holevo_variance == pytest.approx(-1 + s**-2, abs=1e-12)
-            assert est.min_detectable_phase == pytest.approx(math.sqrt(est.holevo_variance), abs=1e-12)
+        # the alias is _holevo_spread of (S, 1 - S), bit for bit, from S = 0 to S = 1
+        for s in (0.0, 5e-324, 0.1, 0.35, 0.5, math.cos(math.pi / 4), 0.82, 0.999, 1 - 2**-53, 1.0):
+            est = povm.holevo(s)
+            fields = (est.holevo_variance, est.min_detectable_phase)
+            assert [x.hex() for x in fields] == [x.hex() for x in _holevo_spread(s, 1.0 - s)], s
 
 
 class TestPhaseEstimate:
     @pytest.mark.parametrize("n", [100, MAX_PHOTON_NUMBER])
     def test_lossless_matches_50_digit_reference(self, n):
         # promises 14 digits where S is within 3e-7 of 1; holevo(S) forms
-        # 1/S^2 - 1 there and is off by 2e-11 at N = 4096
+        # 1 - S from S there and is off by 9.9e-11 (delta-phi) at N = 4096
         est = phase_estimate(optimal_amplitudes(n), 0.0)
-        reference = mp_delta_phi(n, 0.0, normalized=False)
+        reference = mp_delta_phi(n, 0.0)
         assert abs(est.min_detectable_phase - reference) / reference <= 1e-14
         assert abs(est.holevo_variance - reference**2) / reference**2 <= 1e-14
 
@@ -317,7 +304,7 @@ class TestPhaseEstimate:
     def test_agrees_with_holevo_of_closed_sharpness(self, n, loss):
         state = optimal_amplitudes(n)
         est = phase_estimate(state, loss)
-        old = holevo(sharpness_closed(state, loss))
+        old = povm.holevo(povm.sharpness_closed(state, loss))
         assert est.sharpness == old.sharpness
         assert est.holevo_variance == pytest.approx(old.holevo_variance, rel=1e-13)
         assert est.min_detectable_phase == pytest.approx(old.min_detectable_phase, rel=1e-13)
@@ -327,7 +314,7 @@ class TestPhaseEstimate:
         # 14.7 digits, and they stay within the 8-ulp gap of tests/test_sweep.py
         est = phase_estimate(optimal_amplitudes(500), 1e-3)
         point = curve(1e-3, 500, 500).delta_phi[0]
-        reference = mp_delta_phi(500, 1e-3, normalized=False)
+        reference = mp_delta_phi(500, 1e-3)
         assert abs(est.min_detectable_phase - reference) / reference <= 2e-15
         assert abs(point - reference) / reference <= 2e-15
         assert abs(point - est.min_detectable_phase) <= 8 * np.spacing(point)
@@ -349,6 +336,9 @@ class TestHolevoSpread:
         # Tier-1 turns any RuntimeWarning into a failure; nothing is divided by S <= 0
         for sharp, defect in ((0.0, 1.0), (-0.0, 1.0), (-0.5, 1.5)):
             assert _holevo_spread(sharp, defect) == (math.inf, math.inf)
+        # below about 1.6e-162 S^2 rounds to 0: the variance is inf, not a ZeroDivisionError
+        assert _holevo_spread(5e-324, 1.0) == (math.inf, math.inf)
+        assert _holevo_spread(1e-170, 1.0) == (math.inf, 1.0 / 1e-170)
         variance, delta_phi = _holevo_spread(0.5, 0.5)
         assert variance == pytest.approx(3.0, rel=1e-15)
         assert delta_phi == pytest.approx(math.sqrt(3.0), rel=1e-15)
