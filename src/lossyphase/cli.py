@@ -290,7 +290,9 @@ def run_nopt(args) -> int:
 
 def run_dist(args) -> int:
     samples = args.phi_samples
-    if not MIN_PHI_SAMPLES <= samples <= MAX_PHI_SAMPLES:
+    if samples is None:  # the Nyquist guard 4(N+1) exceeds 1024 from N = 256 on
+        samples = max(1024, 4 * (args.n + 1))
+    elif not MIN_PHI_SAMPLES <= samples <= MAX_PHI_SAMPLES:
         raise ValueError(f"phi-samples must be in {MIN_PHI_SAMPLES}..{MAX_PHI_SAMPLES}, got {samples}")
     # phi_k = k * (2 pi / samples); float times int is the same double either way round
     phi = map((2.0 * math.pi / samples).__mul__, range(samples))
@@ -349,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     dist_p = sub.add_parser("dist", help="phase distribution at fixed N and loss")
     dist_p.add_argument("--loss", type=float, required=True)
     dist_p.add_argument("--n", type=int, required=True)
-    dist_p.add_argument("--phi-samples", type=int, default=1024)
+    dist_p.add_argument("--phi-samples", type=int,
+                        help="default max(1024, 4(N+1)); 4(N+1) is the Nyquist guard")
 
     sub.add_parser("validate", help="run the oracle cross-check table")
 

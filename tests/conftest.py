@@ -2,6 +2,7 @@
 
 import functools
 import os
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -22,6 +23,17 @@ def child_env() -> dict:
         [package_root] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
     return env
+
+
+def traced_heap(call, *args):
+    """(result, retained bytes, peak bytes) of ``call(*args)`` under tracemalloc, the result still held."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, retained, peak
 
 
 @functools.lru_cache(maxsize=None)

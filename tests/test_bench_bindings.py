@@ -26,6 +26,11 @@ SRC = TESTS.parent / "src" / "lossyphase"
 BENCH_ONLY = {"holevo": "povm.py", "sharpness_closed": "povm.py", "d_element": "wigner.py"}
 PINNING_FILES = {"test_inputs.py", "test_entry.py", "test_wigner.py", "test_bench_bindings.py"}
 PINNING_SCOPES = {"test_povm.py": {"TestHolevo", "test_agrees_with_holevo_of_closed_sharpness"}}
+# the wigner module is bench-only as a whole, and it loads numpy through the oracle
+WIGNER_IMPORTERS = {"test_wigner.py", "test_bench_bindings.py"}
+WIGNER_IMPORT_FORMS = ("import lossyphase.wigner", "from lossyphase import wigner",
+                       "from lossyphase.wigner import d_element", "from . import wigner",
+                       "from .wigner import d_element")
 
 
 @pytest.fixture
@@ -59,15 +64,34 @@ def _bench_only_reads(node, scopes=()):
         yield from _bench_only_reads(child, scopes)
 
 
+def _imports_wigner(tree) -> bool:
+    """Whether an import statement anywhere in ``tree`` names the wigner module, in any form."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            paths = [base, *(f"{base}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        if any("wigner" in path.split(".") for path in paths):
+            return True
+    return False
+
+
 def test_bench_only_names_have_no_other_readers():
     # a new reader would have to be rewritten when the benchmark lets these names go
+    assert all(_imports_wigner(ast.parse(form)) for form in WIGNER_IMPORT_FORMS)
     stray = []
     for path in [*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py"))]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         in_src = path.parent == SRC
+        if path.name not in WIGNER_IMPORTERS and _imports_wigner(tree):
+            stray.append(f"{path.name}: imports wigner")
         if not in_src and path.name in PINNING_FILES:
             continue
         allowed = set() if in_src else PINNING_SCOPES.get(path.name, set())
-        for name, scopes in _bench_only_reads(ast.parse(path.read_text(encoding="utf-8"))):
+        for name, scopes in _bench_only_reads(tree):
             if not (in_src and path.name == BENCH_ONLY[name]) and not allowed & set(scopes):
                 stray.append(f"{path.name}: {name} in {'.'.join(scopes) or 'module scope'}")
     assert not stray

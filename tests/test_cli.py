@@ -335,6 +335,16 @@ class TestDistCommand:
         assert child_peak_rss_kb(argv, tmp_path) < child_peak_rss_kb(one_point, tmp_path) + 2048
         assert out.stat().st_size > 2_000_000
 
+    @pytest.mark.parametrize("n", [255, 256, 4096])
+    def test_default_grid_passes_the_nyquist_guard(self, tmp_path, n):
+        # a fixed 1024-point default would fall below the guard 4(N+1) from N = 256 on
+        out = tmp_path / "dist.csv"
+        assert main(["dist", "--loss", "0.1", "--n", str(n), "--out", str(out)]) == 0
+        comments, _, rows = read_rows(out)
+        samples = max(1024, 4 * (n + 1))
+        assert f"phi_samples = {samples}" in comments
+        assert len(rows) == samples
+
     def test_minimum_samples(self, tmp_path, capsys):
         rc = main(["dist", "--loss", "0", "--n", "2", "--phi-samples", "32", "--out", str(tmp_path / "d.csv")])
         assert rc == 2

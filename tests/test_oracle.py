@@ -56,12 +56,18 @@ class TestBeamSplitterUnitary:
         u = bs_unitary(1, math.pi / 2)
         np.testing.assert_allclose(np.abs(np.diag(u)), math.cos(math.pi / 4), atol=1e-12)
 
-    @pytest.mark.parametrize("j2", range(0, 13))
+    @pytest.mark.parametrize("j2", range(0, 25))
     @pytest.mark.parametrize("theta", THETAS)
     def test_unitarity(self, j2, theta):
+        # undoing the quarter-turn phase i^(a-b) entry by entry leaves a real
+        # matrix, the rotation d^j(theta) that wigner.d_element reads; real and
+        # unitary, each of its rows has unit norm and each entry |d| <= 1
         u = bs_unitary(j2, theta)
         defect = np.max(np.abs(u @ u.conj().T - np.eye(j2 + 1)))
         assert defect <= 1e-10
+        ladder = np.arange(j2 + 1)
+        turns = np.array([1, 1j, -1, -1j])[(ladder[:, None] - ladder[None, :]) % 4]
+        assert np.max(np.abs((turns * u).imag)) < 1e-10
 
 
 class TestTraceOutExplicit:

@@ -1,7 +1,6 @@
 """Unit tests for the phase distribution, sharpness and Holevo variance."""
 
 import math
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -26,7 +25,7 @@ from lossyphase.core import _holevo_spread
 from lossyphase.povm import TWO_PI
 from lossyphase.sweep import _sine_sharpness
 
-from conftest import mp_sine_sums
+from conftest import mp_sine_sums, traced_heap
 
 LOSSES = (0.0, 0.1, 0.3, 0.5)
 SQRT_HALF = 1 / math.sqrt(2)
@@ -36,10 +35,6 @@ EPS = float(np.finfo(float).eps)
 KERNEL_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 PHOTON_NUMBERS = st.integers(1, MAX_PHOTON_NUMBER)
 LOSS_FRACTIONS = st.floats(0.0, 1.0, exclude_max=True)
-
-
-def survival_weights(n, loss):
-    return (1 - loss) ** np.arange(n + 1)
 
 
 def mp_sharpness(n, loss):
@@ -90,14 +85,6 @@ class TestDistribution:
         dist = distribution(optimal_amplitudes(1), 0.3)
         assert dist.total_mass() == pytest.approx(0.85, abs=1e-12)
 
-    @pytest.mark.parametrize("n", range(1, 21))
-    @pytest.mark.parametrize("loss", LOSSES + (0.7,))
-    def test_subnormalization_identity(self, n, loss):
-        state = optimal_amplitudes(n)
-        dist = distribution(state, loss)
-        expected = float(np.sum(state.psi**2 * survival_weights(n, loss)))
-        assert dist.total_mass() == pytest.approx(expected, abs=1e-10)
-
     @pytest.mark.parametrize("n,loss", [(1, 0.0), (5, 0.3), (12, 0.6)])
     def test_nonnegative_on_dense_grid(self, n, loss):
         dist = distribution(optimal_amplitudes(n), loss)
@@ -116,23 +103,13 @@ class TestDistribution:
 
     def test_distribution_stores_no_dense_matrix(self):
         state = optimal_amplitudes(MAX_PHOTON_NUMBER)
-        tracemalloc.start()
-        try:
-            distribution(state, 0.01)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_heap(distribution, state, 0.01)[2]
         assert peak < 1e6
 
     def test_evaluate_memory_bounded_by_entries(self):
         # a few arrays of 65536 entries (1 MB complex), nothing of size samples x (N+1)
         dist = distribution(optimal_amplitudes(MAX_PHOTON_NUMBER), 0.01)
-        tracemalloc.start()
-        try:
-            dist.evaluate(65536)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_heap(dist.evaluate, 65536)[2]
         assert peak < 4e6
 
     @pytest.mark.parametrize("loss", [0.0, 0.01, 0.3])

@@ -3,7 +3,6 @@
 import functools
 import math
 import random
-import tracemalloc
 from unittest import mock
 
 import mpmath
@@ -31,7 +30,7 @@ from lossyphase.sweep import (
     sine_mass,
 )
 
-from conftest import mp_sine_sums
+from conftest import mp_sine_sums, traced_heap
 
 CURVE_COLUMNS = ("n", "delta_phi", "shot_noise", "heisenberg")
 ENGINE_N_MAX = 512
@@ -220,12 +219,7 @@ class TestCurve:
         # allocates a few transient lists beyond the 0.5 MB of columns it keeps
         # and builds no per-N table of terms or list of (S, 1 - S, M)
         curve(loss, 1, 8, normalized)
-        tracemalloc.start()
-        try:
-            result = curve(loss, 1, 4096, normalized)
-            retained, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        result, retained, peak = traced_heap(curve, loss, 1, 4096, normalized)
         assert len(result.n) == 4096
         assert peak - retained < 256 * 1024, (peak, retained)
 
