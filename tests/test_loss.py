@@ -201,6 +201,12 @@ class TestReducedDensity:
 
     @pytest.mark.parametrize("n", range(1, 11))
     @pytest.mark.parametrize("loss", LOSSES)
+    def test_trace_one(self, n, loss):
+        rho = reduced_density(optimal_amplitudes(n), loss)
+        assert rho.trace() == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("loss", LOSSES)
     def test_physicality(self, n, loss):
         rho = reduced_density(optimal_amplitudes(n), loss)
         for ell in rho.factors:
