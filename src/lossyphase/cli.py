@@ -113,6 +113,10 @@ def parse_n_range(text: str) -> tuple:
 
 
 def parse_loss_grid(text: str) -> list:
+    # data headers repeat the grid as typed, and float() and int() would let a
+    # newline through to them
+    if any(ch.isspace() for ch in text):
+        raise ValueError(f"loss-grid must not contain whitespace, got {text!r}")
     parts = text.split(":")
     if len(parts) not in (3, 4):
         raise ValueError(f"loss-grid must look like lo:hi:count[:log], got {text!r}")
@@ -164,8 +168,10 @@ def _gnuplot_script(data_path: str, columns, logscale: bool, ylabel: str) -> str
     ]
     if logscale:
         lines.append("set logscale xy")
+    # gnuplot reads '' inside a single-quoted string as one quote
+    quoted = name.replace("'", "''")
     plot_items = ", ".join(
-        f"'{name}' using 1:{i + 2} with lines" for i in range(len(columns) - 1)
+        f"'{quoted}' using 1:{i + 2} with lines" for i in range(len(columns) - 1)
     )
     lines.append(f"plot {plot_items}")
     return "\n".join(lines) + "\n"

@@ -51,7 +51,9 @@ to never rising. Raw, delta-phi^2 ~ pi^2/m^2 + L N to first order in L, which
 has a single minimum, but that the closed form turns exactly once is not
 derived: it rests on the tests that hold the search to an independent full
 scan over hypothesis-drawn losses in [0, 1), near one included, and n_max up
-to 4096.
+to 4096. ``curve``'s ``n_subshot_max`` is the paper's bound, the largest N with
+delta-phi < 1/sqrt(N) (None if it is n_max or there is none), by one scan down
+that assumes nothing of the row: of two sub-shot runs it would end the last.
 """
 
 from __future__ import annotations
@@ -284,9 +286,8 @@ def curve(
     number is ever dropped from the scan. Both bounds' integer type, then the
     range, then the cap on n_max, and the loss are checked before any point. The
     result holds one tuple per column; ``heisenberg`` is ``math.tan(pi/(N+2))``.
-    ``n_opt`` is ``_first_minimum`` of the delta-phi column: its first minimum
-    wherever the row falls and then never falls again, which is tested, not
-    derived (module docstring). ``n_subshot_max`` is read off the whole columns.
+    ``n_opt`` is ``_first_minimum`` of the delta-phi column, and ``n_subshot_max``
+    its largest N below shot noise, as the module docstring defines them.
     """
     n_min, n_max = _check_integer(n_min, "n_min"), _check_integer(n_max, "photon number")
     if n_min < 1 or n_min > n_max:
@@ -326,16 +327,10 @@ def _first_minimum(value, n_min: int, n_max: int) -> int | None:
 
 
 def _locate_subshot_max(delta_phi, shot_noise, n_min: int) -> int | None:
-    # Reads the columns whole, assuming no unimodality. The stretch runs right
-    # from the lowest sub-shot-noise point, which is the curve's minimum
-    # whenever that minimum beats shot noise.
-    below = [i for i, (d, s) in enumerate(zip(delta_phi, shot_noise)) if d < s]
-    if not below:
-        return None
-    start = min(below, key=delta_phi.__getitem__)
-    for i in range(start + 1, len(delta_phi)):
-        if not delta_phi[i] < shot_noise[i]:
-            return n_min + i - 1
+    top = len(delta_phi) - 1
+    for i in range(top, -1, -1):
+        if delta_phi[i] < shot_noise[i]:
+            return None if i == top else n_min + i
     return None
 
 

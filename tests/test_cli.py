@@ -161,6 +161,13 @@ class TestCurveCommand:
         assert script.exists()
         assert "curve.csv" in script.read_text()
 
+    def test_gnuplot_script_quotes_a_quote_in_the_name(self, tmp_path):
+        # gnuplot reads '' inside a single-quoted string as one quote
+        out = tmp_path / "it's.csv"
+        assert main(["curve", "--loss", "0.1", "--n-range", "1:3", "--out", str(out)]) == 0
+        expected = "plot " + ", ".join(f"'it''s.csv' using 1:{i} with lines" for i in (2, 3, 4))
+        assert (tmp_path / "it's.csv.gp").read_text().splitlines()[-1] == expected
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "curve.json"
         rc = main(
@@ -377,6 +384,7 @@ class TestPhotonNumberCap:
 
 DUAL_PATH_ROW = next(check for check in checks.CHECKS
                      if check[0] == "1 - S, closed form vs density (relative)")
+ANCHOR_ROW = next(check for check in checks.CHECKS if check[0] == "lossless variance anchor (relative)")
 
 # faults in rho's factors that the dual-path row must see: they moved its
 # defect to 1.15, 2.0e-9 and 2.0e-12 against a tolerance of 2e-15
@@ -388,6 +396,24 @@ DENSITY_FAULTS = {
     "lost blocks scaled by 1 + 1e-12": lambda factors: {
         ell: w if ell == 0 else w * (1 + 1e-12) for ell, w in factors.items()},
 }
+
+
+def fault_closed_form(monkeypatch, variant):
+    """Scale the 1 - S of ``sweep._sine_sharpness`` by 1 + 1e-12 where ``normalized`` is ``variant``."""
+    published = sweep._sine_sharpness
+
+    def faulted(loss, normalized):
+        point = published(loss, normalized)
+        if normalized != variant:
+            return point
+
+        def scaled(n):
+            sharp, defect, mass = point(n)
+            return sharp, defect * (1 + 1e-12), mass
+
+        return scaled
+
+    monkeypatch.setattr(sweep, "_sine_sharpness", faulted)
 
 
 class TestValidateCommand:
@@ -441,21 +467,14 @@ class TestValidateCommand:
     def test_dual_path_row_sees_a_faulted_closed_form(self, monkeypatch, variant):
         # 1 - S that curve publishes, scaled by 1 + 1e-12 in one variant only,
         # moves the row's defect to 1.0e-12 against a tolerance of 2e-15
-        published = sweep._sine_sharpness
-
-        def faulted(loss, normalized):
-            point = published(loss, normalized)
-            if normalized != variant:
-                return point
-
-            def scaled(n):
-                sharp, defect, mass = point(n)
-                return sharp, defect * (1 + 1e-12), mass
-
-            return scaled
-
-        monkeypatch.setattr(sweep, "_sine_sharpness", faulted)
+        fault_closed_form(monkeypatch, variant)
         assert checks.worst_defect(DUAL_PATH_ROW)[0] > DUAL_PATH_ROW[1]
+
+    def test_anchor_row_sees_a_faulted_closed_form(self, monkeypatch):
+        # the same fault of the raw 1 - S at L = 0, the row's one loss, moves
+        # its defect past a tolerance of 5e-15
+        fault_closed_form(monkeypatch, False)
+        assert checks.worst_defect(ANCHOR_ROW)[0] > ANCHOR_ROW[1]
 
 
 # each command's options besides -h, in the order the parser adds them; a knob
@@ -516,6 +535,7 @@ class TestDomainEdges:
         (["nopt", "--loss-grid", "0.1:0.2:1024", "--n-max", "2"], 0),
         (["nopt", "--loss-grid", "0.1:0.2:1025", "--n-max", "2"], 2),
         (["nopt", "--loss-grid", "0.1:0.2:1000000000000", "--n-max", "2"], 2),
+        (["nopt", "--loss-grid", "0.1:0.2:3\n", "--n-max", "20"], 2),
         (["validate"], 0),
     ], ids=lambda value: "_".join(value) if isinstance(value, list) else None)
     def test_exits_0_or_2(self, tmp_path, monkeypatch, capsys, argv, code):

@@ -383,13 +383,20 @@ class TestLandmarkSearch:
             assert _first_minimum(lambda n: deltas[n - 1], 1, len(deltas)) == 2
 
     def test_subshot_stretch_starts_at_lowest_subshot_point(self):
-        # the global minimum (N = 5) is above shot noise, so the stretch runs
-        # right from N = 2, the lowest point below it, and ends at N = 3. The
-        # row is not unimodal: n_opt is the local minimum the halving brackets
-        # (N = 2), where a full scan would put it at the top (None)
+        # the global minimum (N = 5) is above shot noise; the edge is N = 3,
+        # the largest N below shot noise. The row is not unimodal:
+        # n_opt is the local minimum the halving brackets (N = 2), where a full
+        # scan would put it at the top (None)
         deltas, shots = (0.8, 0.4, 0.5, 0.6, 0.3), (0.9, 0.5, 0.6, 0.5, 0.2)
         assert _first_minimum(lambda n: deltas[n - 1], 1, len(deltas)) == 2
         assert _locate_subshot_max(deltas, shots, 1) == 3
+
+    def test_subshot_edge_ends_the_last_of_two_runs(self):
+        # the sub-shot N are 1, 2 and 4: the edge is the largest, N = 4, not
+        # the end of the run that holds the lowest delta-phi (N = 2)
+        deltas, shots = (0.8, 0.4, 0.6, 0.4, 0.9), (0.9, 0.5, 0.5, 0.5, 0.5)
+        assert _locate_subshot_max(deltas, shots, 1) == 4
+        assert _locate_subshot_max(deltas, shots, 10) == 13
 
     def test_subshot_stretch_reaching_scan_top_is_none(self):
         deltas, shots = (0.8, 0.4, 0.5), (0.9, 0.5, 0.6)
