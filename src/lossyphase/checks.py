@@ -65,9 +65,12 @@ def _curve_defect(n: int, loss: float) -> float:
 
 
 def _quadrature_defect(n: int, loss: float) -> float:
+    """Larger gap of the kernel's and the closed form's S to the quadrature of P(phi)."""
     state = optimal_amplitudes(n)
     quad = oracle.quadrature_sharpness(povm.distribution(state, loss), 4096)
-    return abs(quad - povm.phase_estimate(state, loss).sharpness)
+    kernel = povm.phase_estimate(state, loss).sharpness
+    closed = sweep._sine_sharpness(loss, False)(n)[0]
+    return max(abs(quad - kernel), abs(quad - closed))
 
 
 def _phase_density_defect(n: int, loss: float) -> float:
@@ -90,7 +93,8 @@ def _lossless_anchor_defect(n: int, loss: float) -> float:
 # is ``povm.phase_estimate``, which reads S and M - S off ``povm.PhaseDistribution``, as
 # the density path does; "closed form" is ``sweep``'s: the S and 1 - S that ``curve`` and
 # ``nopt`` publish, and the P(phi) that ``dist`` writes. Rows 3 and 4 check one point's
-# 1 - S (relative: delta-phi and N_opt come off it) and S; row 7 holds both the kernel's
+# 1 - S (relative: delta-phi and N_opt come off it) and S; row 5 holds both the kernel's
+# S and the closed form's to the quadrature of P(phi); row 7 holds both the kernel's
 # variance and the one behind ``curve``'s delta-phi to the lossless tan^2(pi/(N+2)).
 CHECKS = (
     ("lossy ket vs matrix exponential, signed", 1e-14, _lossy_ket_defect,

@@ -6,12 +6,13 @@ anything, and hands ``_emit``, the one writer of every data file and plot
 script, one iterable of plain values per column; ``_emit`` cuts them into
 row slices itself. The library's rules (loss, photon number, Nyquist guard)
 live in ``core``; the command line checks only what the library does not
-see: the shapes of ``--n-range`` and ``--loss-grid``, the grid size and the
-``--phi-samples`` range. Each typed value is parsed, shape- or range-checked
-and then meets the library's rule (a grid by its typed ``lo:hi``) before any
-arithmetic and before ``_emit`` opens the data file; ``_emit`` streams the
-slices into the open file, so its memory does not grow with the file, and
-removes a partly written regular file if anything raises.
+see: the shapes of ``--n-range`` and ``--loss-grid``, the grid size, the
+``--phi-samples`` range and the ``--out`` name, which ``main`` checks first.
+Each typed value is parsed, shape- or range-checked and then meets the
+library's rule (a grid by its typed ``lo:hi``) before any arithmetic and
+before ``_emit`` opens the data file; ``_emit`` streams the slices into the
+open file, so its memory does not grow with the file, and removes a partly
+written regular file if anything raises.
 
 Data files are deterministic for a fixed configuration: stable row order,
 17-significant-digit decimals, no timestamps. A CSV file opens with
@@ -157,6 +158,16 @@ def _linear_grid(lo: float, hi: float, count: int) -> list:
     return values + [hi]
 
 
+def _check_out(path) -> None:
+    """Refuse an empty ``--out`` or one holding a control character (U+0000-U+001F, U+007F).
+
+    The plot script repeats the name in its text, where a newline would start
+    a gnuplot command; an empty name names no file.
+    """
+    if path == "" or any(ch < " " or ch == "\x7f" for ch in path or ""):
+        raise ValueError(f"out must be a nonempty name without control characters, got {path!r}")
+
+
 def _gnuplot_script(data_path: str, columns, logscale: bool, ylabel: str) -> str:
     name = os.path.basename(data_path)
     lines = [
@@ -263,7 +274,7 @@ def _emit(args, config: dict, names: tuple, columns, logscale: bool, ylabel: str
     the rows: CSV comments after the config, JSON keys before ``rows``. If
     anything raises while the files are written, neither is left behind.
     """
-    out = args.out or f"{args.command}.{args.format}"
+    out = f"{args.command}.{args.format}" if args.out is None else args.out
     config = {"command": args.command, "format": args.format, **config}
     extra = extra or {}
     if args.format == "csv":
@@ -394,6 +405,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             return run_validate()
+        _check_out(args.out)
         return {"curve": run_curve, "nopt": run_nopt, "dist": run_dist}[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -40,8 +40,11 @@ inputs.
 ``curve`` and ``nopt_vs_loss`` locate ``n_opt`` by one search,
 ``_first_minimum``: ``curve`` on the delta-phi column it publishes,
 ``nopt_vs_loss`` on the raw delta-phi of only the points it reads, bitwise the
-column's. It finds the row's first minimum (None at n_max) whenever the row
-falls strictly and then never falls again. Ranking by 1 - S instead fails near
+column's. It finds the row's first minimum whenever the row falls strictly
+and then never falls again. A minimum on an edge of the scan is not pinned
+down, so it is None at n_max, where the row may still fall, and at an n_min
+above 1, where the row may have turned below the scan; the scans of
+``nopt_vs_loss`` start at 1. Ranking by 1 - S instead fails near
 total loss: once S drops below about 1e-13 the rounding of 1 - S outranks S
 (903 for 1 at L = 0.9999999999999992, n_max 3318). Normalized,
 S/M = 2 sqrt(q) cos(pi/m) / (2 - L) rises strictly with m, so delta-phi =
@@ -87,8 +90,9 @@ class SweepResult(namedtuple("SweepResult",
     tuples with one entry per scanned photon number, in ascending order;
     ``np.asarray`` turns any of them into an array. ``n_opt`` and
     ``n_subshot_max`` are None when the feature is not pinned down inside the
-    scanned range (minimum still falling at the top of the scan, or no
-    sub-shot-noise point at all). A named tuple, so the fields are read-only.
+    scanned range (minimum at the top of the scan, or at its bottom when that
+    is above N = 1; sub-shot-noise edge at the top, or no sub-shot-noise point
+    at all). A named tuple, so the fields are read-only.
     """
 
     __slots__ = ()
@@ -310,11 +314,12 @@ def curve(
 
 
 def _first_minimum(value, n_min: int, n_max: int) -> int | None:
-    """The first N in n_min..n_max with value(N) <= value(N + 1), by bisection; None when it is n_max.
+    """The first N in n_min..n_max with value(N) <= value(N + 1), by bisection.
 
     It reads at most 2 ceil(log2(n_max - n_min + 1)) values. On a row that
     falls strictly and then never falls again, N is the first minimum; on any
-    other row, the local minimum the halving brackets.
+    other row, the local minimum the halving brackets. None when N is n_max,
+    or n_min above 1: a minimum on either edge may lie outside the scan.
     """
     lo, hi = n_min, n_max
     while lo < hi:
@@ -323,7 +328,7 @@ def _first_minimum(value, n_min: int, n_max: int) -> int | None:
             hi = mid
         else:
             lo = mid + 1
-    return None if lo == n_max else lo
+    return None if lo == n_max or lo == n_min > 1 else lo
 
 
 def _locate_subshot_max(delta_phi, shot_noise, n_min: int) -> int | None:

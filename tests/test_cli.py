@@ -384,6 +384,7 @@ class TestPhotonNumberCap:
 
 DUAL_PATH_ROW = next(check for check in checks.CHECKS
                      if check[0] == "1 - S, closed form vs density (relative)")
+QUADRATURE_ROW = next(check for check in checks.CHECKS if check[0] == "sharpness, kernel vs quadrature")
 ANCHOR_ROW = next(check for check in checks.CHECKS if check[0] == "lossless variance anchor (relative)")
 
 # faults in rho's factors that the dual-path row must see: they moved its
@@ -398,8 +399,11 @@ DENSITY_FAULTS = {
 }
 
 
-def fault_closed_form(monkeypatch, variant):
-    """Scale the 1 - S of ``sweep._sine_sharpness`` by 1 + 1e-12 where ``normalized`` is ``variant``."""
+def fault_closed_form(monkeypatch, variant, part=1):
+    """Scale entry ``part`` (0: S, 1: 1 - S) of ``sweep._sine_sharpness``'s points by 1 + 1e-12.
+
+    Only where ``normalized`` is ``variant``.
+    """
     published = sweep._sine_sharpness
 
     def faulted(loss, normalized):
@@ -408,8 +412,9 @@ def fault_closed_form(monkeypatch, variant):
             return point
 
         def scaled(n):
-            sharp, defect, mass = point(n)
-            return sharp, defect * (1 + 1e-12), mass
+            values = list(point(n))
+            values[part] *= 1 + 1e-12
+            return tuple(values)
 
         return scaled
 
@@ -475,6 +480,12 @@ class TestValidateCommand:
         # its defect past a tolerance of 5e-15
         fault_closed_form(monkeypatch, False)
         assert checks.worst_defect(ANCHOR_ROW)[0] > ANCHOR_ROW[1]
+
+    def test_quadrature_row_sees_a_faulted_closed_form(self, monkeypatch):
+        # the raw S that curve's delta-phi comes off, scaled by 1 + 1e-12, moves
+        # the row's defect to about 1e-12 against a tolerance of 1e-14
+        fault_closed_form(monkeypatch, False, part=0)
+        assert checks.worst_defect(QUADRATURE_ROW)[0] > QUADRATURE_ROW[1]
 
 
 # each command's options besides -h, in the order the parser adds them; a knob
@@ -553,6 +564,13 @@ class TestDomainEdges:
             errors = [line for line in captured.err.splitlines() if "error:" in line]
             assert len(errors) == 1 and captured.err.splitlines()[-1] == errors[0]
             assert written == []
+
+    @pytest.mark.parametrize("grid", ["0.1:x:3", "0.1:0.2:2.5"])
+    def test_bad_loss_grid_numbers(self, tmp_path, monkeypatch, capsys, grid):
+        # a bound that is no float, or a count that is no int
+        assert _run_in(tmp_path, monkeypatch, ["nopt", "--loss-grid", grid]) == 2
+        assert capsys.readouterr().err == f"error: bad loss-grid numbers in {grid!r}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["nopt", "--loss-grid", "-0.0:0.3:1", "--n-max", "50"],
@@ -805,6 +823,22 @@ class TestStreamedFiles:
         assert main([command] + argv) == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == [f"{command}.csv"]
         assert (tmp_path / f"{command}.csv").read_text(encoding="utf-8") == "earlier\n"
+
+    @pytest.mark.parametrize("out", ["", "a\nb.csv", "a\x7fb.csv"], ids=["empty", "newline", "delete"])
+    def test_rejected_out_leaves_an_earlier_file_alone(self, tmp_path, monkeypatch, capsys, out):
+        # the name is refused before any point: an empty one would have written
+        # the default file, and a newline would have split the plot script
+        def no_points(*_):
+            raise AssertionError("a point was computed")
+
+        monkeypatch.setattr(sweep, "curve", no_points)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "curve.csv").write_text("earlier\n", encoding="utf-8")
+        assert main(["curve", "--loss", "0.1", "--n-range", "1:3", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: out must be a nonempty name without control characters, got {out!r}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv"]
+        assert (tmp_path / "curve.csv").read_text(encoding="utf-8") == "earlier\n"
 
     @staticmethod
     def _fail_after_one_slice(monkeypatch):

@@ -47,6 +47,12 @@ class TestGenerators:
         with pytest.raises(ValueError):
             jx_matrix(26)
 
+    @pytest.mark.parametrize("build", [jx_matrix, lambda j2: bs_unitary(j2, 0.1)],
+                             ids=["jx_matrix", "bs_unitary"])
+    def test_rejects_negative_spin(self, build):
+        with pytest.raises(ValueError, match="2j must be nonnegative, got -1"):
+            build(-1)
+
 
 class TestBeamSplitterUnitary:
     def test_zero_angle_is_identity(self):

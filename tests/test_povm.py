@@ -37,10 +37,6 @@ PHOTON_NUMBERS = st.integers(1, MAX_PHOTON_NUMBER)
 LOSS_FRACTIONS = st.floats(0.0, 1.0, exclude_max=True)
 
 
-def survival_weights(n, loss):
-    return (1 - loss) ** np.arange(n + 1)
-
-
 def mp_sharpness(n, loss):
     """sum_t psi_t psi_{t-1} (1-L)^(t-1/2) of the sine state at 50 digits."""
     with mpmath.workdps(50):
@@ -88,14 +84,6 @@ class TestDistribution:
     def test_hand_integral_n1_l03(self):
         dist = distribution(optimal_amplitudes(1), 0.3)
         assert dist.total_mass() == pytest.approx(0.85, abs=1e-12)
-
-    @pytest.mark.parametrize("n", range(1, 21))
-    @pytest.mark.parametrize("loss", LOSSES + (0.7,))
-    def test_subnormalization_identity(self, n, loss):
-        state = optimal_amplitudes(n)
-        dist = distribution(state, loss)
-        expected = float(np.sum(state.psi**2 * survival_weights(n, loss)))
-        assert dist.total_mass() == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("n,loss", [(1, 0.0), (5, 0.3), (12, 0.6)])
     def test_nonnegative_on_dense_grid(self, n, loss):

@@ -197,6 +197,17 @@ class TestCurve:
         assert (first.loss, first.n_opt, first.n_subshot_max) == (
             second.loss, second.n_opt, second.n_subshot_max)
 
+    @pytest.mark.parametrize("loss,n_min,n_max,n_opt", [
+        (1e-3, 100, 4096, None),  # rising from its first point: the optimum (25) is below
+        (1e-3, 26, 300, None),
+        (1e-3, 25, 300, None),  # the optimum itself on the bottom edge
+        (1e-3, 1, 25, None),  # and on the top edge
+        (1e-3, 10, 300, 25),
+        (0.9, 1, 10, 1),  # N = 1 is the bottom of every scan, so it is pinned
+    ])
+    def test_optimum_on_a_scan_edge_is_none(self, loss, n_min, n_max, n_opt):
+        assert curve(loss, n_min, n_max).n_opt == n_opt
+
     def test_points_are_the_columns(self):
         # bench/traced.py counts a curve's points through this view
         result = curve(2e-3, 3, 500)

@@ -171,6 +171,11 @@ class TestDElement:
                     for b2 in range(-j2, j2 + 1, 2):
                         assert abs(d_element(j2, a2, b2, theta)) <= 1 + 1e-12
 
+    def test_rejects_negative_spin(self):
+        # refused by d_element itself, before the oracle sees 2j
+        with pytest.raises(ValueError, match="2j must be nonnegative, got -1"):
+            d_element(-1, 1, 1, 0.1)
+
     def test_rejects_out_of_range_projection(self):
         with pytest.raises(ValueError):
             d_element(2, 4, 0, 0.3)
